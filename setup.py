@@ -1,19 +1,11 @@
 """Build hook for the optional compiled tree-pair kernel.
 
-The package is pure Python plus one Cython extension (tgf._treepair) that
-accelerates composition in Thompson's group F.  The extension is optional:
-if Cython or a C compiler is unavailable the build still succeeds and the
-package falls back to the pure-Python kernel at import time.
+The package is pure Python plus one hand-written CPython extension
+(tgf._treepair, src/tgf/_treepair.c) that accelerates composition in
+Thompson's group F.  It needs only a C compiler and the Python headers.
+The extension is optional: if it cannot be built the build still succeeds
+and the package falls back to the pure-Python kernel at import time.
 """
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext = Extension("tgf._treepair", ["src/tgf/_treepair.pyx"], optional=True)
-    ext_modules = cythonize([ext], language_level=3)
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("tgf._treepair", ["src/tgf/_treepair.c"], optional=True)])

@@ -16,11 +16,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import density as density_mod
-from . import formats, spectral
+from . import formats, kernel, spectral
 from .errors import (
     CorruptionError,
     NumericError,
@@ -28,6 +27,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
+from .groups import ThompsonF
 from .ladder import GeneratorSet, case1, case2, custom_f_set, free_set, lattice_set
 from .sequences import check_chain_bounds, compute_table, moebius_verify
 
@@ -42,17 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-@dataclass
-class RunConfig:
-    """Resolved run parameters shared by the subcommands."""
-
-    gen: GeneratorSet | None
-    max_n: int
-    threads: int
-    precision_bits: int
-    checkpoint_dir: str | None
 
 
 def _default_threads() -> int:
@@ -82,6 +71,15 @@ def _resolve_generator_set(args) -> GeneratorSet:
     raise UsageError(f"unknown case {case!r}")
 
 
+def _note_kernel(gen: GeneratorSet):
+    """One stderr line when F arithmetic falls back to the pure kernel unasked."""
+    if (isinstance(gen.backend, ThompsonF) and kernel.FALLBACK_REASON
+            and not kernel.PURE_REQUESTED):
+        sys.stderr.write(
+            f"note: using the pure-Python tree-pair kernel ({kernel.FALLBACK_REASON})\n"
+        )
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = text.split(":")
@@ -109,6 +107,7 @@ def _emit(text: str, out: str | None):
 
 def cmd_tables(args) -> int:
     gen = _resolve_generator_set(args)
+    _note_kernel(gen)
     table = compute_table(
         gen, args.max_n, threads=args.threads, checkpoint_dir=args.checkpoint_dir
     )
@@ -246,6 +245,7 @@ def cmd_verify(args) -> int:
     from .verify import report_to_dict, run_suite
 
     gen = _resolve_generator_set(args)
+    _note_kernel(gen)
     report = run_suite(
         gen,
         max_n=args.max_n,

@@ -121,6 +121,12 @@ class GroupBackend(abc.ABC):
     @abc.abstractmethod
     def decode_payload(self, key: bytes): ...
 
+    def apply_left(self, factors: list[bytes], vec: dict[bytes, int]) -> dict[bytes, int]:
+        """Multiset product (sum of factors) . vec, multiplying on the left."""
+        return treepair.apply_left(
+            factors, vec, compose=self.multiply_keys, identity=self.identity_key()
+        )
+
     # element-level wrappers
 
     def identity(self) -> CanonicalElement:
@@ -206,6 +212,9 @@ class ThompsonF(GroupBackend):
 
     def invert_key(self, a: bytes) -> bytes:
         return kernel.invert_key(a)
+
+    def apply_left(self, factors: list[bytes], vec: dict[bytes, int]) -> dict[bytes, int]:
+        return kernel.apply_left(factors, vec)
 
     def decode_payload(self, key: bytes) -> TreePair:
         d, r = treepair.unpack_key(key)

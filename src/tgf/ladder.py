@@ -18,6 +18,7 @@ from __future__ import annotations
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -151,33 +152,17 @@ def _apply_left(
     threads: int,
 ) -> dict[bytes, int]:
     """Multiset product (sum of factors) . vec, multiplying on the left."""
-    e = backend.identity_key()
-    plain = [g for g in factors if g != e]
-    n_identity = len(factors) - len(plain)
-    mul = backend.multiply_keys
-
-    def work(items) -> dict[bytes, int]:
-        local: dict[bytes, int] = {}
-        get = local.get
-        for key, c in items:
-            if n_identity:
-                local[key] = get(key, 0) + n_identity * c
-            for g in plain:
-                k2 = mul(g, key)
-                local[k2] = get(k2, 0) + c
-        return local
-
     if threads <= 1 or len(vec) < 2048:
-        return work(vec.items())
+        return backend.apply_left(factors, vec)
 
-    shards: list[list] = [[] for _ in range(threads)]
-    for item in vec.items():
-        shards[_shard_index(item[0], threads)].append(item)
+    shards: list[dict[bytes, int]] = [{} for _ in range(threads)]
+    for key, c in vec.items():
+        shards[_shard_index(key, threads)][key] = c
     out: dict[bytes, int] = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # merge in shard order; integer addition makes the result
         # independent of scheduling
-        for local in pool.map(work, shards):
+        for local in pool.map(partial(backend.apply_left, factors), shards):
             get = out.get
             for k, c in local.items():
                 out[k] = get(k, 0) + c

@@ -16,8 +16,10 @@ is x -> a(b(x)), i.e. the right factor acts first.  Under this convention
 A = x0 and B = x1 (the standard generators) satisfy the two defining
 relations of F; see tests/test_groups.py.
 
-This module is the reference implementation.  tgf._treepair is a Cython
-twin with identical semantics, selected at import by tgf.kernel.
+This module is the reference implementation.  tgf._treepair is a
+hand-written C extension with identical semantics (same keys, same errors,
+same dict insertion order from apply_left), selected at import by
+tgf.kernel.
 """
 from __future__ import annotations
 
@@ -29,6 +31,9 @@ CARET = 1
 KEY_TAG = 0x46  # ASCII 'F'
 
 IDENTITY_TREE = bytes([LEAF])
+
+# maps the digits of a binary numeral to tree tokens
+_TOKENS = bytes.maketrans(b"01", bytes([LEAF, CARET]))
 
 
 class TreePairError(ValueError):
@@ -207,17 +212,26 @@ def pack_key(domain: bytes, range_: bytes) -> bytes:
 
 
 def unpack_key(key: bytes) -> tuple[bytes, bytes]:
+    """Domain and range trees of a key; a malformed key raises TreePairError."""
     if len(key) < 3 or key[0] != KEY_TAG:
         raise TreePairError("not a tree-pair key")
     nl = struct.unpack(">H", key[1:3])[0]
+    if nl < 1:
+        raise TreePairError("tree-pair key has leaf count 0")
     ntok = 2 * nl - 1
-    bits = bytearray()
-    for byte in key[3:]:
-        for shift in range(7, -1, -1):
-            bits.append((byte >> shift) & 1)
-    if len(bits) < 2 * ntok:
-        raise TreePairError("truncated key")
-    return bytes(bits[:ntok]), bytes(bits[ntok : 2 * ntok])
+    if len(key) != 3 + (2 * ntok + 7) // 8:
+        raise TreePairError("tree-pair key length does not match its leaf count")
+    numeral = format(int.from_bytes(key[3:], "big"), "b").zfill(8 * (len(key) - 3))
+    bits = numeral.encode().translate(_TOKENS)
+    if any(bits[2 * ntok :]):
+        raise TreePairError("tree-pair key has nonzero padding bits")
+    dom, rng = bits[:ntok], bits[ntok : 2 * ntok]
+    try:
+        validate_tree(dom)
+        validate_tree(rng)
+    except TreePairError:
+        raise TreePairError("tree-pair key does not hold two complete trees")
+    return dom, rng
 
 
 IDENTITY_KEY = pack_key(IDENTITY_TREE, IDENTITY_TREE)
@@ -225,15 +239,42 @@ IDENTITY_KEY = pack_key(IDENTITY_TREE, IDENTITY_TREE)
 
 def compose_keys(a: bytes, b: bytes) -> bytes:
     """Canonical key of the product a*b (right factor acts first)."""
+    da, ra = unpack_key(a)
+    db, rb = unpack_key(b)
     if a == IDENTITY_KEY:
         return b
     if b == IDENTITY_KEY:
         return a
-    da, ra = unpack_key(a)
-    db, rb = unpack_key(b)
     return pack_key(*compose_trees(da, ra, db, rb))
 
 
 def invert_key(a: bytes) -> bytes:
     da, ra = unpack_key(a)
     return pack_key(ra, da)
+
+
+def apply_left(
+    factors: list[bytes],
+    vec: dict[bytes, int],
+    *,
+    compose=compose_keys,
+    identity: bytes = IDENTITY_KEY,
+) -> dict[bytes, int]:
+    """Multiset product (sum of factors) . vec, multiplying on the left.
+
+    For each key of vec in order, the identity factors' contribution is
+    added first, then the products with the other factors in their order;
+    the compiled kernel reproduces this dict insertion order exactly.  Other
+    backends pass their own `compose` and `identity` (GroupBackend).
+    """
+    plain = [g for g in factors if g != identity]
+    n_identity = len(factors) - len(plain)
+    out: dict[bytes, int] = {}
+    get = out.get
+    for key, c in vec.items():
+        if n_identity:
+            out[key] = get(key, 0) + n_identity * c
+        for g in plain:
+            k2 = compose(g, key)
+            out[k2] = get(k2, 0) + c
+    return out

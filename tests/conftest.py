@@ -1,9 +1,17 @@
+import importlib.machinery
+import importlib.util
+import os
+import shutil
+import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+ROOT = Path(__file__).resolve().parent.parent
 
 from tgf import formats
 from tgf.ladder import case1, case2
@@ -37,3 +45,28 @@ def gen_case1():
 @pytest.fixture(scope="session")
 def gen_case2():
     return case2()
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """tgf._treepair built from this checkout by setup.py build_ext.
+
+    Skips only when no C compiler is found; a failed build is an error.
+    """
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(cc.split()[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
+    out = tmp_path_factory.mktemp("kernel-build")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             for p in (out / "lib" / "tgf").glob(f"_treepair{suffix}")]
+    if proc.returncode != 0 or not built:
+        pytest.fail(f"building tgf._treepair failed:\n{proc.stdout}\n{proc.stderr}")
+    spec = importlib.util.spec_from_file_location("tgf._treepair", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -192,3 +192,39 @@ def test_threads_env_default(capsys, monkeypatch):
     assert code == 0
     monkeypatch.setenv("TGF_THREADS", "zebra")
     assert run_cli(capsys, "tables", "--case=1", "--max-n=5")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--case=1", "--max-n=5"),
+    ("verify", "--case=2", "--max-n=4", "--brute-max-n=2"),
+])
+def test_pure_kernel_fallback_noted_on_stderr_only(capsys, monkeypatch, argv):
+    from tgf import kernel
+
+    runs = {}
+    for label, reason, requested in [
+        ("compiled", None, False),
+        ("fallback", "compiled kernel failed to load: no module", False),
+        ("requested", "TGF_PURE_PY is set", True),
+    ]:
+        monkeypatch.setattr(kernel, "FALLBACK_REASON", reason)
+        monkeypatch.setattr(kernel, "PURE_REQUESTED", requested)
+        runs[label] = run_cli(capsys, *argv)
+    assert runs["compiled"][0] == 0
+    assert runs["compiled"][2] == runs["requested"][2] == ""
+    assert runs["fallback"][2] == (
+        "note: using the pure-Python tree-pair kernel "
+        "(compiled kernel failed to load: no module)\n"
+    )
+    # stdout is the data contract: the same bytes whichever way
+    assert runs["compiled"][1] == runs["fallback"][1] == runs["requested"][1]
+
+
+def test_pure_kernel_fallback_not_noted_without_f(capsys, monkeypatch):
+    from tgf import kernel
+
+    monkeypatch.setattr(kernel, "FALLBACK_REASON", "compiled kernel failed to load")
+    monkeypatch.setattr(kernel, "PURE_REQUESTED", False)
+    code, _, err = run_cli(capsys, "tables", "--case=free", "--q=2", "--max-n=4")
+    assert code == 0
+    assert err == ""

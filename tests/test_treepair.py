@@ -1,16 +1,15 @@
 """Tree-pair kernel: packing, reduction, composition vs the exact PL oracle,
-and agreement between the pure and compiled implementations."""
+agreement between the pure and compiled implementations (the compiled one
+built by the `compiled` fixture), and malformed keys failing closed."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgf import treepair as tp
+from tgf.ladder import case1, case2, custom_f_set, ladder_levels
 from oracles import PL_IDENTITY, key_to_map, pl_compose, pl_word
-
-try:
-    from tgf import _treepair as compiled
-except ImportError:
-    compiled = None
 
 
 def random_word(rng, length):
@@ -82,8 +81,7 @@ def test_unreduced_inputs_allowed():
     assert out == (dom, rng_)
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_compiled_matches_pure():
+def test_compiled_matches_pure(compiled):
     rng = random.Random(7)
     keys = [word_key(random_word(rng, rng.randint(0, 14))) for _ in range(120)]
     for a in keys:
@@ -92,6 +90,113 @@ def test_compiled_matches_pure():
             assert compiled.compose_keys(a, b) == tp.compose_keys(a, b)
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_compiled_identity_constant():
+def test_compiled_identity_constant(compiled):
     assert compiled.IDENTITY_KEY == tp.IDENTITY_KEY
+
+
+@pytest.mark.parametrize("gen, max_n", [
+    (case1(), 10),
+    (case2(), 7),
+    (custom_f_set(["", "AB", "ba", "aa"]), 7),
+], ids=["case1", "case2", "custom"])
+def test_compiled_apply_left_matches_pure(compiled, gen, max_n):
+    # same dict, same insertion order, on every level of a real ladder and
+    # for both factor lists the ladder uses
+    factor_lists = (gen.keys(), gen.inverse_keys())
+    for level in ladder_levels(gen, max_n):
+        for factors in factor_lists:
+            pure = tp.apply_left(factors, level.entries)
+            fast = compiled.apply_left(factors, level.entries)
+            assert list(fast.items()) == list(pure.items())
+
+
+def test_apply_left_identity_first_then_factors_in_order(compiled):
+    a = word_key("A")
+    b = word_key("B")
+    vec = {tp.IDENTITY_KEY: 2, a: 5}
+    factors = [b, tp.IDENTITY_KEY, a, tp.IDENTITY_KEY]
+    want = [
+        (tp.IDENTITY_KEY, 4), (b, 2), (a, 2 + 10),
+        (tp.compose_keys(b, a), 5), (word_key("AA"), 5),
+    ]
+    for impl in (tp, compiled):
+        assert list(impl.apply_left(factors, vec).items()) == want
+        assert impl.apply_left([], vec) == {}
+        assert impl.apply_left(factors, {}) == {}
+
+
+# -- malformed keys -----------------------------------------------------------
+
+MALFORMED = {
+    "all carets": bytes.fromhex("460003ffff"),
+    "truncated": bytes.fromhex("46000380"),
+    "empty": b"",
+    "header only": bytes.fromhex("4600"),
+    "wrong tag": bytes.fromhex("47000100"),
+    "leaf count 0": bytes.fromhex("460000"),
+    "trailing byte": tp.IDENTITY_KEY + b"\x00",
+    "padding bit set": bytes.fromhex("46000101"),
+    "tokens after a complete tree": bytes.fromhex("46000250"),
+    "range all leaves": bytes.fromhex("46000280"),
+}
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def kernel_impl(request):
+    return tp if request.param == "pure" else request.getfixturevalue("compiled")
+
+
+@pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_keys_raise_tree_pair_error(kernel_impl, bad):
+    good = word_key("aB")
+    calls = [
+        lambda: kernel_impl.compose_keys(bad, good),
+        lambda: kernel_impl.compose_keys(good, bad),
+        lambda: kernel_impl.compose_keys(tp.IDENTITY_KEY, bad),
+        lambda: kernel_impl.compose_keys(bad, tp.IDENTITY_KEY),
+        lambda: kernel_impl.invert_key(bad),
+        lambda: kernel_impl.apply_left([bad], {good: 1}),
+        lambda: kernel_impl.apply_left([good], {bad: 1}),
+    ]
+    for call in calls:
+        with pytest.raises(tp.TreePairError):
+            call()
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except tp.TreePairError:
+        return "TreePairError", None
+
+
+def _body_size(leaves, off):
+    return max(0, (2 * (2 * leaves - 1) + 7) // 8 + off)
+
+
+# tag and leaf count, then a random body whose length matches the count or
+# is one byte off
+SIZED = st.tuples(st.integers(0, 9), st.integers(-1, 1)).flatmap(
+    lambda t: st.binary(min_size=_body_size(*t), max_size=_body_size(*t)).map(
+        lambda body: bytes([0x46, 0, t[0]]) + body
+    )
+)
+VALID = st.text(alphabet="AaBb", max_size=8).map(word_key)
+KEYISH = st.one_of(st.binary(max_size=10), SIZED, VALID)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=KEYISH, other=VALID)
+def test_random_bytes_only_raise_tree_pair_error(compiled, key, other):
+    # any exception other than TreePairError fails the test; both kernels
+    # must also agree on which inputs they accept and on the results
+    results = []
+    for impl in (tp, compiled):
+        results.append([
+            _outcome(impl.compose_keys, key, other),
+            _outcome(impl.compose_keys, other, key),
+            _outcome(impl.invert_key, key),
+            _outcome(impl.apply_left, [key], {other: 1}),
+            _outcome(impl.apply_left, [other], {key: 3}),
+        ])
+    assert results[0] == results[1]
