@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .errors import (
 from .groups import ThompsonF
 from .ladder import GeneratorSet, case1, case2, custom_f_set, free_set, lattice_set
 from .sequences import check_chain_bounds, compute_table, moebius_verify
+from .treepair import TreePairError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,16 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("TGF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"TGF_THREADS={env!r} is not an integer")
-    return 1
 
 
 def _resolve_generator_set(args) -> GeneratorSet:
@@ -108,9 +98,7 @@ def _emit(text: str, out: str | None):
 def cmd_tables(args) -> int:
     gen = _resolve_generator_set(args)
     _note_kernel(gen)
-    table = compute_table(
-        gen, args.max_n, threads=args.threads, checkpoint_dir=args.checkpoint_dir
-    )
+    table = compute_table(gen, args.max_n, checkpoint_dir=args.checkpoint_dir)
     report = moebius_verify(table, torsion_free=gen.backend.is_torsion_free)
     report.checks.extend(check_chain_bounds(table).checks)
     if not report.ok:
@@ -250,7 +238,6 @@ def cmd_verify(args) -> int:
         gen,
         max_n=args.max_n,
         brute_max_n=args.brute_max_n,
-        threads=args.threads,
         precision_bits=args.precision_bits,
     )
     payload = report_to_dict(report)
@@ -279,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="compute the exact sequence table")
     _add_case_flags(p)
     p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_tables)
@@ -314,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_case_flags(p)
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--brute-max-n", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--precision-bits", type=int, default=spectral.DEFAULT_PRECISION_BITS)
     p.set_defaults(func=cmd_verify)
     return parser
@@ -323,15 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        try:
-            args.threads = _default_threads()
-        except UsageError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TreePairError) as exc:
+        # a malformed tree-pair key can only come from a bad input file
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (ResourceError, NumericError) as exc:

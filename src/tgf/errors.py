@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto its exit-code contract: UsageError -> 1,
-VerificationError -> 2, NumericError / ResourceError -> 3.
+VerificationError -> 2, NumericError / ResourceError -> 3.  A malformed
+tree-pair key (treepair.TreePairError) can only come from an input file,
+so it is a usage error too.
 """
 
 

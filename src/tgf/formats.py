@@ -65,8 +65,15 @@ def read_table_csv(path_or_text) -> SequenceTable:
     for row in rows[1:]:
         if not row:
             continue
-        n, *values = (int(x) for x in row)
+        try:
+            n, *values = (int(x) for x in row)
+        except ValueError:
+            raise UsageError(f"table CSV row {row} is not all integers") from None
+        if len(values) != len(TABLE_HEADER) - 1:
+            raise UsageError(f"table CSV row {row} needs {len(TABLE_HEADER)} columns")
         cols[n] = tuple(values)
+    if not cols:
+        raise UsageError("table CSV has no rows")
     max_n = max(cols)
     if sorted(cols) != list(range(1, max_n + 1)):
         raise UsageError("table CSV must cover n = 1..max contiguously")
@@ -86,14 +93,15 @@ def read_table_csv(path_or_text) -> SequenceTable:
 def parse_moments_text(text: str) -> list[int]:
     """Parse `n m_n` lines into the list m_0..m_N (m_0 = 1 implied)."""
     pairs = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise UsageError(f"bad moments line: {raw!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            n, m = (int(part) for part in line.split())
+        except ValueError:
+            raise UsageError(f"bad moments line {lineno}: {raw!r}") from None
+        pairs.append((n, m))
     if not pairs:
         raise UsageError("moments file is empty")
     pairs.sort()
@@ -111,16 +119,23 @@ def parse_moments_text(text: str) -> list[int]:
 
 
 def read_moments(path) -> tuple[int, list[int]]:
-    """Read a moments file or a table CSV; returns (q, [m_0..m_N])."""
-    text = Path(path).read_text(encoding="ascii")
-    first = text.lstrip().splitlines()[0] if text.strip() else ""
-    if first.replace(" ", "").startswith("n,"):
-        table = read_table_csv(text)
-        return table.q, table.moments()
-    moments = parse_moments_text(text)
-    if len(moments) < 2:
-        raise UsageError("need at least m_1 to infer q")
-    return moments[1] - 1, moments
+    """Read a moments file or a table CSV; returns (q, [m_0..m_N]).
+
+    Any unreadable or malformed file raises UsageError naming it."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+        first = text.lstrip().splitlines()[0] if text.strip() else ""
+        if first.replace(" ", "").startswith("n,"):
+            table = read_table_csv(text)
+            return table.q, table.moments()
+        moments = parse_moments_text(text)
+        if len(moments) < 2:
+            raise UsageError("need at least m_1 to infer q")
+        return moments[1] - 1, moments
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, UsageError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 # -- bounds CSV --------------------------------------------------------------
@@ -229,26 +244,35 @@ def write_checkpoint(directory: Path, q: int, vec: MultiplicityVector) -> Path:
 
 
 def read_checkpoint(path) -> tuple[int, MultiplicityVector]:
-    """Returns (q, vector)."""
+    """Returns (q, vector); a malformed file raises UsageError naming it."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise UsageError(f"{path}: not a ladder checkpoint")
-    version, n, q = struct.unpack_from("<III", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise UsageError(f"{path}: unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<Q", data, 16)
     entries: dict[bytes, int] = {}
-    offset = 24
-    for _ in range(count):
-        (key_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        key = data[offset : offset + key_len]
-        offset += key_len
-        sign, mag_len = struct.unpack_from("<BI", data, offset)
-        offset += 5
-        mag = int.from_bytes(data[offset : offset + mag_len], "big")
-        offset += mag_len
-        entries[key] = -mag if sign else mag
+    try:
+        version, n, q = struct.unpack_from("<III", data, 4)
+        if version != CHECKPOINT_VERSION:
+            raise UsageError(f"{path}: unsupported checkpoint version {version}")
+        (count,) = struct.unpack_from("<Q", data, 16)
+        offset = 24
+        for _ in range(count):
+            (key_len,) = struct.unpack_from("<H", data, offset)
+            offset += 2
+            key = data[offset : offset + key_len]
+            offset += key_len
+            sign, mag_len = struct.unpack_from("<BI", data, offset)
+            offset += 5
+            mag = int.from_bytes(data[offset : offset + mag_len], "big")
+            offset += mag_len
+            entries[key] = -mag if sign else mag
+    except struct.error:
+        raise UsageError(f"{path}: checkpoint is truncated") from None
+    # each field advances the offset by its declared length, so a short
+    # final key or magnitude leaves it past the end
+    if offset > len(data):
+        raise UsageError(f"{path}: checkpoint is truncated")
+    if offset < len(data):
+        raise UsageError(f"{path}: trailing bytes after checkpoint entries")
     return q, MultiplicityVector(n, entries)
 
 

@@ -15,10 +15,8 @@ optional per-level checkpoints allow long runs to resume.
 """
 from __future__ import annotations
 
-import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -141,34 +139,6 @@ class LadderRun:
         return [s.h2norm for s in self.summaries]
 
 
-def _shard_index(key: bytes, nshards: int) -> int:
-    return zlib.crc32(key) % nshards
-
-
-def _apply_left(
-    backend: GroupBackend,
-    factors: list[bytes],
-    vec: dict[bytes, int],
-    threads: int,
-) -> dict[bytes, int]:
-    """Multiset product (sum of factors) . vec, multiplying on the left."""
-    if threads <= 1 or len(vec) < 2048:
-        return backend.apply_left(factors, vec)
-
-    shards: list[dict[bytes, int]] = [{} for _ in range(threads)]
-    for key, c in vec.items():
-        shards[_shard_index(key, threads)][key] = c
-    out: dict[bytes, int] = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # merge in shard order; integer addition makes the result
-        # independent of scheduling
-        for local in pool.map(partial(backend.apply_left, factors), shards):
-            get = out.get
-            for k, c in local.items():
-                out[k] = get(k, 0) + c
-    return out
-
-
 def _subtract_scaled(acc: dict[bytes, int], sub: dict[bytes, int], factor: int, n: int):
     get = acc.get
     for key, c in sub.items():
@@ -186,7 +156,6 @@ def _subtract_scaled(acc: dict[bytes, int], sub: dict[bytes, int], factor: int, 
 def ladder_levels(
     gen: GeneratorSet,
     max_n: int,
-    threads: int = 1,
     seed: Optional[tuple[MultiplicityVector, MultiplicityVector]] = None,
 ) -> Iterator[MultiplicityVector]:
     """Yield h_1 .. h_max_n (or continue past a checkpointed pair `seed`)."""
@@ -202,7 +171,7 @@ def ladder_levels(
         yield prev
         if max_n == 1:
             return
-        ent = _apply_left(backend, y_inv, prev.entries, threads)
+        ent = backend.apply_left(y_inv, prev.entries)
         _subtract_scaled(ent, {e: 1}, q + 1, 2)
         cur = MultiplicityVector(2, ent)
         _check_sum(cur, q)
@@ -215,7 +184,7 @@ def ladder_levels(
     while cur.n < max_n:
         n = cur.n
         factors = y if n % 2 == 0 else y_inv
-        ent = _apply_left(backend, factors, cur.entries, threads)
+        ent = backend.apply_left(factors, cur.entries)
         _subtract_scaled(ent, prev.entries, q, n + 1)
         nxt = MultiplicityVector(n + 1, ent)
         _check_sum(nxt, q)
@@ -235,10 +204,8 @@ def _check_sum(vec: MultiplicityVector, q: int):
 def build_ladder(
     gen: GeneratorSet,
     max_n: int,
-    threads: int = 1,
     checkpoint_dir: Optional[str] = None,
     keep_levels: tuple[int, ...] = (),
-    resume: bool = True,
 ) -> LadderRun:
     """Run the ladder, returning per-level summaries.
 
@@ -253,38 +220,38 @@ def build_ladder(
     e = gen.backend.identity_key()
     run = LadderRun(q=gen.q)
     seed = None
+    disk = ()
     if checkpoint_dir is not None:
         ckdir = Path(checkpoint_dir)
         ckdir.mkdir(parents=True, exist_ok=True)
-        if resume:
-            seed = formats.latest_checkpoint_pair(ckdir, gen.q, max_n)
-            if seed is not None:
-                # summaries for the levels below the seed come off disk, so
-                # a resumed run still reports the whole ladder
-                for n in range(1, seed[0].n):
-                    path = formats.checkpoint_path(ckdir, n)
-                    if not path.exists():
-                        raise UsageError(
-                            f"checkpoint level {n} missing from {ckdir}; "
-                            "delete the directory to restart from scratch"
-                        )
-                    _, vec = formats.read_checkpoint(path)
-                    _summarize(run, vec, e)
-                    if vec.n in keep_levels:
-                        run.kept[vec.n] = vec
-                for vec in seed:
-                    _summarize(run, vec, e)
-                    if vec.n in keep_levels:
-                        run.kept[vec.n] = vec
+        seed = formats.latest_checkpoint_pair(ckdir, gen.q, max_n)
+        if seed is not None:
+            # summaries for the levels below the seed come off disk, so a
+            # resumed run still reports the whole ladder
+            disk = chain(_disk_levels(ckdir, seed[0].n), seed)
+    fresh_from = seed[1].n + 1 if seed is not None else 1
 
-    for vec in ladder_levels(gen, max_n, threads=threads, seed=seed):
+    for vec in chain(disk, ladder_levels(gen, max_n, seed=seed)):
         _summarize(run, vec, e)
         if vec.n in keep_levels:
             run.kept[vec.n] = vec
-        if checkpoint_dir is not None:
-            formats.write_checkpoint(Path(checkpoint_dir), gen.q, vec)
-    run.summaries.sort(key=lambda s: s.n)
+        if checkpoint_dir is not None and vec.n >= fresh_from:
+            formats.write_checkpoint(ckdir, gen.q, vec)
     return run
+
+
+def _disk_levels(ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
+    """Checkpointed levels 1 .. below-1, read one at a time."""
+    from . import formats
+
+    for n in range(1, below):
+        path = formats.checkpoint_path(ckdir, n)
+        if not path.exists():
+            raise UsageError(
+                f"checkpoint level {n} missing from {ckdir}; "
+                "delete the directory to restart from scratch"
+            )
+        yield formats.read_checkpoint(path)[1]
 
 
 def _summarize(run: LadderRun, vec: MultiplicityVector, identity_key: bytes):

@@ -134,10 +134,9 @@ def table_from_ladder(gen: GeneratorSet, run: LadderRun) -> SequenceTable:
 def compute_table(
     gen: GeneratorSet,
     max_n: int,
-    threads: int = 1,
     checkpoint_dir=None,
 ) -> SequenceTable:
-    run = build_ladder(gen, max_n, threads=threads, checkpoint_dir=checkpoint_dir)
+    run = build_ladder(gen, max_n, checkpoint_dir=checkpoint_dir)
     return table_from_ladder(gen, run)
 
 
@@ -165,7 +164,7 @@ def brute_force_sequences(
     etas = [0] * max_n
     zetas = [0] * max_n
 
-    def alternating(depth: int, prod: bytes, constrained: bool, first: int, last: int):
+    def alternating(depth: int, prod: bytes):
         # product s_1^-1 s_2 s_3^-1 ... ; odd positions contribute inverses
         if depth and depth % 2 == 0 and prod == e:
             ms[depth // 2 - 1] += 1
@@ -173,7 +172,7 @@ def brute_force_sequences(
             return
         factor = y_inv if depth % 2 == 0 else y
         for i in range(size):
-            alternating(depth + 1, mul(prod, factor[i]), False, 0, i)
+            alternating(depth + 1, mul(prod, factor[i]))
 
     def alternating_reduced(depth: int, prod: bytes, first: int, last: int):
         if depth and depth % 2 == 0 and prod == e:
@@ -188,7 +187,7 @@ def brute_force_sequences(
                 continue
             alternating_reduced(depth + 1, mul(prod, factor[i]), first if depth else i, i)
 
-    alternating(0, e, False, 0, 0)
+    alternating(0, e)
     alternating_reduced(0, e, 0, 0)
 
     h2norms = [brute_force_ladder_element(gen, n).squared_two_norm()
@@ -265,7 +264,7 @@ def _first_difference(u: dict, v: dict) -> Optional[bytes]:
     return None
 
 
-def group_ring_check(gen: GeneratorSet, m: int, threads: int = 1) -> None:
+def group_ring_check(gen: GeneratorSet, m: int) -> None:
     """Verify the polynomial and convolution identities tying the ladder to
     the group ring, at level 2m:
 
@@ -279,8 +278,7 @@ def group_ring_check(gen: GeneratorSet, m: int, threads: int = 1) -> None:
         raise UsageError("group-ring check supports 1 <= m <= 4")
     backend, q = gen.backend, gen.q
     e = backend.identity_key()
-    run = build_ladder(gen, 2 * m, threads=threads,
-                       keep_levels=tuple(range(1, 2 * m + 1)))
+    run = build_ladder(gen, 2 * m, keep_levels=tuple(range(1, 2 * m + 1)))
     levels = run.kept
 
     h1 = {k: 1 for k in gen.keys()}

@@ -83,29 +83,36 @@ def _leaf_expansions(t1: bytes, t2: bytes) -> tuple[list[bytes], list[bytes]]:
     ext1: list[bytes] = []
     ext2: list[bytes] = []
     leaf = IDENTITY_TREE
-
-    def walk(i1: int, i2: int) -> tuple[int, int]:
+    i1 = i2 = 0
+    # the walk is preorder in both trees at once, so its stack of subtree
+    # pairs still to visit is just their count: a caret in both trees
+    # splits one pair into two, anything else finishes one
+    pending = 1
+    while pending:
         tok1, tok2 = t1[i1], t2[i2]
+        if tok1 == CARET and tok2 == CARET:
+            i1 += 1
+            i2 += 1
+            pending += 1
+            continue
+        pending -= 1
         if tok1 == LEAF and tok2 == LEAF:
             ext1.append(leaf)
             ext2.append(leaf)
-            return i1 + 1, i2 + 1
-        if tok1 == LEAF:
+            i1 += 1
+            i2 += 1
+        elif tok1 == LEAF:
             j2 = subtree_end(t2, i2)
             sub = t2[i2:j2]
             ext1.append(sub)
             ext2.extend([leaf] * leaf_count(sub))
-            return i1 + 1, j2
-        if tok2 == LEAF:
+            i1, i2 = i1 + 1, j2
+        else:
             j1 = subtree_end(t1, i1)
             sub = t1[i1:j1]
             ext1.extend([leaf] * leaf_count(sub))
             ext2.append(sub)
-            return j1, i2 + 1
-        i1, i2 = walk(i1 + 1, i2 + 1)
-        return walk(i1, i2)
-
-    walk(0, 0)
+            i1, i2 = j1, i2 + 1
     return ext1, ext2
 
 

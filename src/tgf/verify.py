@@ -52,12 +52,11 @@ def run_suite(
     max_n: int = 10,
     brute_max_n: int | None = None,
     ring_max_m: int = 2,
-    threads: int = 1,
     precision_bits: int = 512,
     spectral_order: int | None = None,
 ) -> VerifyReport:
     report = VerifyReport()
-    run = build_ladder(gen, max_n, threads=threads, keep_levels=tuple(
+    run = build_ladder(gen, max_n, keep_levels=tuple(
         n for n in range(2, max_n + 1, 2)))
     table = table_from_ladder(gen, run)
 
@@ -81,7 +80,7 @@ def run_suite(
 
     for m in range(1, min(ring_max_m, max_n // 2 if max_n >= 2 else 0) + 1):
         try:
-            group_ring_check(gen, m, threads=threads)
+            group_ring_check(gen, m)
             report.add(f"group_ring_identities_m{m}", True, "")
         except VerificationError as exc:
             report.add(f"group_ring_identities_m{m}", False, str(exc))

@@ -31,12 +31,18 @@ def test_tables_free_zeta_column_zero(capsys):
     assert all(row[4] == "0" for row in rows)
 
 
-def test_tables_deterministic_across_threads(capsys, tmp_path):
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    assert main(["tables", "--case=2", "--max-n=7", "--threads=1", f"--out={out1}"]) == 0
-    assert main(["tables", "--case=2", "--max-n=7", "--threads=3", f"--out={out2}"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_tables_resume_matches_fresh_run(capsys, tmp_path):
+    ckdir = tmp_path / "ck"
+    fresh = tmp_path / "fresh.csv"
+    resumed = tmp_path / "resumed.csv"
+    assert main(["tables", "--case=2", "--max-n=5", f"--checkpoint-dir={ckdir}"]) == 0
+    assert main(["tables", "--case=2", "--max-n=7", f"--checkpoint-dir={ckdir}",
+                 f"--out={resumed}"]) == 0
+    assert main(["tables", "--case=2", "--max-n=7", f"--out={fresh}"]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in ckdir.glob("*.tgfl")) == [
+        f"level_{n:04d}.tgfl" for n in range(1, 8)
+    ]
 
 
 def test_tables_custom_words(capsys):
@@ -54,17 +60,54 @@ def test_norm_free_moments(capsys):
     assert lams[-1] < 2 * 2**0.5  # monotone toward 2 sqrt 2 from below
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, tmp_path):
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text("n,h2norm,xi,eta,zeta,m\n")
+    bad_moment = tmp_path / "bad.txt"
+    bad_moment.write_text("1 3\n2 x\n")
+    missing = tmp_path / "missing.txt"
     assert run_cli(capsys, "tables", "--case=nope")[0] == 1
     assert run_cli(capsys, "tables", "--case=custom")[0] == 1
     assert run_cli(capsys, "norm")[0] == 1
     assert run_cli(capsys, "density", "--case=1", "--order=40")[0] == 1
+    for path, says in [(header_only, "no rows"), (bad_moment, "line 2"),
+                       (missing, "No such file")]:
+        code, _, err = run_cli(capsys, "norm", f"--moments={path}")
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and says in err
+    with pytest.raises(SystemExit) as info:
+        main(["tables", "--threads=2"])  # unknown option
+    assert info.value.code == 1
 
 
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["tables", "--max-n"])  # missing value
     assert info.value.code == 1
+
+
+def _overwrite_first_key(path):
+    data = bytearray(path.read_bytes())
+    key_len = int.from_bytes(data[24:26], "little")
+    data[26 : 26 + key_len] = b"\xff" * key_len
+    path.write_bytes(bytes(data))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:40])
+
+
+@pytest.mark.parametrize("corrupt", [_overwrite_first_key, _truncate],
+                         ids=["key-bytes-ff", "truncated"])
+def test_corrupt_checkpoint_exits_1(capsys, tmp_path, corrupt):
+    ckdir = tmp_path / "ck"
+    assert main(["tables", "--case=1", "--max-n=4", f"--checkpoint-dir={ckdir}"]) == 0
+    corrupt(ckdir / "level_0004.tgfl")
+    code, out, err = run_cli(capsys, "tables", "--case=1", "--max-n=6",
+                             f"--checkpoint-dir={ckdir}")
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_norm_case1_fixture(capsys, tmp_path):
@@ -184,14 +227,6 @@ def test_verify_lattice(capsys):
                            "--max-n=6", "--brute-max-n=3")
     assert code == 0
     assert json.loads(out)["ok"] is True
-
-
-def test_threads_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("TGF_THREADS", "2")
-    code, out, _ = run_cli(capsys, "tables", "--case=1", "--max-n=5")
-    assert code == 0
-    monkeypatch.setenv("TGF_THREADS", "zebra")
-    assert run_cli(capsys, "tables", "--case=1", "--max-n=5")[0] == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -73,12 +73,6 @@ def test_keys_stay_canonical(gen_case1):
         assert treepair.pack_key(dom, rng) == key
 
 
-def test_thread_count_does_not_change_results(gen_case2):
-    serial = build_ladder(gen_case2, 8, threads=1)
-    threaded = build_ladder(gen_case2, 8, threads=4)
-    assert serial.summaries == threaded.summaries
-
-
 def test_subtraction_guard():
     with pytest.raises(CorruptionError):
         _subtract_scaled({b"x": 1}, {b"x": 1}, 2, n=5)

@@ -90,6 +90,24 @@ def test_compiled_matches_pure(compiled):
             assert compiled.compose_keys(a, b) == tp.compose_keys(a, b)
 
 
+def _comb(leaves, side):
+    """Preorder tokens of the comb with all carets down one side."""
+    tree = bytes([tp.LEAF])
+    for _ in range(leaves - 1):
+        if side == "left":
+            tree = bytes([tp.CARET]) + tree + bytes([tp.LEAF])
+        else:
+            tree = bytes([tp.CARET, tp.LEAF]) + tree
+    return tree
+
+
+def test_deep_tree_compose_matches_compiled(compiled):
+    # 1200 leaves nest deeper than the default recursion limit of 1000
+    key = tp.pack_key(_comb(1200, "left"), _comb(1200, "right"))
+    for impl in (tp, compiled):
+        assert impl.compose_keys(key, impl.invert_key(key)) == tp.IDENTITY_KEY
+
+
 def test_compiled_identity_constant(compiled):
     assert compiled.IDENTITY_KEY == tp.IDENTITY_KEY
 
