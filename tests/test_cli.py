@@ -80,6 +80,16 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert info.value.code == 1
 
 
+def test_threads_env_default(capsys, monkeypatch):
+    # the ladder has one sequential path: TGF_THREADS selects nothing
+    monkeypatch.delenv("TGF_THREADS", raising=False)
+    expected = run_cli(capsys, "tables", "--case=1", "--max-n=5")
+    assert expected[0] == 0
+    for value in ("2", "zebra"):
+        monkeypatch.setenv("TGF_THREADS", value)
+        assert run_cli(capsys, "tables", "--case=1", "--max-n=5") == expected
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["tables", "--max-n"])  # missing value
