@@ -25,7 +25,3 @@ class VerificationError(AssertionError):
 
 class NumericError(RuntimeError):
     """A numeric routine failed to converge or lost its bracket."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best

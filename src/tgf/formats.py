@@ -53,11 +53,7 @@ def write_table_csv(path, table: SequenceTable) -> None:
     Path(path).write_text(table_csv_text(table), encoding="ascii")
 
 
-def read_table_csv(path_or_text) -> SequenceTable:
-    if isinstance(path_or_text, str) and "\n" in path_or_text:
-        text = path_or_text
-    else:
-        text = Path(path_or_text).read_text(encoding="ascii")
+def parse_table_csv(text: str) -> SequenceTable:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != TABLE_HEADER:
         raise UsageError("not a table CSV (bad header)")
@@ -126,7 +122,7 @@ def read_moments(path) -> tuple[int, list[int]]:
         text = Path(path).read_text(encoding="ascii")
         first = text.lstrip().splitlines()[0] if text.strip() else ""
         if first.replace(" ", "").startswith("n,"):
-            table = read_table_csv(text)
+            table = parse_table_csv(text)
             return table.q, table.moments()
         moments = parse_moments_text(text)
         if len(moments) < 2:
@@ -175,11 +171,7 @@ def write_bounds_csv(path, rows) -> Path:
     return companion
 
 
-def read_bounds_csv(path_or_text) -> list[dict]:
-    if isinstance(path_or_text, str) and "\n" in path_or_text:
-        text = path_or_text
-    else:
-        text = Path(path_or_text).read_text(encoding="ascii")
+def parse_bounds_csv(text: str) -> list[dict]:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != BOUNDS_HEADER:
         raise UsageError("not a bounds CSV")
@@ -308,11 +300,11 @@ def load_fixture_table(case: int) -> SequenceTable:
     """The published exact sequences: case 1 reaches n = 37, case 2 n = 24."""
     if case not in (1, 2):
         raise UsageError("fixture tables exist for cases 1 and 2")
-    return read_table_csv(fixture_text(f"table{case}.csv"))
+    return parse_table_csv(fixture_text(f"table{case}.csv"))
 
 
 def load_fixture_bounds(case: int) -> list[dict]:
     """The published 5-decimal norm-bound tables for cases 1 and 2."""
     if case not in (1, 2):
         raise UsageError("fixture bounds exist for cases 1 and 2")
-    return read_bounds_csv(fixture_text(f"bounds{case}.csv"))
+    return parse_bounds_csv(fixture_text(f"bounds{case}.csv"))

@@ -151,9 +151,6 @@ class GroupBackend(abc.ABC):
             key = self.multiply_keys(key, g)
         return CanonicalElement(self, key)
 
-    def element_from_key(self, key: bytes) -> CanonicalElement:
-        return CanonicalElement(self, key)
-
 
 # -- Thompson's group F ------------------------------------------------------
 

@@ -30,6 +30,7 @@ from .groups import (
     ThompsonF,
     Word,
 )
+from .treepair import TreePairError
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,6 @@ class MultiplicityVector:
 
     n: int
     entries: dict[bytes, int]
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.n % 2 == 0 else "odd"
 
     def coefficient_sum(self) -> int:
         return sum(self.entries.values())
@@ -231,12 +228,19 @@ def build_ladder(
             disk = chain(_disk_levels(ckdir, seed[0].n), seed)
     fresh_from = seed[1].n + 1 if seed is not None else 1
 
-    for vec in chain(disk, ladder_levels(gen, max_n, seed=seed)):
-        _summarize(run, vec, e)
-        if vec.n in keep_levels:
-            run.kept[vec.n] = vec
-        if checkpoint_dir is not None and vec.n >= fresh_from:
-            formats.write_checkpoint(ckdir, gen.q, vec)
+    try:
+        for vec in chain(disk, ladder_levels(gen, max_n, seed=seed)):
+            _summarize(run, vec, e)
+            if vec.n in keep_levels:
+                run.kept[vec.n] = vec
+            if checkpoint_dir is not None and vec.n >= fresh_from:
+                formats.write_checkpoint(ckdir, gen.q, vec)
+    except TreePairError as exc:
+        # fresh keys come out of the kernel, so only the seed's can be bad;
+        # they are first checked when the next level composes them
+        if seed is None:
+            raise
+        raise UsageError(f"{formats.checkpoint_path(ckdir, seed[1].n)}: {exc}") from None
     return run
 
 

@@ -319,56 +319,60 @@ def fit_extrapolation(
     points: list[tuple[int, float]],
     n_lo: int,
     n_hi: int,
-    restarts_budget: int = 4000,
 ) -> FitParams:
     """Least-squares fit of f(n) = a - b (n-c)^(-d) to the bound sequence.
 
-    Derivative-free simplex descent with a grid of multi-starts; c is kept
-    below the window start and b, d positive via log parameters.
+    Variable projection (Golub & Pereyra 1973): for fixed (c, d) the model
+    is linear in (a, b), whose least-squares values have a closed form, so
+    only (c, d) are searched.  A golden-section search over log d in
+    [log 0.05, log 20] wraps one over c in [-10 n_hi, n_lo - 0.25]; the
+    upper end keeps every n - c >= 0.25.
     """
-    from scipy.optimize import minimize
-
+    last = max((n for n, _ in points), default=0)
+    if n_lo < 1 or n_hi > last:
+        raise UsageError(f"fit window [{n_lo},{n_hi}] must lie inside n = 1..{last}")
     data = [(n, float(v)) for n, v in points if n_lo <= n <= n_hi]
     if len(data) < 4 or n_hi - n_lo < 6:
         raise UsageError("fit window must span at least 7 levels")
     ns = [float(n) for n, _ in data]
     vs = [v for _, v in data]
-    c_cap = n_lo - 0.25
+    v_mean = sum(vs) / len(vs)
 
-    def sse(params) -> float:
-        a, log_b, c, log_d = params
-        if c > c_cap:
-            return 1e9 * (1 + c - c_cap)
-        b, d = math.exp(log_b), math.exp(log_d)
-        total = 0.0
-        for n, v in zip(ns, vs):
-            total += (a - b * (n - c) ** (-d) - v) ** 2
-        return total
+    def _solve(c: float, d: float) -> tuple[float, float, float]:
+        """(a, b, sse) of the linear least-squares fit at fixed (c, d)."""
+        xs = [(n - c) ** (-d) for n in ns]
+        x_mean = sum(xs) / len(xs)
+        sxx = sum((x - x_mean) ** 2 for x in xs)
+        sxv = sum((x - x_mean) * (v - v_mean) for x, v in zip(xs, vs))
+        b = -sxv / sxx
+        a = v_mean + b * x_mean
+        return a, b, sum((a - b * x - v) ** 2 for x, v in zip(xs, vs))
 
-    best = None
-    for c0 in (0.0, 0.5, 1.0, float(n_lo) / 2):
-        for d0 in (0.5, 1.0, 2.0, 3.0):
-            lo_term = (ns[0] - c0) ** (-d0)
-            hi_term = (ns[-1] - c0) ** (-d0)
-            b0 = max((vs[-1] - vs[0]) / (lo_term - hi_term), 1e-8)
-            a0 = vs[-1] + b0 * hi_term
-            start = [a0, math.log(b0), c0, math.log(d0)]
-            result = minimize(
-                sse,
-                start,
-                method="Nelder-Mead",
-                options={"maxiter": restarts_budget, "xatol": 1e-10, "fatol": 1e-14},
-            )
-            if best is None or result.fun < best.fun:
-                best = result
-    if best is None or not (best.fun < float("inf")):
-        raise NumericError("extrapolation fit did not converge", best=best)
-    a, log_b, c, log_d = best.x
-    return FitParams(
-        a=float(a),
-        b=float(math.exp(log_b)),
-        c=float(c),
-        d=float(math.exp(log_d)),
-        residual=float(best.fun),
-        window=(n_lo, n_hi),
-    )
+    def _best_c(d: float) -> tuple[float, float]:
+        return _golden(lambda c: _solve(c, d)[2], -10.0 * n_hi, n_lo - 0.25)
+
+    log_d, _ = _golden(lambda t: _best_c(math.exp(t))[1], math.log(0.05), math.log(20.0))
+    d = math.exp(log_d)
+    c, _ = _best_c(d)
+    a, b, sse = _solve(c, d)
+    if not all(map(math.isfinite, (a, b, c, d, sse))):
+        raise NumericError("extrapolation fit is not finite")
+    return FitParams(a=a, b=b, c=c, d=d, residual=sse, window=(n_lo, n_hi))
+
+
+def _golden(f, lo: float, hi: float) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of f on [lo, hi] by golden-section search,
+    narrowed to width 1e-10; f is assumed unimodal there."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-10:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)

@@ -63,7 +63,7 @@ def computed_case2():
 def test_criterion_1_table1_reproduction(tmp_path, table1, computed_case1):
     out = tmp_path / "t1.csv"
     assert main(["tables", "--case=1", "--max-n=16", f"--out={out}"]) == 0
-    written = formats.read_table_csv(out)
+    written = formats.parse_table_csv(out.read_text())
     for n in range(1, 17):
         assert written.row(n) == table1.row(n), f"row {n}"
     assert written.row(16) == (137264, 137264 - 3 * 2**15, 15712, 7056, 9057960864015)
@@ -74,7 +74,7 @@ def test_criterion_1_table1_reproduction(tmp_path, table1, computed_case1):
 def test_criterion_2_table2_reproduction(tmp_path, table2, computed_case2):
     out = tmp_path / "t2.csv"
     assert main(["tables", "--case=2", "--max-n=12", f"--out={out}"]) == 0
-    written = formats.read_table_csv(out)
+    written = formats.parse_table_csv(out.read_text())
     for n in range(1, 13):
         assert written.row(n) == table2.row(n), f"row {n}"
     assert written.m[11] == 277937245744

@@ -1,9 +1,16 @@
 """CLI contract: subcommands, exit codes, deterministic output bytes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tgf
 from tgf.cli import main
+from tgf.formats import write_checkpoint
+from tgf.ladder import free_set, ladder_levels
 
 
 def run_cli(capsys, *argv):
@@ -66,12 +73,17 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     bad_moment = tmp_path / "bad.txt"
     bad_moment.write_text("1 3\n2 x\n")
     missing = tmp_path / "missing.txt"
+    no_newline = tmp_path / "header.csv"
+    no_newline.write_text("n,h2norm,xi,eta,zeta,m")
     assert run_cli(capsys, "tables", "--case=nope")[0] == 1
     assert run_cli(capsys, "tables", "--case=custom")[0] == 1
     assert run_cli(capsys, "norm")[0] == 1
     assert run_cli(capsys, "density", "--case=1", "--order=40")[0] == 1
+    for window in ("0:30", "12:60"):
+        code, _, err = run_cli(capsys, "norm", "--case=1", f"--fit-window={window}")
+        assert code == 1 and "n = 1..37" in err
     for path, says in [(header_only, "no rows"), (bad_moment, "line 2"),
-                       (missing, "No such file")]:
+                       (missing, "No such file"), (no_newline, "no rows")]:
         code, _, err = run_cli(capsys, "norm", f"--moments={path}")
         assert code == 1
         assert err.startswith(f"error: {path}: ") and says in err
@@ -107,8 +119,14 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:40])
 
 
-@pytest.mark.parametrize("corrupt", [_overwrite_first_key, _truncate],
-                         ids=["key-bytes-ff", "truncated"])
+def _free_group_level(path):
+    # same q = 2, so only the keys tell the levels apart
+    *_, level = ladder_levels(free_set(2), 4)
+    write_checkpoint(path.parent, 2, level)
+
+
+@pytest.mark.parametrize("corrupt", [_overwrite_first_key, _truncate, _free_group_level],
+                         ids=["key-bytes-ff", "truncated", "free-group-keys"])
 def test_corrupt_checkpoint_exits_1(capsys, tmp_path, corrupt):
     ckdir = tmp_path / "ck"
     assert main(["tables", "--case=1", "--max-n=4", f"--checkpoint-dir={ckdir}"]) == 0
@@ -117,6 +135,7 @@ def test_corrupt_checkpoint_exits_1(capsys, tmp_path, corrupt):
                              f"--checkpoint-dir={ckdir}")
     assert code == 1
     assert err.splitlines()[-1].startswith("error: ")
+    assert "level_0004.tgfl" in err
     assert "Traceback" not in err
 
 
@@ -156,6 +175,25 @@ def test_norm_fit_window(capsys):
     fit_line = [l for l in out.splitlines() if l.startswith("# fit")][0]
     assert "a=3.870" in fit_line
     assert "residual=" in fit_line
+
+
+def test_norm_fit_imports_neither_scipy_nor_numpy():
+    # a fresh interpreter, so that no other test's imports are counted
+    script = (
+        "import sys\n"
+        "from tgf.cli import main\n"
+        "code = main(['norm', '--case=1', '--fit-window=12:37'])\n"
+        "print('heavy:', sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tgf.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert ("# fit f(n)=a-b(n-c)^-d on [12,37]: a=2.950 b=0.630 c=1.901 "
+            "d=0.571 residual=1.711e-08") in lines
+    assert lines[-1] == "heavy: []"
 
 
 def test_norm_degenerate_moments_exit_3(capsys, tmp_path):

@@ -38,6 +38,14 @@ def test_window_too_small():
         fit_extrapolation(points, 10, 14)
 
 
+def test_window_from_the_first_level(bounds1):
+    # the window may start at n = 1: c stays below n - 0.25 throughout
+    points = [(row["n"], row["lambda_max"]) for row in bounds1]
+    fit = fit_extrapolation(points, 1, 37)
+    assert fit.c < 0.75 and fit.b > 0 and fit.d > 0
+    assert fit.residual < 1e-3
+
+
 def test_predict_matches_formula():
     points = [(n, 3.0 - 1.0 * (n - 0.5) ** -1.0) for n in range(8, 20)]
     fit = fit_extrapolation(points, 8, 19)

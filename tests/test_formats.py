@@ -10,14 +10,14 @@ from tgf.sequences import SequenceTable
 def test_table_csv_roundtrip(table2):
     text = formats.table_csv_text(table2)
     assert text.splitlines()[0] == "n,h2norm,xi,eta,zeta,m"
-    back = formats.read_table_csv(text)
+    back = formats.parse_table_csv(text)
     assert back == table2
 
 
 def test_table_csv_rejects_gaps():
     text = "n,h2norm,xi,eta,zeta,m\n1,3,0,0,0,3\n3,12,0,0,0,87\n"
     with pytest.raises(UsageError):
-        formats.read_table_csv(text)
+        formats.parse_table_csv(text)
 
 
 def test_moments_file_parsing(tmp_path):
@@ -67,10 +67,10 @@ def test_bounds_csv_roundtrip(tmp_path, table1):
     text = out.read_text()
     assert text.splitlines()[0] == "n,root_moment,ratio_root,lambda_max,alpha,alpha_sum"
     assert text.splitlines()[1].endswith(",")  # no alpha_sum at n=1
-    parsed = formats.read_bounds_csv(out)
+    parsed = formats.parse_bounds_csv(text)
     assert parsed[7]["lambda_max"] == round(float(rows[7].lambda_max), 5)
     # full-precision companion begins with the same values
-    full = formats.read_bounds_csv(companion)
+    full = formats.parse_bounds_csv(companion.read_text())
     assert abs(full[7]["lambda_max"] - float(rows[7].lambda_max)) < 1e-15
 
 

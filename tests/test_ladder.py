@@ -124,8 +124,3 @@ def test_checkpoint_sign_encoding(tmp_path):
     formats.write_checkpoint(tmp_path, 9, vec)
     q, back = formats.read_checkpoint(formats.checkpoint_path(tmp_path, 3))
     assert q == 9 and back.entries == vec.entries
-
-
-def test_parity_tag():
-    assert MultiplicityVector(4, {}).parity == "even"
-    assert MultiplicityVector(5, {}).parity == "odd"
