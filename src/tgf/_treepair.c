@@ -12,6 +12,12 @@
  * tgf.treepair.apply_left.  Each key is unpacked once, each factor once per
  * call, and the compositions reuse growable scratch buffers.
  *
+ * inner(words, vec) returns, for each word w, the sum over the keys x of
+ * vec of vec[x] * vec[w*x], which is <w.h, h> for the group-ring element h
+ * that vec holds.  It batches like apply_left: each word is unpacked once,
+ * each key is unpacked and indexed once for all words, and each product is
+ * built in the scratch buffers and looked up in vec.  The sums are exact.
+ *
  * Every key is checked before use (tag, leaf count, exact length, zero
  * padding, two complete trees); a malformed key raises TreePairError.
  */
@@ -543,6 +549,127 @@ done:
     return result;
 }
 
+/* *sum += c * d, exactly, in Python ints */
+static int
+add_product(PyObject **sum, PyObject *c, PyObject *d)
+{
+    PyObject *prod = PyNumber_Multiply(c, d);
+    if (prod == NULL)
+        return -1;
+    PyObject *total = PyNumber_Add(*sum, prod);
+    Py_DECREF(prod);
+    if (total == NULL)
+        return -1;
+    Py_SETREF(*sum, total);
+    return 0;
+}
+
+/* Adds vec[key] * vec[w*key] to sums[w] for every word w, using only the
+ * scratch buffers of bt. */
+static int
+inner_item(PyObject *vec, PyObject *key, PyObject *c, PyObject **words,
+           Pair *pairs, Py_ssize_t nw, PyObject **sums, Batch *bt)
+{
+    Pair k;
+    const int *ix = NULL;
+    if (unpack(key, &bt->keybuf, &k) < 0)
+        return -1;
+    if (k.nl > 1 && (ix = index_pair(&k, &bt->index)) == NULL)
+        return -1;
+    for (Py_ssize_t f = 0; f < nw; f++) {
+        PyObject *prod = ix == NULL ? Py_NewRef(words[f])
+                                    : product(&pairs[f], &k, ix, &bt->work);
+        if (prod == NULL)
+            return -1;
+        PyObject *d = PyDict_GetItemWithError(vec, prod);
+        Py_XINCREF(d);
+        Py_DECREF(prod);
+        if (d == NULL) {
+            if (PyErr_Occurred())
+                return -1;
+            continue;
+        }
+        int rc = add_product(&sums[f], c, d);
+        Py_DECREF(d);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+inner(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("inner", nargs, 2) < 0)
+        return NULL;
+    PyObject *vec = args[1];
+    if (!PyDict_Check(vec)) {
+        PyErr_Format(PyExc_TypeError, "inner needs a dict, not %.100s",
+                     Py_TYPE(vec)->tp_name);
+        return NULL;
+    }
+    PyObject *words = PySequence_Tuple(args[0]);
+    if (words == NULL)
+        return NULL;
+    Py_ssize_t nw = PyTuple_GET_SIZE(words);
+    size_t total = 0;
+    Batch bt = {0};
+    Buf wbuf = {0};
+    PyObject *sums = NULL, *result = NULL;
+    Pair *pairs = PyMem_Malloc((nw + 1) * sizeof(Pair));
+    if (pairs == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t f = 0; f < nw; f++) {
+        int nl = key_leaves(PyTuple_GET_ITEM(words, f));
+        if (nl < 0)
+            goto done;
+        total += token_room(nl);
+        pairs[f].nl = nl;
+    }
+    /* unpack every word once, into one buffer sized up front */
+    if (reserve(&wbuf, total + 1) == NULL)
+        goto done;
+    total = 0;
+    for (Py_ssize_t f = 0; f < nw; f++) {
+        int nl = pairs[f].nl;
+        if (unpack_into(PyTuple_GET_ITEM(words, f), nl, wbuf.p + total, &pairs[f]) < 0)
+            goto done;
+        total += token_room(nl);
+    }
+    /* the sums live in the result list, which nothing else sees until the
+     * end */
+    if ((sums = PyList_New(nw)) == NULL)
+        goto done;
+    for (Py_ssize_t f = 0; f < nw; f++)
+        PyList_SET_ITEM(sums, f, PyLong_FromLong(0));
+
+    Py_ssize_t pos = 0;
+    PyObject *key, *c;
+    while (PyDict_Next(vec, &pos, &key, &c)) {
+        /* own the item: multiplying coefficients may run Python code */
+        Py_INCREF(key);
+        Py_INCREF(c);
+        int rc = inner_item(vec, key, c, PySequence_Fast_ITEMS(words), pairs, nw,
+                            PySequence_Fast_ITEMS(sums), &bt);
+        Py_DECREF(key);
+        Py_DECREF(c);
+        if (rc < 0)
+            goto done;
+    }
+    result = Py_NewRef(sums);
+done:
+    Py_XDECREF(sums);
+    PyMem_Free(pairs);
+    PyMem_Free(bt.keybuf.p);
+    PyMem_Free(bt.index.p);
+    PyMem_Free(bt.work.p);
+    PyMem_Free(wbuf.p);
+    Py_DECREF(words);
+    return result;
+}
+
 /* -- module ----------------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
@@ -553,6 +680,9 @@ static PyMethodDef methods[] = {
     {"apply_left", (PyCFunction)(void (*)(void))apply_left, METH_FASTCALL,
      "apply_left(factors, vec)\n--\n\n"
      "Multiset product (sum of factors) . vec, multiplying on the left."},
+    {"inner", (PyCFunction)(void (*)(void))inner, METH_FASTCALL,
+     "inner(words, vec)\n--\n\n"
+     "For each word w, the sum over keys x of vec of vec[x] * vec[w*x]."},
     {NULL, NULL, 0, NULL},
 };
 

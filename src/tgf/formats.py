@@ -54,7 +54,10 @@ def write_table_csv(path, table: SequenceTable) -> None:
 
 
 def parse_table_csv(text: str) -> SequenceTable:
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise UsageError(f"not a table CSV ({exc})") from None
     if not rows or rows[0] != TABLE_HEADER:
         raise UsageError("not a table CSV (bad header)")
     cols: dict[int, tuple[int, ...]] = {}

@@ -127,6 +127,10 @@ class GroupBackend(abc.ABC):
             factors, vec, compose=self.multiply_keys, identity=self.identity_key()
         )
 
+    def inner(self, words: list[bytes], vec: dict[bytes, int]) -> list[int]:
+        """For each word w, the sum over keys x of vec of vec[x] * vec[w*x]."""
+        return treepair.inner(words, vec, compose=self.multiply_keys)
+
     # element-level wrappers
 
     def identity(self) -> CanonicalElement:
@@ -212,6 +216,9 @@ class ThompsonF(GroupBackend):
 
     def apply_left(self, factors: list[bytes], vec: dict[bytes, int]) -> dict[bytes, int]:
         return kernel.apply_left(factors, vec)
+
+    def inner(self, words: list[bytes], vec: dict[bytes, int]) -> list[int]:
+        return kernel.inner(words, vec)
 
     def decode_payload(self, key: bytes) -> TreePair:
         d, r = treepair.unpack_key(key)

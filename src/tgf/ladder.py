@@ -12,6 +12,26 @@ multiplicities whose coefficient sum is (q+1) q^(n-1).  The subtraction
 steps must cancel exactly; a negative coefficient means the arithmetic is
 corrupt and aborts the run.  Only the last two levels are kept in memory;
 optional per-level checkpoints allow long runs to resume.
+
+The last row needs no last level (the norm lookahead).  Let N >= 3 and g
+be the factor sum of the step N -> N+1 (h or h*).  Since
+g* . h_{N-1} = h_N + q h_{N-2},
+
+    ||h_{N+1}||^2 = sum_{s,t in g} <t^-1 s . h_N, h_N>
+                    - 2q (||h_N||^2 + q c_N) + q^2 ||h_{N-1}||^2,
+
+where c_n = <h_n, h_{n-2}> follows from the norms alone:
+c_3 = ||h_2||^2 - q(q+1) and c_n = ||h_{n-1}||^2 - q ||h_{n-2}||^2
++ q c_{n-1}.  Each <w . h, h> is one pass of the backend's `inner` over
+h_N, and <w . h, h> = <w^-1 . h, h>, so one word of each {w, w^-1} pair
+is enough.  build_ladder therefore materialises h_1 .. h_{max_n - 1} and
+takes row max_n from the lookahead, unless max_n <= 3 or the caller keeps
+level max_n; its checkpoints then hold levels up to max_n - 1.  Range and
+parity checks on the passes and the row stand in for the missing level's
+sum and cancellation checks.  They bound a wrong pass but cannot pin it:
+every pass enters the row with an even weight, since (s, t) and (t, s)
+give inverse words.  The CLI's Moebius/parity suite on the finished table
+is what catches a pass that is off by a little.
 """
 from __future__ import annotations
 
@@ -119,9 +139,7 @@ class MultiplicityVector:
 @dataclass(frozen=True)
 class LadderSummary:
     n: int
-    distinct: int
     h2norm: int
-    identity_coefficient: int
 
 
 @dataclass
@@ -208,40 +226,97 @@ def build_ladder(
 
     `keep_levels` lists levels whose full multiplicity vectors the caller
     wants retained (everything else is discarded to keep memory at two
-    levels).  With `checkpoint_dir`, each level is dumped after it is
-    computed and an interrupted run restarts from the newest consecutive
-    pair on disk.
+    levels).  Row max_n comes from the norm lookahead over level max_n - 1
+    unless max_n <= 3 or max_n is kept.  With `checkpoint_dir`, each
+    materialised level is dumped after it is computed and an interrupted
+    run restarts from the newest consecutive pair on disk.
     """
     from . import formats
 
-    e = gen.backend.identity_key()
+    lookahead = max_n > 3 and max_n not in keep_levels
+    top = max_n - 1 if lookahead else max_n
     run = LadderRun(q=gen.q)
-    seed = None
-    disk = ()
-    if checkpoint_dir is not None:
+    if checkpoint_dir is None:
+        levels, fresh_from = ladder_levels(gen, top), 1
+    else:
         ckdir = Path(checkpoint_dir)
-        ckdir.mkdir(parents=True, exist_ok=True)
-        seed = formats.latest_checkpoint_pair(ckdir, gen.q, max_n)
-        if seed is not None:
-            # summaries for the levels below the seed come off disk, so a
-            # resumed run still reports the whole ladder
-            disk = chain(_disk_levels(ckdir, seed[0].n), seed)
-    fresh_from = seed[1].n + 1 if seed is not None else 1
+        levels, fresh_from = _resume(gen, top, ckdir)
 
-    try:
-        for vec in chain(disk, ladder_levels(gen, max_n, seed=seed)):
-            _summarize(run, vec, e)
-            if vec.n in keep_levels:
-                run.kept[vec.n] = vec
-            if checkpoint_dir is not None and vec.n >= fresh_from:
-                formats.write_checkpoint(ckdir, gen.q, vec)
-    except TreePairError as exc:
-        # fresh keys come out of the kernel, so only the seed's can be bad;
-        # they are first checked when the next level composes them
-        if seed is None:
-            raise
-        raise UsageError(f"{formats.checkpoint_path(ckdir, seed[1].n)}: {exc}") from None
+    last = None
+    for last in levels:
+        run.summaries.append(LadderSummary(last.n, last.squared_two_norm()))
+        if last.n in keep_levels:
+            run.kept[last.n] = last
+        if checkpoint_dir is not None and last.n >= fresh_from:
+            formats.write_checkpoint(ckdir, gen.q, last)
+    if lookahead:
+        row = lookahead_h2norm(gen, last, run.h2norms())
+        run.summaries.append(LadderSummary(max_n, row))
     return run
+
+
+def lookahead_h2norm(gen: GeneratorSet, top: MultiplicityVector, h2norms: list[int]) -> int:
+    """||h_{N+1}||^2 from the level top = h_N (N >= 3) and the norms of
+    h_1 .. h_N, without building h_{N+1} (see the module docstring)."""
+    backend, q, n = gen.backend, gen.q, top.n
+    if n < 3 or len(h2norms) < n:
+        raise UsageError("the lookahead needs level N >= 3 and the norms up to N")
+    norm = h2norms[n - 1]
+    c = h2norms[1] - q * (q + 1)
+    for m in range(4, n + 1):
+        c = h2norms[m - 2] - q * h2norms[m - 3] + q * c
+    g = gen.keys() if n % 2 == 0 else gen.inverse_keys()
+    # the ordered pairs s != t, one word per {w, w^-1}; the s = t pairs are
+    # the identity and give ||h_N||^2 each
+    counts: dict[bytes, int] = {}
+    for t in g:
+        t_inv = backend.invert_key(t)
+        for s in g:
+            if s != t:
+                w = backend.multiply_keys(t_inv, s)
+                w = min(w, backend.invert_key(w))
+                counts[w] = counts.get(w, 0) + 1
+    passes = backend.inner(list(counts), top.entries)
+    for w, value in zip(counts, passes):
+        if not 0 <= value <= norm:
+            raise CorruptionError(
+                f"lookahead at level {n + 1}: pass {w.hex()} gave {value}, "
+                f"outside [0, ||h_{n}||^2 = {norm}]"
+            )
+    gram = (q + 1) * norm + sum(k * v for k, v in zip(counts.values(), passes))
+    row = gram - 2 * q * (norm + q * c) + q * q * h2norms[n - 2]
+    total = (q + 1) * q**n
+    if not total <= row <= total * total or (row - total) % 2:
+        raise CorruptionError(
+            f"lookahead at level {n + 1}: ||h||^2 = {row} is outside [S, S^2] or "
+            f"differs from S = (q+1)q^n = {total} in parity"
+        )
+    return row
+
+
+def _resume(
+    gen: GeneratorSet, top: int, ckdir: Path
+) -> tuple[Iterator[MultiplicityVector], int]:
+    """Levels 1 .. top continued from the newest checkpointed pair in ckdir,
+    and the first level that is computed rather than read."""
+    from . import formats
+
+    ckdir.mkdir(parents=True, exist_ok=True)
+    seed = formats.latest_checkpoint_pair(ckdir, gen.q, top)
+    if seed is None:
+        return ladder_levels(gen, top), 1
+    # a bad key in either level fails here, naming its file, even when
+    # the run composes none of that level's keys
+    for vec in seed:
+        try:
+            for key in vec.entries:
+                gen.backend.invert_key(key)
+        except TreePairError as exc:
+            raise UsageError(f"{formats.checkpoint_path(ckdir, vec.n)}: {exc}") from None
+    # summaries for the levels below the seed come off disk, so a resumed
+    # run still reports the whole ladder
+    levels = chain(_disk_levels(ckdir, seed[0].n), seed, ladder_levels(gen, top, seed=seed))
+    return levels, seed[1].n + 1
 
 
 def _disk_levels(ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
@@ -256,17 +331,6 @@ def _disk_levels(ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
                 "delete the directory to restart from scratch"
             )
         yield formats.read_checkpoint(path)[1]
-
-
-def _summarize(run: LadderRun, vec: MultiplicityVector, identity_key: bytes):
-    run.summaries.append(
-        LadderSummary(
-            n=vec.n,
-            distinct=len(vec.entries),
-            h2norm=vec.squared_two_norm(),
-            identity_coefficient=vec.coefficient(identity_key),
-        )
-    )
 
 
 def eta_direct(vec: MultiplicityVector, identity_key: bytes) -> int:

@@ -18,11 +18,12 @@ relations of F; see tests/test_groups.py.
 
 This module is the reference implementation.  tgf._treepair is a
 hand-written C extension with identical semantics (same keys, same errors,
-same dict insertion order from apply_left), selected at import by
-tgf.kernel.
+same dict insertion order from apply_left, same sums from inner), selected
+at import by tgf.kernel.
 """
 from __future__ import annotations
 
+import functools
 import struct
 
 LEAF = 0
@@ -31,6 +32,7 @@ CARET = 1
 KEY_TAG = 0x46  # ASCII 'F'
 
 IDENTITY_TREE = bytes([LEAF])
+_LEAF, _CARET = bytes([LEAF]), bytes([CARET])
 
 # maps the digits of a binary numeral to tree tokens
 _TOKENS = bytes.maketrans(b"01", bytes([LEAF, CARET]))
@@ -129,59 +131,31 @@ def _attach(tree: bytes, exts: list[bytes]) -> bytes:
     return bytes(out)
 
 
-def _sibling_leaf_pairs(tree: bytes) -> set[int]:
-    """Indices i such that leaves i and i+1 are children of one caret."""
-    pairs = set()
-    li = 0
-    for p in range(len(tree)):
-        if tree[p] == LEAF:
-            li += 1
-        elif p + 2 < len(tree) and tree[p + 1] == LEAF and tree[p + 2] == LEAF:
-            pairs.add(li)
-    return pairs
-
-
-def _remove_carets(tree: bytes, chosen: set[int]) -> bytes:
-    out = bytearray()
-    li = 0
-    p = 0
-    n = len(tree)
-    while p < n:
-        tok = tree[p]
-        if (
-            tok == CARET
-            and p + 2 < n
-            and tree[p + 1] == LEAF
-            and tree[p + 2] == LEAF
-            and li in chosen
-        ):
-            out.append(LEAF)
-            li += 2
-            p += 3
-        else:
-            out.append(tok)
-            if tok == LEAF:
-                li += 1
-            p += 1
-    return bytes(out)
-
-
 def reduce_pair(domain: bytes, range_: bytes) -> tuple[bytes, bytes]:
-    """Cancel carets common to both trees until the pair is reduced."""
+    """Cancel carets common to both trees until the pair is reduced.
+
+    A preorder tree is the runs 1^k 0, one per leaf, where k counts the
+    carets whose leftmost leaf it is.  Leaves i and i+1 hang from one caret
+    exactly when leaf i opens a caret (k_i >= 1) and leaf i+1 opens none.
+    Cancelling a caret common to both trees drops leaf i+1 and one caret of
+    leaf i, which can only expose a new common caret between leaf i and its
+    neighbours; so one right-to-left pass over the leaves, with a stack of
+    (domain, range) opening counts, reaches the reduced pair."""
     if leaf_count(domain) != leaf_count(range_):
         raise TreePairError("leaf counts differ")
-    while True:
-        common = sorted(_sibling_leaf_pairs(domain) & _sibling_leaf_pairs(range_))
-        if not common:
-            return domain, range_
-        chosen = set()
-        last = -2
-        for i in common:
-            if i > last + 1:
-                chosen.add(i)
-                last = i
-        domain = _remove_carets(domain, chosen)
-        range_ = _remove_carets(range_, chosen)
+    stack: list[tuple[int, int]] = []
+    for d, r in zip(reversed(domain.split(_LEAF)[:-1]), reversed(range_.split(_LEAF)[:-1])):
+        d, r = len(d), len(r)
+        while d and r and stack and stack[-1] == (0, 0):
+            stack.pop()
+            d -= 1
+            r -= 1
+        stack.append((d, r))
+    if len(stack) == leaf_count(domain):
+        return domain, range_
+    stack.reverse()
+    return (b"".join([_CARET * d + _LEAF for d, _ in stack]),
+            b"".join([_CARET * r + _LEAF for _, r in stack]))
 
 
 def compose_trees(
@@ -218,6 +192,8 @@ def pack_key(domain: bytes, range_: bytes) -> bytes:
     return bytes(packed)
 
 
+# the batched loops compose each key with several factors or words in a row
+@functools.lru_cache(maxsize=16)
 def unpack_key(key: bytes) -> tuple[bytes, bytes]:
     """Domain and range trees of a key; a malformed key raises TreePairError."""
     if len(key) < 3 or key[0] != KEY_TAG:
@@ -285,3 +261,21 @@ def apply_left(
             k2 = compose(g, key)
             out[k2] = get(k2, 0) + c
     return out
+
+
+def inner(
+    words: list[bytes],
+    vec: dict[bytes, int],
+    *,
+    compose=compose_keys,
+) -> list[int]:
+    """For each word w, the sum over keys x of vec of vec[x] * vec[w*x].
+
+    That is <w.h, h> for the group-ring element h held in vec.  Other
+    backends pass their own `compose` (GroupBackend)."""
+    sums = [0] * len(words)
+    get = vec.get
+    for key, c in vec.items():
+        for i, w in enumerate(words):
+            sums[i] += c * get(compose(w, key), 0)
+    return sums

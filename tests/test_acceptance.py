@@ -55,9 +55,12 @@ def computed_case1():
 
 
 @pytest.fixture(scope="module")
-def computed_case2():
-    gen = case2()
-    return table_from_ladder(gen, build_ladder(gen, 12))
+def computed_case2(tmp_path_factory):
+    """tables --case=2 --max-n=12 through the CLI, run once for criteria 2
+    and 7; returns the exit code and the written table."""
+    out = tmp_path_factory.mktemp("case2") / "t2.csv"
+    code = main(["tables", "--case=2", "--max-n=12", f"--out={out}"])
+    return code, formats.parse_table_csv(out.read_text()) if code == 0 else None
 
 
 def test_criterion_1_table1_reproduction(tmp_path, table1, computed_case1):
@@ -71,10 +74,9 @@ def test_criterion_1_table1_reproduction(tmp_path, table1, computed_case1):
     report("1", "tables --case=1 --max-n=16 matches the published integers exactly")
 
 
-def test_criterion_2_table2_reproduction(tmp_path, table2, computed_case2):
-    out = tmp_path / "t2.csv"
-    assert main(["tables", "--case=2", "--max-n=12", f"--out={out}"]) == 0
-    written = formats.parse_table_csv(out.read_text())
+def test_criterion_2_table2_reproduction(table2, computed_case2):
+    code, written = computed_case2
+    assert code == 0
     for n in range(1, 13):
         assert written.row(n) == table2.row(n), f"row {n}"
     assert written.m[11] == 277937245744
@@ -161,7 +163,9 @@ def test_criterion_6_lambda_window_as_stated():
 
 
 def test_criterion_7_moebius_parity_suite(computed_case1, computed_case2):
-    for table in (computed_case1, computed_case2):
+    code, written_case2 = computed_case2
+    assert code == 0
+    for table in (computed_case1, written_case2):
         report_obj = moebius_verify(table)
         assert report_obj.ok, report_obj.failures()
     corrupted = SequenceTable(

@@ -47,8 +47,9 @@ def test_tables_resume_matches_fresh_run(capsys, tmp_path):
                  f"--out={resumed}"]) == 0
     assert main(["tables", "--case=2", "--max-n=7", f"--out={fresh}"]) == 0
     assert resumed.read_bytes() == fresh.read_bytes()
+    # row 7 comes from the lookahead over level 6, which is not stored
     assert sorted(p.name for p in ckdir.glob("*.tgfl")) == [
-        f"level_{n:04d}.tgfl" for n in range(1, 8)
+        f"level_{n:04d}.tgfl" for n in range(1, 7)
     ]
 
 
@@ -125,17 +126,21 @@ def _free_group_level(path):
     write_checkpoint(path.parent, 2, level)
 
 
-@pytest.mark.parametrize("corrupt", [_overwrite_first_key, _truncate, _free_group_level],
-                         ids=["key-bytes-ff", "truncated", "free-group-keys"])
-def test_corrupt_checkpoint_exits_1(capsys, tmp_path, corrupt):
+@pytest.mark.parametrize("level, corrupt", [
+    (4, _overwrite_first_key), (4, _truncate), (4, _free_group_level),
+    (3, _overwrite_first_key),
+], ids=["key-bytes-ff", "truncated", "free-group-keys", "lower-key-bytes-ff"])
+def test_corrupt_checkpoint_exits_1(capsys, tmp_path, level, corrupt):
+    # levels 1..4 are stored, and a resume to n = 6 starts from the pair
+    # (3, 4); level 3 is only subtracted and summed, never composed
     ckdir = tmp_path / "ck"
-    assert main(["tables", "--case=1", "--max-n=4", f"--checkpoint-dir={ckdir}"]) == 0
-    corrupt(ckdir / "level_0004.tgfl")
+    assert main(["tables", "--case=1", "--max-n=5", f"--checkpoint-dir={ckdir}"]) == 0
+    corrupt(ckdir / f"level_{level:04d}.tgfl")
     code, out, err = run_cli(capsys, "tables", "--case=1", "--max-n=6",
                              f"--checkpoint-dir={ckdir}")
     assert code == 1
     assert err.splitlines()[-1].startswith("error: ")
-    assert "level_0004.tgfl" in err
+    assert f"level_{level:04d}.tgfl" in err
     assert "Traceback" not in err
 
 

@@ -1,9 +1,15 @@
-"""On-disk formats: table CSV, moments files, bounds CSV, curves, fixtures."""
-import pytest
+"""On-disk formats: table CSV, moments files, bounds CSV, curves, fixtures,
+and fuzzing of the parsers of user-supplied files."""
+import struct
 
-from tgf import formats
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tgf import errors, formats
 from tgf.density import free_density_curve
 from tgf.errors import UsageError
+from tgf.ladder import MultiplicityVector
 from tgf.sequences import SequenceTable
 
 
@@ -103,3 +109,90 @@ def test_fixture_table_consistency(table1):
     # the shipped table re-derives from its own h2norm column
     rebuilt = SequenceTable.from_h2norms(table1.q, table1.h2norm)
     assert rebuilt == table1
+
+
+def test_table_csv_oversized_field_is_a_usage_error():
+    with pytest.raises(UsageError):
+        formats.parse_table_csv("n,h2norm,xi,eta,zeta,m\n1," + "9" * 200_000 + "\n")
+
+
+# -- fuzzing: malformed input may raise only the package's own errors ---------
+
+TGF_ERRORS = tuple(
+    obj for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, Exception)
+    and obj.__module__ == errors.__name__
+)
+
+
+def _parses_or_tgf_error(parse, *args):
+    # any exception outside tgf.errors propagates and fails the test
+    try:
+        parse(*args)
+    except TGF_ERRORS:
+        pass
+
+
+NUMBER = st.one_of(st.integers(-3, 40).map(str), st.integers().map(str),
+                   st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--1", " 7 "]))
+MOMENT_LINE = st.one_of(
+    st.lists(NUMBER, max_size=4).map(" ".join),
+    st.tuples(NUMBER, NUMBER, st.sampled_from(["", " # c", "#", "\t"])).map("".join),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(MOMENT_LINE, max_size=8).map("\n".join)))
+def test_fuzz_parse_moments_text(text):
+    _parses_or_tgf_error(formats.parse_moments_text, text)
+
+
+TABLE_ROW = st.lists(NUMBER, max_size=8).map(",".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(TABLE_ROW, max_size=6).map(
+        lambda rows: "\n".join(["n,h2norm,xi,eta,zeta,m", *rows])),
+    st.lists(st.text(alphabet=',"\n\r\x00 n1', max_size=12), max_size=4).map("\n".join),
+))
+def test_fuzz_parse_table_csv(text):
+    _parses_or_tgf_error(formats.parse_table_csv, text)
+
+
+def _checkpoint_bytes(tmp_dir, entries):
+    formats.write_checkpoint(tmp_dir, 2, MultiplicityVector(3, entries))
+    return formats.checkpoint_path(tmp_dir, 3).read_bytes()
+
+
+HEADER = st.tuples(st.sampled_from([1, 1, 2, 0]), st.integers(0, 2**32 - 1),
+                   st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)).map(
+    lambda f: formats.CHECKPOINT_MAGIC + struct.pack("<IIIQ", *f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=64),
+    st.tuples(HEADER, st.binary(max_size=48)).map(b"".join),
+    st.tuples(st.just("valid"), st.integers(0, 200), st.integers(0, 255),
+              st.sampled_from(["flip", "cut", "extend"])),
+))
+def test_fuzz_read_checkpoint(tmp_path_factory, data):
+    tmp_dir = tmp_path_factory.mktemp("ckpt")
+    if isinstance(data, tuple):
+        # a genuine checkpoint with one byte changed, cut short or extended
+        _, at, byte, how = data
+        raw = bytearray(_checkpoint_bytes(tmp_dir, {b"F\x00\x01\x00": 3, b"ab": -(2**70)}))
+        at %= len(raw)
+        if how == "flip":
+            raw[at] = byte
+        elif how == "cut":
+            del raw[at:]
+        else:
+            raw[at:at] = bytes([byte])
+        data = bytes(raw)
+    path = tmp_dir / "fuzzed.tgfl"
+    path.write_bytes(data)
+    _parses_or_tgf_error(formats.read_checkpoint, path)

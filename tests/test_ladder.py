@@ -1,8 +1,13 @@
-"""Ladder recursion: fixture agreement, invariants, checkpoints, threading."""
+"""Ladder recursion: fixture agreement, invariants, checkpoints, and the
+norm lookahead on both kernels."""
+import dataclasses
+
 import pytest
 
 from tgf import formats, treepair
+from tgf.cli import main
 from tgf.errors import CorruptionError, UsageError
+from tgf.groups import ThompsonF
 from tgf.ladder import (
     GeneratorSet,
     MultiplicityVector,
@@ -13,6 +18,8 @@ from tgf.ladder import (
     eta_direct,
     free_set,
     ladder_levels,
+    lattice_set,
+    lookahead_h2norm,
 )
 from tgf.sequences import table_from_ladder
 
@@ -87,16 +94,18 @@ def test_generator_set_validation(gen_case1):
 
 
 def test_checkpoint_roundtrip(tmp_path, gen_case1):
+    # row 6 comes from the lookahead over level 5, so levels 1..5 are stored
     run = build_ladder(gen_case1, 6, checkpoint_dir=tmp_path)
     files = sorted(p.name for p in tmp_path.glob("*.tgfl"))
-    assert files == [f"level_{n:04d}.tgfl" for n in range(1, 7)]
-    q, vec = formats.read_checkpoint(tmp_path / "level_0006.tgfl")
-    assert q == 2 and vec.n == 6
-    assert vec.squared_two_norm() == run.summaries[5].h2norm
+    assert files == [f"level_{n:04d}.tgfl" for n in range(1, 6)]
+    q, vec = formats.read_checkpoint(tmp_path / "level_0005.tgfl")
+    assert q == 2 and vec.n == 5
+    assert vec.squared_two_norm() == run.summaries[4].h2norm
+    assert len(run.summaries) == 6
 
 
 def test_checkpoint_resume(tmp_path, gen_case1):
-    build_ladder(gen_case1, 6, checkpoint_dir=tmp_path)
+    build_ladder(gen_case1, 7, checkpoint_dir=tmp_path)
     # drop the newest level; the run must restart from the (4, 5) pair and
     # still report summaries for every level, reading 1..3 from disk
     (tmp_path / "level_0006.tgfl").unlink()
@@ -108,6 +117,18 @@ def test_checkpoint_resume(tmp_path, gen_case1):
     )
     full = table_from_ladder(gen_case1, fresh)
     assert full.h2norm[9] == 1656
+    assert sorted(p.name for p in tmp_path.glob("*.tgfl")) == [
+        f"level_{n:04d}.tgfl" for n in range(1, 10)
+    ]
+
+
+def test_checkpoint_resume_straight_to_lookahead(tmp_path, gen_case2):
+    # levels 1..6 on disk: row 7 needs no new level, only the lookahead
+    build_ladder(gen_case2, 7, checkpoint_dir=tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.glob("*.tgfl")}
+    resumed = build_ladder(gen_case2, 7, checkpoint_dir=tmp_path)
+    assert resumed.summaries == build_ladder(gen_case2, 7).summaries
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.tgfl")} == before
 
 
 def test_checkpoint_resume_incomplete_dir(tmp_path, gen_case1):
@@ -124,3 +145,82 @@ def test_checkpoint_sign_encoding(tmp_path):
     formats.write_checkpoint(tmp_path, 9, vec)
     q, back = formats.read_checkpoint(formats.checkpoint_path(tmp_path, 3))
     assert q == 9 and back.entries == vec.entries
+
+
+# -- norm lookahead -----------------------------------------------------------
+
+class CompiledF(ThompsonF):
+    """F whose arithmetic all runs in a given compiled kernel module."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def multiply_keys(self, a, b):
+        return self.module.compose_keys(a, b)
+
+    def invert_key(self, a):
+        return self.module.invert_key(a)
+
+    def apply_left(self, factors, vec):
+        return self.module.apply_left(factors, vec)
+
+    def inner(self, words, vec):
+        return self.module.inner(words, vec)
+
+
+def _assert_lookahead_matches_ladder(gen, max_n):
+    norms = []
+    for vec in ladder_levels(gen, max_n):
+        norms.append(vec.squared_two_norm())
+        if vec.n > 3:
+            assert lookahead == norms[-1], (gen.label, vec.n)
+        if 3 <= vec.n < max_n:
+            lookahead = lookahead_h2norm(gen, vec, norms)
+    assert build_ladder(gen, max_n).h2norms() == norms
+
+
+@pytest.mark.parametrize("gen, max_n", [
+    (case1(), 12), (case2(), 8), (free_set(2), 8), (free_set(3), 8),
+    (lattice_set(2), 8),
+], ids=["case1", "case2", "free2", "free3", "lattice2"])
+def test_lookahead_equals_materialised_level(gen, max_n):
+    _assert_lookahead_matches_ladder(gen, max_n)
+
+
+@pytest.mark.parametrize("gen, max_n", [(case1(), 16), (case2(), 12)],
+                         ids=["case1", "case2"])
+def test_lookahead_equals_materialised_level_compiled(compiled, gen, max_n):
+    _assert_lookahead_matches_ladder(
+        dataclasses.replace(gen, backend=CompiledF(compiled)), max_n)
+
+
+def _levels_and_norms(gen, max_n):
+    levels = list(ladder_levels(gen, max_n))
+    return levels, [vec.squared_two_norm() for vec in levels]
+
+
+def test_lookahead_rejects_a_pass_outside_its_range(gen_case1, monkeypatch):
+    levels, norms = _levels_and_norms(gen_case1, 6)
+    real = ThompsonF.inner
+    # each pass lies in [0, ||h_N||^2]; one past the top is corrupt
+    monkeypatch.setattr(ThompsonF, "inner", lambda self, words, vec: [
+        norms[5] + 1, *real(self, words, vec)[1:]])
+    with pytest.raises(CorruptionError, match="pass"):
+        lookahead_h2norm(gen_case1, levels[5], norms)
+
+
+def test_lookahead_rejects_a_row_of_the_wrong_parity(gen_case2):
+    levels, norms = _levels_and_norms(gen_case2, 5)
+    assert lookahead_h2norm(gen_case2, levels[4], norms) == 1076
+    # q = 3, so ||h_{N-1}||^2 enters with the odd weight q^2
+    norms[3] += 1
+    with pytest.raises(CorruptionError, match="parity"):
+        lookahead_h2norm(gen_case2, levels[4], norms)
+
+
+def test_lookahead_pass_off_by_one_exits_2(capsys, monkeypatch):
+    real = ThompsonF.inner
+    monkeypatch.setattr(ThompsonF, "inner", lambda self, words, vec: [
+        real(self, words, vec)[0] + 1, *real(self, words, vec)[1:]])
+    assert main(["tables", "--case=1", "--max-n=8"]) == 2
+    assert "verification fail" in capsys.readouterr().err

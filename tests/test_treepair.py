@@ -128,6 +128,33 @@ def test_compiled_apply_left_matches_pure(compiled, gen, max_n):
             assert list(fast.items()) == list(pure.items())
 
 
+@pytest.mark.parametrize("gen, max_n", [(case1(), 12), (case2(), 8)],
+                         ids=["case1", "case2"])
+def test_compiled_inner_matches_pure(compiled, gen, max_n):
+    # the identity and every t^-1 s of each step's factors s, t, which hold
+    # each word and its inverse: <w.h, h> = <w^-1.h, h>
+    for level in ladder_levels(gen, max_n):
+        g = gen.keys() if level.n % 2 == 0 else gen.inverse_keys()
+        words = [tp.IDENTITY_KEY] + [
+            tp.compose_keys(tp.invert_key(t), s) for t in g for s in g if s != t]
+        sums = compiled.inner(words, level.entries)
+        assert sums == tp.inner(words, level.entries)
+        assert sums[0] == level.squared_two_norm()
+        by_word = dict(zip(words, sums))
+        assert all(by_word[tp.invert_key(w)] == v for w, v in by_word.items())
+
+
+def test_inner_sums_exactly(compiled):
+    # sums stay exact past 64 bits and with negative coefficients
+    a = word_key("A")
+    vec = {tp.IDENTITY_KEY: 3**50, a: -(2**40), word_key("AA"): 7}
+    for impl in (tp, compiled):
+        assert impl.inner([a, tp.IDENTITY_KEY, word_key("a")], vec) == [
+            -(2**40) * (3**50 + 7), 3**100 + 2**80 + 49, -(2**40) * (3**50 + 7)]
+        assert impl.inner([], vec) == []
+        assert impl.inner([a], {}) == [0]
+
+
 def test_apply_left_identity_first_then_factors_in_order(compiled):
     a = word_key("A")
     b = word_key("B")
@@ -175,6 +202,9 @@ def test_malformed_keys_raise_tree_pair_error(kernel_impl, bad):
         lambda: kernel_impl.invert_key(bad),
         lambda: kernel_impl.apply_left([bad], {good: 1}),
         lambda: kernel_impl.apply_left([good], {bad: 1}),
+        lambda: kernel_impl.inner([bad], {good: 1}),
+        lambda: kernel_impl.inner([good], {bad: 1}),
+        lambda: kernel_impl.inner([tp.IDENTITY_KEY], {bad: 1}),
     ]
     for call in calls:
         with pytest.raises(tp.TreePairError):
@@ -216,5 +246,7 @@ def test_random_bytes_only_raise_tree_pair_error(compiled, key, other):
             _outcome(impl.invert_key, key),
             _outcome(impl.apply_left, [key], {other: 1}),
             _outcome(impl.apply_left, [other], {key: 3}),
+            _outcome(impl.inner, [key], {other: 2}),
+            _outcome(impl.inner, [other, tp.IDENTITY_KEY], {key: 3, other: 5}),
         ])
     assert results[0] == results[1]
