@@ -6,17 +6,18 @@
  * 0 = leaf) packed MSB-first, with zero padding bits.  compose_keys(a, b)
  * is the reduced pair of a*b with b acting first.
  *
- * apply_left(factors, vec) is the ladder's inner loop: it composes every
- * key of vec with every factor on the left and accumulates the Python-int
- * coefficients into one new dict, in the insertion order of
- * tgf.treepair.apply_left.  Each key is unpacked once, each factor once per
- * call, and the compositions reuse growable scratch buffers.
- *
- * inner(words, vec) returns, for each word w, the sum over the keys x of
- * vec of vec[x] * vec[w*x], which is <w.h, h> for the group-ring element h
- * that vec holds.  It batches like apply_left: each word is unpacked once,
- * each key is unpacked and indexed once for all words, and each product is
- * built in the scratch buffers and looked up in vec.  The sums are exact.
+ * apply_left(factors, vec) and inner(words, vec) run one batch driver.  It
+ * unpacks each factor once per call, walks vec once, unpacks and indexes
+ * each key once for all factors, and builds each product g*x in growable
+ * scratch buffers; a product with the identity is the other factor as it
+ * is.  Only the step per product differs:
+ *   - apply_left is the ladder's inner loop.  It accumulates the Python-int
+ *     coefficients into one new dict, in the insertion order of
+ *     tgf.treepair.apply_left (identity factors first, then the others).
+ *   - inner adds vec[x] * vec[w*x] to the exact sum of word w, giving
+ *     <w.h, h> for the group-ring element h that vec holds.
+ * compose_keys and invert_key use static scratch buffers instead, so the
+ * brute-force walks pay no allocation per call.
  *
  * Every key is checked before use (tag, leaf count, exact length, zero
  * padding, two complete trees); a malformed key raises TreePairError.
@@ -427,17 +428,45 @@ is_identity(PyObject *key)
                   PyBytes_GET_SIZE(key)) == 0;
 }
 
+/* One pass of vec against a list of factors, shared by apply_left and inner.
+ * sums is NULL for apply_left, whose identity factors are only counted. */
 typedef struct {
-    PyObject *out, *n_identity;  /* n_identity is NULL without identity factors */
-    PyObject **plain;            /* the other factors, borrowed from a tuple */
+    PyObject *vec;
+    PyObject *out;               /* apply_left's new dict or inner's list */
+    PyObject **sums;             /* inner's sums, the items of out */
+    PyObject *n_identity;        /* NULL without identity factors */
+    PyObject **factors;          /* the factors composed, borrowed from a tuple */
     Pair *pairs;                 /* their unpacked trees */
-    Py_ssize_t nplain;
+    Py_ssize_t n;
     Buf keybuf, index, work;
 } Batch;
 
-/* All contributions of one (key, c) item of vec, in the pure loop's order. */
+/* The per-product step: apply_left adds c to out[prod]; inner adds
+ * c * vec[prod] to the sum of factor f, exactly, in Python ints. */
 static int
-apply_item(Batch *bt, PyObject *key, PyObject *c)
+batch_step(Batch *bt, Py_ssize_t f, PyObject *prod, PyObject *c)
+{
+    if (bt->sums == NULL)
+        return accumulate(bt->out, prod, c);
+    PyObject *d = PyDict_GetItemWithError(bt->vec, prod);
+    if (d == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    Py_INCREF(d);
+    PyObject *term = PyNumber_Multiply(c, d);
+    Py_DECREF(d);
+    if (term == NULL)
+        return -1;
+    PyObject *total = PyNumber_Add(bt->sums[f], term);
+    Py_DECREF(term);
+    if (total == NULL)
+        return -1;
+    Py_SETREF(bt->sums[f], total);
+    return 0;
+}
+
+/* All products of one (key, c) item of vec, in the pure loops' order. */
+static int
+batch_item(Batch *bt, PyObject *key, PyObject *c)
 {
     if (bt->n_identity != NULL) {
         PyObject *scaled = PyNumber_Multiply(bt->n_identity, c);
@@ -448,7 +477,7 @@ apply_item(Batch *bt, PyObject *key, PyObject *c)
         if (rc < 0)
             return -1;
     }
-    if (bt->nplain == 0)
+    if (bt->n == 0)
         return 0;
     Pair k;
     const int *ix = NULL;
@@ -456,12 +485,15 @@ apply_item(Batch *bt, PyObject *key, PyObject *c)
         return -1;
     if (k.nl > 1 && (ix = index_pair(&k, &bt->index)) == NULL)
         return -1;
-    for (Py_ssize_t f = 0; f < bt->nplain; f++) {
-        PyObject *prod = ix == NULL ? Py_NewRef(bt->plain[f])
-                                    : product(&bt->pairs[f], &k, ix, &bt->work);
+    for (Py_ssize_t f = 0; f < bt->n; f++) {
+        /* as in compose_keys, a product with the identity is the other
+         * factor as it is, even when that one is not reduced */
+        PyObject *prod = bt->pairs[f].nl == 1 ? Py_NewRef(key)
+                         : ix == NULL         ? Py_NewRef(bt->factors[f])
+                                              : product(&bt->pairs[f], &k, ix, &bt->work);
         if (prod == NULL)
             return -1;
-        int rc = accumulate(bt->out, prod, c);
+        int rc = batch_step(bt, f, prod, c);
         Py_DECREF(prod);
         if (rc < 0)
             return -1;
@@ -469,15 +501,17 @@ apply_item(Batch *bt, PyObject *key, PyObject *c)
     return 0;
 }
 
+/* The batch driver: apply_left(factors, vec) when inner is 0, else
+ * inner(words, vec). */
 static PyObject *
-apply_left(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
 {
-    if (check_nargs("apply_left", nargs, 2) < 0)
+    if (check_nargs(name, nargs, 2) < 0)
         return NULL;
-    PyObject *vec = args[1];
-    if (!PyDict_Check(vec)) {
-        PyErr_Format(PyExc_TypeError, "apply_left needs a dict, not %.100s",
-                     Py_TYPE(vec)->tp_name);
+    Batch bt = {.vec = args[1]};
+    if (!PyDict_Check(bt.vec)) {
+        PyErr_Format(PyExc_TypeError, "%s needs a dict, not %.100s", name,
+                     Py_TYPE(bt.vec)->tp_name);
         return NULL;
     }
     PyObject *factors = PySequence_Tuple(args[0]);
@@ -485,19 +519,18 @@ apply_left(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     Py_ssize_t nf = PyTuple_GET_SIZE(factors), nid = 0;
     size_t total = 0;
-    Batch bt = {0};
     Buf fbuf = {0};
     PyObject *result = NULL;
 
-    bt.plain = PyMem_Malloc((nf + 1) * sizeof(PyObject *));
+    bt.factors = PyMem_Malloc((nf + 1) * sizeof(PyObject *));
     bt.pairs = PyMem_Malloc((nf + 1) * sizeof(Pair));
-    if (bt.plain == NULL || bt.pairs == NULL) {
+    if (bt.factors == NULL || bt.pairs == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t f = 0; f < nf; f++) {
         PyObject *g = PyTuple_GET_ITEM(factors, f);
-        if (is_identity(g)) {
+        if (!inner && is_identity(g)) {
             nid++;
             continue;
         }
@@ -505,31 +538,40 @@ apply_left(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (nl < 0)
             goto done;
         total += token_room(nl);
-        bt.plain[bt.nplain] = g;
-        bt.pairs[bt.nplain++].nl = nl;
+        bt.factors[bt.n] = g;
+        bt.pairs[bt.n++].nl = nl;
     }
     /* unpack every factor once, into one buffer sized up front */
     if (reserve(&fbuf, total + 1) == NULL)
         goto done;
     total = 0;
-    for (Py_ssize_t f = 0; f < bt.nplain; f++) {
+    for (Py_ssize_t f = 0; f < bt.n; f++) {
         int nl = bt.pairs[f].nl;
-        if (unpack_into(bt.plain[f], nl, fbuf.p + total, &bt.pairs[f]) < 0)
+        if (unpack_into(bt.factors[f], nl, fbuf.p + total, &bt.pairs[f]) < 0)
             goto done;
         total += token_room(nl);
     }
     if (nid && (bt.n_identity = PyLong_FromSsize_t(nid)) == NULL)
         goto done;
-    if ((bt.out = PyDict_New()) == NULL)
+    if (inner) {
+        /* the sums live in the result list, which nothing else sees until
+         * the end */
+        if ((bt.out = PyList_New(nf)) == NULL)
+            goto done;
+        for (Py_ssize_t f = 0; f < nf; f++)
+            PyList_SET_ITEM(bt.out, f, PyLong_FromLong(0));
+        bt.sums = PySequence_Fast_ITEMS(bt.out);
+    }
+    else if ((bt.out = PyDict_New()) == NULL)
         goto done;
 
     Py_ssize_t pos = 0;
     PyObject *key, *c;
-    while (PyDict_Next(vec, &pos, &key, &c)) {
+    while (PyDict_Next(bt.vec, &pos, &key, &c)) {
         /* own the item: adding coefficients may run Python code */
         Py_INCREF(key);
         Py_INCREF(c);
-        int rc = apply_item(&bt, key, c);
+        int rc = batch_item(&bt, key, c);
         Py_DECREF(key);
         Py_DECREF(c);
         if (rc < 0)
@@ -539,7 +581,7 @@ apply_left(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 done:
     Py_XDECREF(bt.out);
     Py_XDECREF(bt.n_identity);
-    PyMem_Free(bt.plain);
+    PyMem_Free(bt.factors);
     PyMem_Free(bt.pairs);
     PyMem_Free(bt.keybuf.p);
     PyMem_Free(bt.index.p);
@@ -549,125 +591,16 @@ done:
     return result;
 }
 
-/* *sum += c * d, exactly, in Python ints */
-static int
-add_product(PyObject **sum, PyObject *c, PyObject *d)
+static PyObject *
+apply_left(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *prod = PyNumber_Multiply(c, d);
-    if (prod == NULL)
-        return -1;
-    PyObject *total = PyNumber_Add(*sum, prod);
-    Py_DECREF(prod);
-    if (total == NULL)
-        return -1;
-    Py_SETREF(*sum, total);
-    return 0;
-}
-
-/* Adds vec[key] * vec[w*key] to sums[w] for every word w, using only the
- * scratch buffers of bt. */
-static int
-inner_item(PyObject *vec, PyObject *key, PyObject *c, PyObject **words,
-           Pair *pairs, Py_ssize_t nw, PyObject **sums, Batch *bt)
-{
-    Pair k;
-    const int *ix = NULL;
-    if (unpack(key, &bt->keybuf, &k) < 0)
-        return -1;
-    if (k.nl > 1 && (ix = index_pair(&k, &bt->index)) == NULL)
-        return -1;
-    for (Py_ssize_t f = 0; f < nw; f++) {
-        PyObject *prod = ix == NULL ? Py_NewRef(words[f])
-                                    : product(&pairs[f], &k, ix, &bt->work);
-        if (prod == NULL)
-            return -1;
-        PyObject *d = PyDict_GetItemWithError(vec, prod);
-        Py_XINCREF(d);
-        Py_DECREF(prod);
-        if (d == NULL) {
-            if (PyErr_Occurred())
-                return -1;
-            continue;
-        }
-        int rc = add_product(&sums[f], c, d);
-        Py_DECREF(d);
-        if (rc < 0)
-            return -1;
-    }
-    return 0;
+    return batch("apply_left", args, nargs, 0);
 }
 
 static PyObject *
 inner(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs("inner", nargs, 2) < 0)
-        return NULL;
-    PyObject *vec = args[1];
-    if (!PyDict_Check(vec)) {
-        PyErr_Format(PyExc_TypeError, "inner needs a dict, not %.100s",
-                     Py_TYPE(vec)->tp_name);
-        return NULL;
-    }
-    PyObject *words = PySequence_Tuple(args[0]);
-    if (words == NULL)
-        return NULL;
-    Py_ssize_t nw = PyTuple_GET_SIZE(words);
-    size_t total = 0;
-    Batch bt = {0};
-    Buf wbuf = {0};
-    PyObject *sums = NULL, *result = NULL;
-    Pair *pairs = PyMem_Malloc((nw + 1) * sizeof(Pair));
-    if (pairs == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t f = 0; f < nw; f++) {
-        int nl = key_leaves(PyTuple_GET_ITEM(words, f));
-        if (nl < 0)
-            goto done;
-        total += token_room(nl);
-        pairs[f].nl = nl;
-    }
-    /* unpack every word once, into one buffer sized up front */
-    if (reserve(&wbuf, total + 1) == NULL)
-        goto done;
-    total = 0;
-    for (Py_ssize_t f = 0; f < nw; f++) {
-        int nl = pairs[f].nl;
-        if (unpack_into(PyTuple_GET_ITEM(words, f), nl, wbuf.p + total, &pairs[f]) < 0)
-            goto done;
-        total += token_room(nl);
-    }
-    /* the sums live in the result list, which nothing else sees until the
-     * end */
-    if ((sums = PyList_New(nw)) == NULL)
-        goto done;
-    for (Py_ssize_t f = 0; f < nw; f++)
-        PyList_SET_ITEM(sums, f, PyLong_FromLong(0));
-
-    Py_ssize_t pos = 0;
-    PyObject *key, *c;
-    while (PyDict_Next(vec, &pos, &key, &c)) {
-        /* own the item: multiplying coefficients may run Python code */
-        Py_INCREF(key);
-        Py_INCREF(c);
-        int rc = inner_item(vec, key, c, PySequence_Fast_ITEMS(words), pairs, nw,
-                            PySequence_Fast_ITEMS(sums), &bt);
-        Py_DECREF(key);
-        Py_DECREF(c);
-        if (rc < 0)
-            goto done;
-    }
-    result = Py_NewRef(sums);
-done:
-    Py_XDECREF(sums);
-    PyMem_Free(pairs);
-    PyMem_Free(bt.keybuf.p);
-    PyMem_Free(bt.index.p);
-    PyMem_Free(bt.work.p);
-    PyMem_Free(wbuf.p);
-    Py_DECREF(words);
-    return result;
+    return batch("inner", args, nargs, 1);
 }
 
 /* -- module ----------------------------------------------------------------- */

@@ -104,7 +104,6 @@ class GroupBackend(abc.ABC):
 
     name: str
     alphabet_size: int
-    is_torsion_free: bool = True
 
     @abc.abstractmethod
     def identity_key(self) -> bytes: ...

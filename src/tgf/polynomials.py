@@ -1,8 +1,8 @@
-"""Exact polynomial kit: Chebyshev, Legendre, and the ladder polynomials.
+"""Exact polynomial kit: Legendre and the ladder polynomials.
 
-Polynomials are coefficient lists in ascending degree order; Chebyshev and
-ladder polynomials have integer coefficients, Legendre polynomials live in
-the rationals.  The ladder polynomials for a fixed integer q >= 1 are
+Polynomials are coefficient lists in ascending degree order; ladder
+polynomials have integer coefficients, Legendre polynomials live in the
+rationals.  The ladder polynomials for a fixed integer q >= 1 are
 
     L_1(t) = t,  L_2(t) = t^2 - (q+1),  L_{n+1}(t) = t L_n(t) - q L_{n-1}(t),
 
@@ -37,28 +37,6 @@ def poly_eval(a: list, x):
 
 
 @lru_cache(maxsize=None)
-def chebyshev_t(n: int) -> tuple:
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 1)
-    return tuple(
-        poly_add(poly_shift_scale(chebyshev_t(n - 1), 2), chebyshev_t(n - 2), -1)
-    )
-
-
-@lru_cache(maxsize=None)
-def chebyshev_u(n: int) -> tuple:
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 2)
-    return tuple(
-        poly_add(poly_shift_scale(chebyshev_u(n - 1), 2), chebyshev_u(n - 2), -1)
-    )
-
-
-@lru_cache(maxsize=None)
 def ladder_poly(q: int, n: int) -> tuple:
     """The n-th ladder polynomial for parameter q (n >= 1)."""
     if n < 1:
@@ -77,13 +55,6 @@ def ladder_poly_even_core(q: int, m: int) -> list:
     full = ladder_poly(q, 2 * m)
     assert all(c == 0 for c in full[1::2])
     return list(full[0::2])
-
-
-def ladder_poly_odd_core(q: int, m: int) -> list:
-    """P with L_{2m+1}(t) = t P(t^2)."""
-    full = ladder_poly(q, 2 * m + 1)
-    assert full[0] == 0 and all(c == 0 for c in full[0::2])
-    return list(full[1::2])
 
 
 @lru_cache(maxsize=None)

@@ -51,20 +51,9 @@ def xi_from_eta(q: int, etas: list[int]) -> list[int]:
     return out
 
 
-def zeta_from_eta(q: int, etas: list[int]) -> list[int]:
-    out, prefix = [], 0
-    for eta in etas:
-        out.append(eta - (q - 1) * prefix)
-        prefix += eta
-    return out
-
-
-def eta_from_zeta(q: int, zetas: list[int]) -> list[int]:
-    out, s = [], 0
-    for zeta in zetas:
-        out.append(zeta + (q - 1) * s)
-        s = zeta + q * s
-    return out
+# eta -> zeta is the same transform as xi -> eta, applied a second time
+zeta_from_eta = eta_from_xi
+eta_from_zeta = xi_from_eta
 
 
 def m_free(q: int, n: int) -> int:
@@ -383,10 +372,10 @@ class VerifyReport:
             raise VerificationError("; ".join(self.failures()))
 
 
-def moebius_verify(table: SequenceTable, torsion_free: bool = True) -> VerifyReport:
+def moebius_verify(table: SequenceTable) -> VerifyReport:
     """Divisibility test on the cyclic numbers plus the parity rules.
 
-    For torsion-free groups the Moebius transform of zeta must be
+    Every backend is torsion-free, so the Moebius transform of zeta must be
     non-negative and divisible by 2n; a failure flags a computation bug
     with probability >= 1 - 1/(2n) per affected level.
     """
@@ -405,17 +394,16 @@ def moebius_verify(table: SequenceTable, torsion_free: bool = True) -> VerifyRep
         if not (even and parity_m):
             report.add(f"parity_n{n}", False,
                        f"row {table.row(n)} violates parity rules")
-    if torsion_free:
-        for n in range(1, table.max_n + 1):
-            value = sum(
-                moebius(n // d) * table.zeta[d - 1] for d in range(1, n + 1)
-                if n % d == 0
-            )
-            row = MoebiusRow(n, value, value >= 0, value % (2 * n) == 0)
-            report.moebius_rows.append(row)
-            if not (row.nonnegative and row.divisible):
-                report.add(f"moebius_n{n}", False,
-                           f"transformed zeta = {value}, not a multiple of {2*n}")
+    for n in range(1, table.max_n + 1):
+        value = sum(
+            moebius(n // d) * table.zeta[d - 1] for d in range(1, n + 1)
+            if n % d == 0
+        )
+        row = MoebiusRow(n, value, value >= 0, value % (2 * n) == 0)
+        report.moebius_rows.append(row)
+        if not (row.nonnegative and row.divisible):
+            report.add(f"moebius_n{n}", False,
+                       f"transformed zeta = {value}, not a multiple of {2*n}")
     report.add("moebius_parity", True, "all levels checked")
     return report
 

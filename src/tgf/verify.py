@@ -39,10 +39,18 @@ from .spectral import (
 )
 
 
-def default_brute_depth(gen: GeneratorSet, cap: int = 300_000) -> int:
+# the default brute-force depth enumerates at most this many words
+BRUTE_WORDS = 300_000
+# the group-ring identities are checked for m = 1..RING_MAX_M
+RING_MAX_M = 2
+# the spectral invariants go up to this Hankel order
+SPECTRAL_ORDER = 12
+
+
+def default_brute_depth(gen: GeneratorSet) -> int:
     n = 0
     size = len(gen.elements)
-    while size ** (2 * (n + 1)) <= cap:
+    while size ** (2 * (n + 1)) <= BRUTE_WORDS:
         n += 1
     return max(n, 1)
 
@@ -51,9 +59,7 @@ def run_suite(
     gen: GeneratorSet,
     max_n: int = 10,
     brute_max_n: int | None = None,
-    ring_max_m: int = 2,
     precision_bits: int = 512,
-    spectral_order: int | None = None,
 ) -> VerifyReport:
     report = VerifyReport()
     run = build_ladder(gen, max_n, keep_levels=tuple(
@@ -78,7 +84,7 @@ def run_suite(
     except ResourceError as exc:
         report.add("brute_force_equivalence", False, str(exc))
 
-    for m in range(1, min(ring_max_m, max_n // 2 if max_n >= 2 else 0) + 1):
+    for m in range(1, min(RING_MAX_M, max_n // 2) + 1):
         try:
             group_ring_check(gen, m)
             report.add(f"group_ring_identities_m{m}", True, "")
@@ -88,7 +94,7 @@ def run_suite(
     report.add("transform_roundtrips", transform_roundtrips(table),
                "xi<->eta, eta<->zeta, zeta<->m, xi<->h2norm")
 
-    moe = moebius_verify(table, torsion_free=gen.backend.is_torsion_free)
+    moe = moebius_verify(table)
     report.checks.extend(moe.checks)
     report.moebius_rows = moe.moebius_rows
     report.checks.extend(check_chain_bounds(table).checks)
@@ -98,7 +104,7 @@ def run_suite(
         row.m_root <= gen.q + 1 + 1e-9 for row in rows),
         f"m-root at n={max_n}: {rows[-1].m_root:.5f} (limit {gen.q + 1} iff amenable)")
 
-    order = spectral_order if spectral_order is not None else min(max_n, 12)
+    order = min(max_n, SPECTRAL_ORDER)
     try:
         spectral_invariants(table, order, precision_bits)
         report.add("spectral_invariants", True,

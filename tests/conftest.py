@@ -51,16 +51,21 @@ def gen_case2():
 def compiled(tmp_path_factory):
     """tgf._treepair built from this checkout by setup.py build_ext.
 
-    Skips only when no C compiler is found; a failed build is an error.
+    The build appends -Wextra -Werror to CFLAGS, so a new compiler warning
+    fails it.  Skips only when no C compiler is found; a failed build is an
+    error.
     """
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     if shutil.which(cc.split()[0]) is None:
         pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
     out = tmp_path_factory.mktemp("kernel-build")
+    env = dict(os.environ)
+    env["CFLAGS"] = " ".join(
+        [env.get("CFLAGS", ""), "-Wextra -Wno-unused-parameter -Werror"]).strip()
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
+        cwd=ROOT, capture_output=True, text=True, env=env,
     )
     built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
              for p in (out / "lib" / "tgf").glob(f"_treepair{suffix}")]

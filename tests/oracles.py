@@ -4,11 +4,14 @@ Exact piecewise-linear dyadic maps over Fractions serve as an off-line
 oracle for Thompson-group arithmetic: a tree pair is converted to its
 breakpoint list and composition/inversion happen on the maps themselves,
 with no shared code with the library's tree-pair kernel.  A quadratic-scan
-word reducer plays the same role for the free-group backend.
+word reducer plays the same role for the free-group backend.  The Chebyshev
+polynomials T_n and U_n give closed forms for the ladder polynomials.
 """
 from fractions import Fraction as Fr
+from functools import lru_cache
 
 from tgf import treepair
+from tgf.polynomials import poly_add, poly_shift_scale
 
 
 def normalize(bps):
@@ -102,3 +105,25 @@ def naive_free_reduce(letters):
                 changed = True
                 break
     return word
+
+
+@lru_cache(maxsize=None)
+def chebyshev_t(n: int) -> tuple:
+    if n == 0:
+        return (1,)
+    if n == 1:
+        return (0, 1)
+    return tuple(
+        poly_add(poly_shift_scale(chebyshev_t(n - 1), 2), chebyshev_t(n - 2), -1)
+    )
+
+
+@lru_cache(maxsize=None)
+def chebyshev_u(n: int) -> tuple:
+    if n == 0:
+        return (1,)
+    if n == 1:
+        return (0, 2)
+    return tuple(
+        poly_add(poly_shift_scale(chebyshev_u(n - 1), 2), chebyshev_u(n - 2), -1)
+    )

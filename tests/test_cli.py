@@ -233,7 +233,7 @@ def test_tables_verification_failure_exits_2(capsys, monkeypatch):
     import tgf.cli as cli_mod
     from tgf.sequences import VerifyReport
 
-    def fake_verify(table, torsion_free=True):
+    def fake_verify(table):
         report = VerifyReport()
         report.add("moebius_n2", False, "injected")
         return report

@@ -139,10 +139,6 @@ def test_lattice_commutative_and_key_is_vector(u, v):
     )
 
 
-def test_torsion_free_flags():
-    assert all(backend.is_torsion_free for backend in BACKENDS)
-
-
 def test_usage_errors():
     f = ThompsonF()
     with pytest.raises(UsageError):

@@ -4,7 +4,7 @@ built by the `compiled` fixture), and malformed keys failing closed."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgf import treepair as tp
@@ -170,6 +170,17 @@ def test_apply_left_identity_first_then_factors_in_order(compiled):
         assert impl.apply_left(factors, {}) == {}
 
 
+@pytest.mark.parametrize("name", ["apply_left", "inner"])
+def test_compiled_batch_argument_errors(compiled, name):
+    fn = getattr(compiled, name)
+    e = tp.IDENTITY_KEY
+    for args in [(), ([e],), ([e], {e: 1}, {}), ([e], [(e, 1)]), ([e], None)]:
+        with pytest.raises(TypeError, match=name):
+            fn(*args)
+    with pytest.raises(TypeError, match="must be bytes"):
+        fn([word_key("A"), 1], {e: 1})
+
+
 # -- malformed keys -----------------------------------------------------------
 
 MALFORMED = {
@@ -235,6 +246,9 @@ KEYISH = st.one_of(st.binary(max_size=10), SIZED, VALID)
 
 @settings(max_examples=300, deadline=None)
 @given(key=KEYISH, other=VALID)
+# an unreduced caret/caret pair: a product with the identity word keeps it
+# as it is, in both kernels
+@example(key=bytes.fromhex("46000290"), other=tp.IDENTITY_KEY)
 def test_random_bytes_only_raise_tree_pair_error(compiled, key, other):
     # any exception other than TreePairError fails the test; both kernels
     # must also agree on which inputs they accept and on the results
