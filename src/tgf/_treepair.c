@@ -1,4 +1,4 @@
-/* Compiled tree-pair kernel for Thompson's group F.
+/* Compiled tree-pair kernel for Thompson's group F, and its level store.
  *
  * Same semantics as the pure-Python reference tgf.treepair, on the same
  * packed canonical keys: 0x46, leaf count L (u16 big endian), then the
@@ -6,16 +6,27 @@
  * 0 = leaf) packed MSB-first, with zero padding bits.  compose_keys(a, b)
  * is the reduced pair of a*b with b acting first.
  *
- * apply_left(factors, vec) and inner(words, vec) run one batch driver.  It
- * unpacks each factor once per call, walks vec once, unpacks and indexes
- * each key once for all factors, and builds each product g*x in growable
- * scratch buffers; a product with the identity is the other factor as it
- * is.  Only the step per product differs:
- *   - apply_left is the ladder's inner loop.  It accumulates the Python-int
- *     coefficients into one new dict, in the insertion order of
- *     tgf.treepair.apply_left (identity factors first, then the others).
- *   - inner adds vec[x] * vec[w*x] to the exact sum of word w, giving
- *     <w.h, h> for the group-ring element h that vec holds.
+ * Level is a read-only mapping from keys to counts in 1..2**32-1, the
+ * compact store of one ladder level: one open-addressing hash table whose
+ * 8-byte slots point into an arena of records (key length, key bytes, u32
+ * count) kept in insertion order.  Iteration follows that order, as a
+ * dict's does.  Its methods are the per-level passes, each the twin of a
+ * dict loop in tgf.treepair: subtract_scaled, squared_two_norm,
+ * coefficient_sum and dump_entries (the sorted checkpoint body);
+ * load_entries(body, count) reads such a body back into a Level.  Sums
+ * are exact (128-bit), and a count past 2**32 - 1 raises OverflowError.
+ *
+ * apply_left(factors, vec) and inner(words, vec) run one batch driver over
+ * a Level or a dict.  It unpacks each factor once per call, walks vec once,
+ * checks, unpacks and indexes each key once for all factors, and packs
+ * each product g*x into a scratch buffer; a product with the identity is
+ * the other factor as it is.  Only the step per product differs:
+ *   - apply_left accumulates into a new Level, in the insertion order of
+ *     tgf.treepair.apply_left (identity factors first, then the others),
+ *     making no Python object per product.
+ *   - inner adds vec[x] * vec[w*x] to the sum of word w, giving <w.h, h>
+ *     for the group-ring element h that vec holds.  Over a Level it looks
+ *     the product up by its raw bytes; over a dict it sums Python ints.
  * compose_keys and invert_key use static scratch buffers instead, so the
  * brute-force walks pay no allocation per call.
  *
@@ -24,6 +35,8 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define KEY_TAG 0x46
@@ -80,17 +93,24 @@ packed_size(Py_ssize_t ntok)
     return 3 + (2 * ntok + 7) / 8;
 }
 
-/* Checks the type, tag, leaf count and length of a key; returns L or -1. */
+/* The bytes of a key object, which must be bytes. */
 static int
-key_leaves(PyObject *key)
+key_bytes(PyObject *key, const unsigned char **s, Py_ssize_t *len)
 {
     if (!PyBytes_Check(key)) {
         PyErr_Format(PyExc_TypeError, "tree-pair key must be bytes, not %.100s",
                      Py_TYPE(key)->tp_name);
         return -1;
     }
-    const unsigned char *s = (const unsigned char *)PyBytes_AS_STRING(key);
-    Py_ssize_t len = PyBytes_GET_SIZE(key);
+    *s = (const unsigned char *)PyBytes_AS_STRING(key);
+    *len = PyBytes_GET_SIZE(key);
+    return 0;
+}
+
+/* Checks the tag, leaf count and length of the key s[0:len]; returns L or -1. */
+static int
+key_leaves(const unsigned char *s, Py_ssize_t len)
+{
     if (len < 3 || s[0] != KEY_TAG)
         return fail("not a tree-pair key");
     int nl = s[1] << 8 | s[2];
@@ -120,15 +140,14 @@ token_room(int nl)
     return 8 * (size_t)(packed_size(2 * nl - 1) - 3);
 }
 
-/* Unpacks a key of `nl` leaves (see key_leaves) into tokens at t, which has
- * token_room(nl) bytes, and checks its padding and trees. */
+/* Unpacks the key s[0:len] of `nl` leaves (see key_leaves) into tokens at
+ * t, which has token_room(nl) bytes, and checks its padding and trees. */
 static int
-unpack_into(PyObject *key, int nl, unsigned char *t, Pair *out)
+unpack_into(const unsigned char *s, Py_ssize_t len, int nl, unsigned char *t, Pair *out)
 {
-    const unsigned char *s = (const unsigned char *)PyBytes_AS_STRING(key) + 3;
-    Py_ssize_t nbytes = PyBytes_GET_SIZE(key) - 3;
+    Py_ssize_t nbytes = len - 3;
     for (Py_ssize_t i = 0; i < nbytes; i++)
-        memcpy(t + 8 * i, BITS[s[i]], 8);
+        memcpy(t + 8 * i, BITS[s[3 + i]], 8);
     int ntok = 2 * nl - 1;
     for (Py_ssize_t k = 2 * ntok; k < 8 * nbytes; k++)
         if (t[k])
@@ -142,29 +161,27 @@ unpack_into(PyObject *key, int nl, unsigned char *t, Pair *out)
 }
 
 static int
-unpack(PyObject *key, Buf *buf, Pair *out)
+unpack(const unsigned char *s, Py_ssize_t len, Buf *buf, Pair *out)
 {
-    int nl = key_leaves(key);
+    int nl = key_leaves(s, len);
     if (nl < 0 || reserve(buf, token_room(nl)) == NULL)
         return -1;
-    return unpack_into(key, nl, buf->p, out);
+    return unpack_into(s, len, nl, buf->p, out);
 }
 
-/* Key of the pair whose domain and range tokens are t[0:ntok] and
- * t[ntok:2*ntok]; t needs 7 spare bytes after them. */
-static PyObject *
-pack(unsigned char *t, int ntok)
+/* Packs the pair whose domain and range tokens are t[0:ntok] and
+ * t[ntok:2*ntok] into out; returns the key length or -1.  t needs 7 spare
+ * bytes after the tokens. */
+static Py_ssize_t
+pack_into(unsigned char *t, int ntok, Buf *out)
 {
     int nl = (ntok + 1) / 2;
-    if (nl > MAX_LEAVES) {
-        fail("tree too large for key format");
-        return NULL;
-    }
+    if (nl > MAX_LEAVES)
+        return fail("tree too large for key format");
     Py_ssize_t size = packed_size(ntok);
-    PyObject *key = PyBytes_FromStringAndSize(NULL, size);
-    if (key == NULL)
-        return NULL;
-    unsigned char *s = (unsigned char *)PyBytes_AS_STRING(key);
+    unsigned char *s = reserve(out, size);
+    if (s == NULL)
+        return -1;
     s[0] = KEY_TAG;
     s[1] = (unsigned char)(nl >> 8);
     s[2] = (unsigned char)(nl & 0xFF);
@@ -172,7 +189,7 @@ pack(unsigned char *t, int ntok)
     for (Py_ssize_t i = 3; i < size; i++, t += 8)
         s[i] = (unsigned char)(t[0] << 7 | t[1] << 6 | t[2] << 5 | t[3] << 4
                                | t[4] << 3 | t[5] << 2 | t[6] << 1 | t[7]);
-    return key;
+    return size;
 }
 
 /* -- composition ------------------------------------------------------------ */
@@ -287,21 +304,22 @@ index_pair(const Pair *b, Buf *buf)
     return ix;
 }
 
-/* Key of the reduced pair a*b (b acts first); ix is index_pair(b) and w the
- * work buffer.  The walk and the domain copy cost O(size of a) plus memcpy,
- * so a small left factor is cheap whatever the size of b. */
-static PyObject *
-product(const Pair *a, const Pair *b, const int *ix, Buf *w)
+/* Packs the key of the reduced pair a*b (b acts first) into out and returns
+ * its length; ix is index_pair(b) and w the work buffer.  The walk and the
+ * domain copy cost O(size of a) plus memcpy, so a small left factor is
+ * cheap whatever the size of b. */
+static Py_ssize_t
+product(const Pair *a, const Pair *b, const int *ix, Buf *w, Buf *out)
 {
     int na = 2 * a->nl - 1, nb = 2 * b->nl - 1;
     size_t cap = 2 * ((size_t)a->nl + b->nl);
     if (reserve(w, 5 * (size_t)a->nl * sizeof(int) + 5 * cap + 7) == NULL)
-        return NULL;
+        return -1;
     /* xb: (leaf of b's range, span of a's domain below it) for each such
      * leaf, in order; xa: per leaf of a's domain, the span of b's range
      * below it, or -1 */
     int *xb = (int *)w->p, *xa = xb + 3 * a->nl;
-    /* od holds the product's domain and then, for pack, its range */
+    /* od holds the product's domain and then, for packing, its range */
     unsigned char *od = (unsigned char *)(xa + 2 * a->nl);
     unsigned char *orng = od + 2 * cap + 7, *flags = orng + cap;
 
@@ -353,14 +371,356 @@ product(const Pair *a, const Pair *b, const int *ix, Buf *w)
     attach(a->rng, na, xa, rb, orng);
     ntok = reduce(od, orng, ntok, flags);
     memcpy(od + ntok, orng, ntok);
-    return pack(od, ntok);
+    return pack_into(od, ntok, out);
 }
 
-/* -- module functions ------------------------------------------------------- */
+/* -- level store ------------------------------------------------------------ */
 
-/* Scratch for compose_keys and invert_key, which run no Python code while
- * they use it. */
-static Buf KA, KB, INDEX, WORK;
+/* A slot is 0 when empty, else the top 24 bits of the key's hash over
+ * (record offset + 1) in the low 40 bits. */
+#define OFFSET_BITS 40
+#define OFFSET_MASK ((UINT64_C(1) << OFFSET_BITS) - 1)
+#define COUNT_MAX UINT32_MAX
+/* a record's first byte is its key length, or LONG_KEY before a u16 length */
+#define LONG_KEY 255
+#define KEY_MAX 0xFFFF
+
+typedef struct {
+    PyObject_HEAD
+    unsigned char *arena;        /* records in insertion order */
+    size_t used, cap;            /* arena bytes in use and allocated */
+    uint64_t *slots;             /* NULL while the table is empty */
+    size_t mask;                 /* slot count - 1 */
+    size_t filled;               /* slots in use, dead records included */
+    Py_ssize_t live;             /* records with a nonzero count */
+    size_t dead;                 /* records with count 0, still in the arena */
+    uint64_t version;            /* bumped by every change, for iterators */
+} Level;
+
+static PyTypeObject LevelType, LevelIterType;
+
+/* One record: its key and the address of its count (u32, native order,
+ * unaligned). */
+typedef struct {
+    const unsigned char *key;
+    size_t len, size;
+    unsigned char *count;
+} Rec;
+
+static Rec
+record(unsigned char *r)
+{
+    Rec x;
+    size_t head = 1;
+    x.len = r[0];
+    if (x.len == LONG_KEY) {
+        x.len = (size_t)r[1] | (size_t)r[2] << 8;
+        head = 3;
+    }
+    x.key = r + head;
+    x.count = r + head + x.len;
+    x.size = head + x.len + 4;
+    return x;
+}
+
+static uint32_t
+get_count(const unsigned char *p)
+{
+    uint32_t c;
+    memcpy(&c, p, 4);
+    return c;
+}
+
+static void
+set_count(unsigned char *p, uint32_t c)
+{
+    memcpy(p, &c, 4);
+}
+
+static Rec
+slot_record(const Level *lv, uint64_t s)
+{
+    return record(lv->arena + (s & OFFSET_MASK) - 1);
+}
+
+static uint64_t
+hash_key(const unsigned char *k, size_t n)
+{
+    uint64_t h = UINT64_C(0x9E3779B97F4A7C15) * (n + 1), w;
+    for (; n >= 8; k += 8, n -= 8) {
+        memcpy(&w, k, 8);
+        h = (h ^ w) * UINT64_C(0xBF58476D1CE4E5B9);
+        h ^= h >> 31;
+    }
+    w = 0;
+    if (n)
+        memcpy(&w, k, n);
+    h = (h ^ w) * UINT64_C(0x94D049BB133111EB);
+    h ^= h >> 29;
+    h *= UINT64_C(0xBF58476D1CE4E5B9);
+    return h ^ h >> 32;
+}
+
+/* Index of the slot that holds key k[0:n] (hash h), or of the empty slot
+ * where it would go.  The table always has an empty slot. */
+static size_t
+find_slot(const Level *lv, const unsigned char *k, size_t n, uint64_t h)
+{
+    uint64_t tag = h >> OFFSET_BITS;
+    size_t i = (size_t)h & lv->mask;
+    for (;; i = (i + 1) & lv->mask) {
+        uint64_t s = lv->slots[i];
+        if (s == 0)
+            return i;
+        if (s >> OFFSET_BITS == tag) {
+            Rec r = slot_record(lv, s);
+            if (r.len == n && memcmp(r.key, k, n) == 0)
+                return i;
+        }
+    }
+}
+
+/* The live record of key k[0:n], or NULL. */
+static unsigned char *
+find_count(const Level *lv, const unsigned char *k, size_t n)
+{
+    if (lv->slots == NULL)
+        return NULL;
+    uint64_t s = lv->slots[find_slot(lv, k, n, hash_key(k, n))];
+    if (s == 0)
+        return NULL;
+    unsigned char *c = slot_record(lv, s).count;
+    return get_count(c) ? c : NULL;
+}
+
+static uint32_t
+level_get(const Level *lv, const unsigned char *k, size_t n)
+{
+    unsigned char *c = find_count(lv, k, n);
+    return c == NULL ? 0 : get_count(c);
+}
+
+/* Smallest table, a power of two, that holds k keys at load <= 3/4. */
+static size_t
+slots_for(size_t k)
+{
+    size_t size = 8;
+    while (size / 4 * 3 < k + 1)
+        size *= 2;
+    return size;
+}
+
+static void
+level_clear(Level *lv)
+{
+    PyMem_Free(lv->arena);
+    PyMem_Free(lv->slots);
+    lv->arena = NULL;
+    lv->slots = NULL;
+    lv->used = lv->cap = lv->mask = lv->filled = lv->dead = 0;
+    lv->live = 0;
+    lv->version++;
+}
+
+/* Indexes the live records in a new table of nslots slots.  The old table
+ * goes first, so only one is ever allocated; if the new one cannot be had,
+ * the level is left empty and MemoryError raised. */
+static int
+rebuild(Level *lv, size_t nslots)
+{
+    PyMem_Free(lv->slots);
+    lv->slots = PyMem_Calloc(nslots, sizeof(uint64_t));
+    if (lv->slots == NULL) {
+        level_clear(lv);
+        PyErr_NoMemory();
+        return -1;
+    }
+    lv->mask = nslots - 1;
+    lv->filled = 0;
+    for (size_t off = 0; off < lv->used;) {
+        Rec r = record(lv->arena + off);
+        if (get_count(r.count)) {
+            uint64_t h = hash_key(r.key, r.len);
+            size_t i = (size_t)h & lv->mask;
+            while (lv->slots[i])
+                i = (i + 1) & lv->mask;
+            lv->slots[i] = (h >> OFFSET_BITS) << OFFSET_BITS | (off + 1);
+            lv->filled++;
+        }
+        off += r.size;
+    }
+    return 0;
+}
+
+/* Appends the record (k[0:n], c); returns its offset + 1, or 0 on failure. */
+static uint64_t
+append(Level *lv, const unsigned char *k, size_t n, uint32_t c)
+{
+    if (n > KEY_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "key too long for a level store");
+        return 0;
+    }
+    size_t head = n < LONG_KEY ? 1 : 3, size = head + n + 4;
+    if (lv->used + size > lv->cap) {
+        size_t cap = lv->cap < 4096 ? 4096 : lv->cap + lv->cap / 2;
+        if (cap < lv->used + size)
+            cap = lv->used + size;
+        unsigned char *p = cap < OFFSET_MASK ? PyMem_Realloc(lv->arena, cap) : NULL;
+        if (p == NULL) {
+            PyErr_NoMemory();
+            return 0;
+        }
+        lv->arena = p;
+        lv->cap = cap;
+    }
+    unsigned char *r = lv->arena + lv->used;
+    if (head == 1) {
+        r[0] = (unsigned char)n;
+    }
+    else {
+        r[0] = LONG_KEY;
+        r[1] = (unsigned char)(n & 0xFF);
+        r[2] = (unsigned char)(n >> 8);
+    }
+    memcpy(r + head, k, n);
+    set_count(r + head + n, c);
+    uint64_t at = lv->used + 1;
+    lv->used += size;
+    lv->live++;
+    return at;
+}
+
+static int
+count_overflow(void)
+{
+    PyErr_SetString(PyExc_OverflowError,
+                    "a level store count would pass 2**32 - 1");
+    return -1;
+}
+
+/* Adds c >= 1 to the count of key k[0:n], or sets it to c when `assign`;
+ * a new key goes after all others, as in a dict. */
+static int
+level_put(Level *lv, const unsigned char *k, size_t n, uint64_t c, int assign)
+{
+    uint64_t h = hash_key(k, n), *slot = NULL;
+    if (c == 0 || c > COUNT_MAX)
+        return c ? count_overflow() : 0;
+    if (lv->slots != NULL) {
+        slot = lv->slots + find_slot(lv, k, n, h);
+        if (*slot) {
+            unsigned char *cp = slot_record(lv, *slot).count;
+            uint64_t old = get_count(cp);
+            if (old) {
+                if (!assign && c > COUNT_MAX - old)
+                    return count_overflow();
+                set_count(cp, (uint32_t)(assign ? c : old + c));
+                return 0;
+            }
+            /* a dead record of this key: index a new one in its place */
+            uint64_t at = append(lv, k, n, (uint32_t)c);
+            if (at == 0)
+                return -1;
+            *slot = (h >> OFFSET_BITS) << OFFSET_BITS | at;
+            return 0;
+        }
+    }
+    uint64_t at = append(lv, k, n, (uint32_t)c);
+    if (at == 0)
+        return -1;
+    if (slot == NULL || (lv->filled + 1) * 4 > (lv->mask + 1) * 3)
+        return rebuild(lv, slots_for(lv->live));
+    *slot = (h >> OFFSET_BITS) << OFFSET_BITS | at;
+    lv->filled++;
+    return 0;
+}
+
+/* Drops the dead records, keeping the order of the others, gives the spare
+ * arena back and reindexes at the size the live keys need. */
+static int
+compact(Level *lv)
+{
+    size_t to = 0;
+    for (size_t off = 0; off < lv->used;) {
+        Rec r = record(lv->arena + off);
+        size_t size = r.size;
+        if (get_count(r.count)) {
+            memmove(lv->arena + to, lv->arena + off, size);
+            to += size;
+        }
+        off += size;
+    }
+    lv->used = to;
+    lv->dead = 0;
+    if (to > 0 && to < lv->cap) {
+        /* a failed shrink keeps the larger block */
+        unsigned char *p = PyMem_Realloc(lv->arena, to);
+        if (p != NULL) {
+            lv->arena = p;
+            lv->cap = to;
+        }
+    }
+    return rebuild(lv, slots_for(lv->live));
+}
+
+static Level *
+level_alloc(void)
+{
+    Level *lv = PyObject_New(Level, &LevelType);
+    if (lv == NULL)
+        return NULL;
+    lv->arena = NULL;
+    lv->slots = NULL;
+    lv->used = lv->cap = lv->mask = lv->filled = lv->dead = 0;
+    lv->live = 0;
+    lv->version = 0;
+    return lv;
+}
+
+static int
+is_level(PyObject *o)
+{
+    return Py_IS_TYPE(o, &LevelType);
+}
+
+/* A Python int as a count in lo..2**32-1 (lo is 0 or 1). */
+static int
+as_count(PyObject *v, uint64_t lo, uint64_t *c)
+{
+    if (!PyLong_Check(v)) {
+        PyErr_Format(PyExc_TypeError, "level counts are ints, not %.100s",
+                     Py_TYPE(v)->tp_name);
+        return -1;
+    }
+    int overflow;
+    long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || x < (long long)lo || (unsigned long long)x > COUNT_MAX) {
+        PyErr_Format(PyExc_OverflowError, "level counts lie in %d..2**32-1", (int)lo);
+        return -1;
+    }
+    *c = (uint64_t)x;
+    return 0;
+}
+
+static PyObject *
+long_from_u128(unsigned __int128 v)
+{
+    uint64_t hi = (uint64_t)(v >> 64), lo = (uint64_t)v;
+    if (hi == 0)
+        return PyLong_FromUnsignedLongLong(lo);
+    PyObject *h = PyLong_FromUnsignedLongLong(hi), *l = NULL, *s = NULL, *out = NULL;
+    PyObject *shift = PyLong_FromLong(64);
+    if (h && shift && (s = PyNumber_Lshift(h, shift)) != NULL
+        && (l = PyLong_FromUnsignedLongLong(lo)) != NULL)
+        out = PyNumber_Or(s, l);
+    Py_XDECREF(h);
+    Py_XDECREF(l);
+    Py_XDECREF(s);
+    Py_XDECREF(shift);
+    return out;
+}
 
 static int
 check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
@@ -371,27 +731,532 @@ check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return -1;
 }
 
+/* Steps *off to the next live record, which goes to *r; 0 at the end. */
+static int
+next_live(const Level *lv, size_t *off, Rec *r)
+{
+    while (*off < lv->used) {
+        *r = record(lv->arena + *off);
+        *off += r->size;
+        if (get_count(r->count))
+            return 1;
+    }
+    return 0;
+}
+
+/* -- Level: construction and the mapping protocol ---------------------------- */
+
+/* Copies every (key, count) of a dict or a Level into lv. */
+static int
+level_update(Level *lv, PyObject *src)
+{
+    if (is_level(src)) {
+        size_t off = 0;
+        Rec r;
+        while (next_live((Level *)src, &off, &r))
+            if (level_put(lv, r.key, r.len, get_count(r.count), 1) < 0)
+                return -1;
+        return 0;
+    }
+    if (!PyDict_Check(src)) {
+        PyErr_Format(PyExc_TypeError, "Level needs a dict or a Level, not %.100s",
+                     Py_TYPE(src)->tp_name);
+        return -1;
+    }
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(src, &pos, &key, &value)) {
+        const unsigned char *s;
+        Py_ssize_t n;
+        uint64_t c;
+        if (key_bytes(key, &s, &n) < 0 || as_count(value, 1, &c) < 0
+            || level_put(lv, s, n, c, 1) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+level_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"mapping", NULL};
+    PyObject *src = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O:Level", kwlist, &src))
+        return NULL;
+    Level *lv = level_alloc();
+    if (lv != NULL && src != NULL && level_update(lv, src) < 0)
+        Py_CLEAR(lv);
+    return (PyObject *)lv;
+}
+
+static void
+level_dealloc(Level *lv)
+{
+    PyMem_Free(lv->arena);
+    PyMem_Free(lv->slots);
+    PyObject_Free(lv);
+}
+
+static Py_ssize_t
+level_len(Level *lv)
+{
+    return lv->live;
+}
+
+/* Count of key (0 when absent, or when key is not bytes). */
+static uint32_t
+lookup(Level *lv, PyObject *key)
+{
+    if (!PyBytes_Check(key))
+        return 0;
+    return level_get(lv, (const unsigned char *)PyBytes_AS_STRING(key),
+                     PyBytes_GET_SIZE(key));
+}
+
+static PyObject *
+level_subscript(Level *lv, PyObject *key)
+{
+    uint32_t c = lookup(lv, key);
+    if (c == 0) {
+        PyErr_SetObject(PyExc_KeyError, key);
+        return NULL;
+    }
+    return PyLong_FromUnsignedLong(c);
+}
+
+static int
+level_contains(Level *lv, PyObject *key)
+{
+    return lookup(lv, key) != 0;
+}
+
+static PyObject *
+level_get_method(Level *lv, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 2) {
+        PyErr_Format(PyExc_TypeError, "get() takes 1 or 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    uint32_t c = lookup(lv, args[0]);
+    if (c)
+        return PyLong_FromUnsignedLong(c);
+    return Py_NewRef(nargs == 2 ? args[1] : Py_None);
+}
+
+/* Mapping equality with a dict or a Level. */
+static PyObject *
+level_richcompare(Level *lv, PyObject *other, int op)
+{
+    if ((op != Py_EQ && op != Py_NE) || !(is_level(other) || PyDict_Check(other)))
+        Py_RETURN_NOTIMPLEMENTED;
+    int equal = PyObject_Length(other) == lv->live;
+    size_t off = 0;
+    Rec r;
+    while (equal && next_live(lv, &off, &r)) {
+        uint32_t c = get_count(r.count);
+        if (is_level(other)) {
+            equal = level_get((Level *)other, r.key, r.len) == c;
+            continue;
+        }
+        PyObject *key = PyBytes_FromStringAndSize((const char *)r.key, r.len);
+        if (key == NULL)
+            return NULL;
+        PyObject *v = PyDict_GetItemWithError(other, key);
+        Py_DECREF(key);
+        if (v == NULL && PyErr_Occurred())
+            return NULL;
+        int overflow = 0;
+        equal = v != NULL && PyLong_Check(v)
+                && PyLong_AsLongLongAndOverflow(v, &overflow) == c && !overflow;
+    }
+    return PyBool_FromLong(equal == (op == Py_EQ));
+}
+
+static PyObject *
+level_repr(Level *lv)
+{
+    return PyUnicode_FromFormat("<Level with %zd keys>", lv->live);
+}
+
+static PyObject *
+level_sizeof(Level *lv, PyObject *unused)
+{
+    size_t slots = lv->slots == NULL ? 0 : (lv->mask + 1) * sizeof(uint64_t);
+    return PyLong_FromSize_t(sizeof(Level) + lv->cap + slots);
+}
+
+/* -- Level: iteration ------------------------------------------------------- */
+
+enum { KEYS, VALUES, ITEMS };
+
+typedef struct {
+    PyObject_HEAD
+    Level *lv;
+    size_t pos;
+    uint64_t version;
+    int kind;
+} LevelIter;
+
+static PyObject *
+level_iter_kind(Level *lv, int kind)
+{
+    LevelIter *it = PyObject_New(LevelIter, &LevelIterType);
+    if (it == NULL)
+        return NULL;
+    it->lv = (Level *)Py_NewRef(lv);
+    it->pos = 0;
+    it->version = lv->version;
+    it->kind = kind;
+    return (PyObject *)it;
+}
+
+static PyObject *
+level_iter(Level *lv)
+{
+    return level_iter_kind(lv, KEYS);
+}
+
+static PyObject *
+level_keys(Level *lv, PyObject *unused)
+{
+    return level_iter_kind(lv, KEYS);
+}
+
+static PyObject *
+level_values(Level *lv, PyObject *unused)
+{
+    return level_iter_kind(lv, VALUES);
+}
+
+static PyObject *
+level_items(Level *lv, PyObject *unused)
+{
+    return level_iter_kind(lv, ITEMS);
+}
+
+static void
+iter_dealloc(LevelIter *it)
+{
+    Py_DECREF(it->lv);
+    PyObject_Free(it);
+}
+
+static PyObject *
+iter_next(LevelIter *it)
+{
+    Level *lv = it->lv;
+    if (lv->version != it->version) {
+        PyErr_SetString(PyExc_RuntimeError, "level store changed during iteration");
+        return NULL;
+    }
+    Rec r;
+    if (!next_live(lv, &it->pos, &r))
+        return NULL;
+    unsigned long c = get_count(r.count);
+    if (it->kind == VALUES)
+        return PyLong_FromUnsignedLong(c);
+    PyObject *key = PyBytes_FromStringAndSize((const char *)r.key, r.len);
+    if (it->kind == KEYS || key == NULL)
+        return key;
+    return Py_BuildValue("(Nk)", key, c);
+}
+
+/* -- Level: the per-level passes -------------------------------------------- */
+
+/* Takes d from the count of key k[0:n]; a count that would go negative
+ * raises ValueError. */
+static int
+take(Level *lv, const unsigned char *k, size_t n, unsigned __int128 d)
+{
+    if (d == 0)
+        return 0;
+    unsigned char *cp = find_count(lv, k, n);
+    uint32_t old = cp == NULL ? 0 : get_count(cp);
+    if (d > old) {
+        PyErr_SetString(PyExc_ValueError, "negative coefficient: subtraction did not cancel");
+        return -1;
+    }
+    set_count(cp, (uint32_t)(old - d));
+    if (old == d) {
+        lv->live--;
+        lv->dead++;
+    }
+    return 0;
+}
+
+static PyObject *
+level_subtract_scaled(Level *lv, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("subtract_scaled", nargs, 2) < 0)
+        return NULL;
+    PyObject *sub = args[0];
+    unsigned long long factor = PyLong_AsUnsignedLongLong(args[1]);
+    if (factor == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    lv->version++;
+    if (is_level(sub)) {
+        size_t off = 0;
+        Rec r;
+        while (next_live((Level *)sub, &off, &r))
+            if (take(lv, r.key, r.len, (unsigned __int128)factor * get_count(r.count)) < 0)
+                return NULL;
+    }
+    else if (PyDict_Check(sub)) {
+        Py_ssize_t pos = 0;
+        PyObject *key, *value;
+        while (PyDict_Next(sub, &pos, &key, &value)) {
+            const unsigned char *s;
+            Py_ssize_t n;
+            uint64_t c;
+            if (key_bytes(key, &s, &n) < 0 || as_count(value, 0, &c) < 0
+                || take(lv, s, n, (unsigned __int128)factor * c) < 0)
+                return NULL;
+        }
+    }
+    else {
+        PyErr_Format(PyExc_TypeError, "subtract_scaled needs a dict or a Level, not %.100s",
+                     Py_TYPE(sub)->tp_name);
+        return NULL;
+    }
+    /* compacting rehashes every key, so it runs only when it frees an
+     * eighth of the records or half the table */
+    if ((lv->dead * 8 > (size_t)lv->live || (lv->dead && slots_for(lv->live) <= lv->mask))
+        && compact(lv) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+level_squared_two_norm(Level *lv, PyObject *unused)
+{
+    unsigned __int128 sum = 0;
+    size_t off = 0;
+    Rec r;
+    while (next_live(lv, &off, &r)) {
+        uint64_t c = get_count(r.count);
+        sum += c * c;
+    }
+    return long_from_u128(sum);
+}
+
+static PyObject *
+level_coefficient_sum(Level *lv, PyObject *unused)
+{
+    unsigned __int128 sum = 0;
+    size_t off = 0;
+    Rec r;
+    while (next_live(lv, &off, &r))
+        sum += get_count(r.count);
+    return long_from_u128(sum);
+}
+
+/* qsort runs no Python code, so the arena it compares in can be global. */
+static unsigned char *SortArena;
+
+static int
+compare_records(const void *a, const void *b)
+{
+    Rec x = record(SortArena + *(const size_t *)a), y = record(SortArena + *(const size_t *)b);
+    int c = memcmp(x.key, y.key, x.len < y.len ? x.len : y.len);
+    if (c)
+        return c;
+    return (x.len > y.len) - (x.len < y.len);
+}
+
+static int
+count_bytes(uint32_t c)
+{
+    return c >> 24 ? 4 : c >> 16 ? 3 : c >> 8 ? 2 : 1;
+}
+
+/* The checkpoint body: per entry in key order, key length u16, key, sign u8
+ * (0), magnitude length u32 (little endian), magnitude big endian. */
+static PyObject *
+level_dump_entries(Level *lv, PyObject *unused)
+{
+    size_t *order = PyMem_Malloc((lv->live + 1) * sizeof(size_t)), k = 0, total = 0;
+    size_t off = 0;
+    Rec r;
+    if (order == NULL)
+        return PyErr_NoMemory();
+    while (next_live(lv, &off, &r)) {
+        order[k++] = off - r.size;
+        total += 7 + r.len + count_bytes(get_count(r.count));
+    }
+    SortArena = lv->arena;
+    qsort(order, k, sizeof(size_t), compare_records);
+    PyObject *body = PyBytes_FromStringAndSize(NULL, total);
+    if (body != NULL) {
+        unsigned char *p = (unsigned char *)PyBytes_AS_STRING(body);
+        for (size_t i = 0; i < k; i++) {
+            Rec e = record(lv->arena + order[i]);
+            uint32_t c = get_count(e.count);
+            int nb = count_bytes(c);
+            *p++ = (unsigned char)(e.len & 0xFF);
+            *p++ = (unsigned char)(e.len >> 8);
+            memcpy(p, e.key, e.len);
+            p += e.len;
+            memcpy(p, (unsigned char[5]){0, (unsigned char)nb, 0, 0, 0}, 5);
+            p += 5;
+            for (int b = nb - 1; b >= 0; b--)
+                *p++ = (unsigned char)(c >> (8 * b));
+        }
+    }
+    PyMem_Free(order);
+    return body;
+}
+
+/* load_entries(body, count): the Level that a checkpoint body holds. */
+static PyObject *
+load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("load_entries", nargs, 2) < 0)
+        return NULL;
+    unsigned long long count = PyLong_AsUnsignedLongLong(args[1]);
+    if (count == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer view;
+    if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
+        return NULL;
+    const unsigned char *p = view.buf, *end = p + view.len;
+    const char *error = NULL;
+    Level *lv = level_alloc();
+    /* an entry takes at least 8 bytes, which bounds a false count */
+    if (lv == NULL || rebuild(lv, slots_for(Py_MIN(count, (size_t)view.len / 8))) < 0)
+        goto fail;
+    for (unsigned long long i = 0; i < count; i++) {
+        if (end - p < 2) {
+            error = "checkpoint is truncated";
+            break;
+        }
+        size_t n = (size_t)p[0] | (size_t)p[1] << 8;
+        const unsigned char *key = p + 2;
+        if ((size_t)(end - key) < n + 5) {
+            error = "checkpoint is truncated";
+            break;
+        }
+        p = key + n;
+        int negative = p[0] != 0;
+        uint32_t nb = (uint32_t)p[1] | (uint32_t)p[2] << 8 | (uint32_t)p[3] << 16
+                      | (uint32_t)p[4] << 24;
+        p += 5;
+        if ((size_t)(end - p) < nb) {
+            error = "checkpoint is truncated";
+            break;
+        }
+        uint64_t c = 0;
+        for (uint32_t b = 0; b < nb && c <= COUNT_MAX; b++)
+            c = c << 8 | *p++;
+        if (negative || c == 0 || c > COUNT_MAX) {
+            error = "checkpoint count is not in the level store's range 1..2**32-1";
+            break;
+        }
+        if (level_put(lv, key, n, c, 1) < 0)
+            goto fail;
+    }
+    if (error == NULL && p != end)
+        error = "trailing bytes after checkpoint entries";
+    if (error == NULL) {
+        PyBuffer_Release(&view);
+        return (PyObject *)lv;
+    }
+    PyErr_SetString(PyExc_ValueError, error);
+fail:
+    Py_XDECREF(lv);
+    PyBuffer_Release(&view);
+    return NULL;
+}
+
+static PyMethodDef level_methods[] = {
+    {"get", (PyCFunction)(void (*)(void))level_get_method, METH_FASTCALL,
+     "get(key, default=None)\n--\n\nThe count of key, or default."},
+    {"keys", (PyCFunction)level_keys, METH_NOARGS, "Iterator over the keys in insertion order."},
+    {"values", (PyCFunction)level_values, METH_NOARGS, "Iterator over the counts."},
+    {"items", (PyCFunction)level_items, METH_NOARGS, "Iterator over (key, count) pairs."},
+    {"subtract_scaled", (PyCFunction)(void (*)(void))level_subtract_scaled, METH_FASTCALL,
+     "subtract_scaled(sub, factor)\n--\n\n"
+     "self -= factor * sub for a dict or Level sub; a count that would go "
+     "negative raises ValueError."},
+    {"squared_two_norm", (PyCFunction)level_squared_two_norm, METH_NOARGS,
+     "The sum of the squared counts."},
+    {"coefficient_sum", (PyCFunction)level_coefficient_sum, METH_NOARGS,
+     "The sum of the counts."},
+    {"dump_entries", (PyCFunction)level_dump_entries, METH_NOARGS,
+     "The checkpoint body: the entries sorted by key."},
+    {"__sizeof__", (PyCFunction)level_sizeof, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMappingMethods level_as_mapping = {
+    .mp_length = (lenfunc)level_len,
+    .mp_subscript = (binaryfunc)level_subscript,
+};
+
+static PySequenceMethods level_as_sequence = {
+    .sq_contains = (objobjproc)level_contains,
+};
+
+static PyTypeObject LevelType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "tgf._treepair.Level",
+    .tp_basicsize = sizeof(Level),
+    .tp_dealloc = (destructor)level_dealloc,
+    .tp_repr = (reprfunc)level_repr,
+    .tp_as_sequence = &level_as_sequence,
+    .tp_as_mapping = &level_as_mapping,
+    .tp_hash = PyObject_HashNotImplemented,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Level(mapping=None)\n--\n\n"
+              "Read-only mapping of keys to counts in 1..2**32-1, in insertion order.",
+    .tp_richcompare = (richcmpfunc)level_richcompare,
+    .tp_iter = (getiterfunc)level_iter,
+    .tp_methods = level_methods,
+    .tp_new = level_new,
+};
+
+static PyTypeObject LevelIterType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "tgf._treepair.LevelIterator",
+    .tp_basicsize = sizeof(LevelIter),
+    .tp_dealloc = (destructor)iter_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)iter_next,
+};
+
+/* -- the batch driver ------------------------------------------------------- */
+
+/* Scratch for compose_keys and invert_key, which run no Python code while
+ * they use it. */
+static Buf KA, KB, INDEX, WORK, KEY;
+
 static PyObject *
 compose_keys(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Pair a, b;
+    const unsigned char *sa, *sb;
+    Py_ssize_t la, lb;
     if (check_nargs("compose_keys", nargs, 2) < 0)
         return NULL;
-    if (unpack(args[0], &KA, &a) < 0 || unpack(args[1], &KB, &b) < 0)
+    if (key_bytes(args[0], &sa, &la) < 0 || unpack(sa, la, &KA, &a) < 0
+        || key_bytes(args[1], &sb, &lb) < 0 || unpack(sb, lb, &KB, &b) < 0)
         return NULL;
     if (a.nl == 1)
         return Py_NewRef(args[1]);
     if (b.nl == 1)
         return Py_NewRef(args[0]);
     const int *ix = index_pair(&b, &INDEX);
-    return ix == NULL ? NULL : product(&a, &b, ix, &WORK);
+    Py_ssize_t n = ix == NULL ? -1 : product(&a, &b, ix, &WORK, &KEY);
+    return n < 0 ? NULL : PyBytes_FromStringAndSize((const char *)KEY.p, n);
 }
 
 static PyObject *
 invert_key(PyObject *module, PyObject *key)
 {
     Pair a;
-    if (unpack(key, &KA, &a) < 0)
+    const unsigned char *s;
+    Py_ssize_t len;
+    if (key_bytes(key, &s, &len) < 0 || unpack(s, len, &KA, &a) < 0)
         return NULL;
     int ntok = 2 * a.nl - 1;
     unsigned char *t = reserve(&WORK, 2 * (size_t)ntok + 7);
@@ -399,60 +1264,55 @@ invert_key(PyObject *module, PyObject *key)
         return NULL;
     memcpy(t, a.rng, ntok);
     memcpy(t + ntok, a.dom, ntok);
-    return pack(t, ntok);
-}
-
-/* out[key] = out.get(key, 0) + c, with one lookup when key is new */
-static int
-accumulate(PyObject *out, PyObject *key, PyObject *c)
-{
-    Py_ssize_t size = PyDict_GET_SIZE(out);
-    PyObject *old = PyDict_SetDefault(out, key, c);
-    if (old == NULL)
-        return -1;
-    if (PyDict_GET_SIZE(out) != size)
-        return 0;
-    PyObject *sum = PyNumber_Add(old, c);
-    if (sum == NULL)
-        return -1;
-    int rc = PyDict_SetItem(out, key, sum);
-    Py_DECREF(sum);
-    return rc;
+    Py_ssize_t n = pack_into(t, ntok, &KEY);
+    return n < 0 ? NULL : PyBytes_FromStringAndSize((const char *)KEY.p, n);
 }
 
 static int
-is_identity(PyObject *key)
+is_identity(const unsigned char *s, Py_ssize_t len)
 {
-    return PyBytes_Check(key) && PyBytes_GET_SIZE(key) == PyBytes_GET_SIZE(IdentityKey)
-        && memcmp(PyBytes_AS_STRING(key), PyBytes_AS_STRING(IdentityKey),
-                  PyBytes_GET_SIZE(key)) == 0;
+    return len == PyBytes_GET_SIZE(IdentityKey)
+           && memcmp(s, PyBytes_AS_STRING(IdentityKey), len) == 0;
 }
 
-/* One pass of vec against a list of factors, shared by apply_left and inner.
- * sums is NULL for apply_left, whose identity factors are only counted. */
+/* One pass of vec (a Level or a dict) against a list of factors, shared by
+ * apply_left and inner. */
 typedef struct {
-    PyObject *vec;
-    PyObject *out;               /* apply_left's new dict or inner's list */
-    PyObject **sums;             /* inner's sums, the items of out */
-    PyObject *n_identity;        /* NULL without identity factors */
-    PyObject **factors;          /* the factors composed, borrowed from a tuple */
+    Level *lvec;                 /* vec when it is a Level */
+    PyObject *dvec;              /* vec when it is a dict */
+    Level *out;                  /* apply_left's new level; NULL for inner */
+    uint64_t n_identity;         /* apply_left's identity factors, only counted */
+    unsigned __int128 *wide;     /* inner's sums over a Level */
+    PyObject **sums;             /* inner's sums over a dict, the items of a list */
+    const unsigned char **fkeys; /* the factors composed, borrowed from a tuple */
+    Py_ssize_t *flens;
     Pair *pairs;                 /* their unpacked trees */
     Py_ssize_t n;
-    Buf keybuf, index, work;
+    Buf keybuf, index, work, prod;
 } Batch;
 
-/* The per-product step: apply_left adds c to out[prod]; inner adds
- * c * vec[prod] to the sum of factor f, exactly, in Python ints. */
+/* The per-product step for product p[0:plen] of item (c, cobj) and factor
+ * f: apply_left adds c to out[p]; inner adds c * vec[p] to the sum of f,
+ * exactly. */
 static int
-batch_step(Batch *bt, Py_ssize_t f, PyObject *prod, PyObject *c)
+batch_step(Batch *bt, Py_ssize_t f, const unsigned char *p, Py_ssize_t plen,
+           uint64_t c, PyObject *cobj)
 {
-    if (bt->sums == NULL)
-        return accumulate(bt->out, prod, c);
-    PyObject *d = PyDict_GetItemWithError(bt->vec, prod);
+    if (bt->out != NULL)
+        return level_put(bt->out, p, plen, c, 0);
+    if (bt->lvec != NULL) {
+        bt->wide[f] += (unsigned __int128)c * level_get(bt->lvec, p, plen);
+        return 0;
+    }
+    PyObject *prod = PyBytes_FromStringAndSize((const char *)p, plen);
+    if (prod == NULL)
+        return -1;
+    PyObject *d = PyDict_GetItemWithError(bt->dvec, prod);
+    Py_DECREF(prod);
     if (d == NULL)
         return PyErr_Occurred() ? -1 : 0;
     Py_INCREF(d);
-    PyObject *term = PyNumber_Multiply(c, d);
+    PyObject *term = PyNumber_Multiply(cobj, d);
     Py_DECREF(d);
     if (term == NULL)
         return -1;
@@ -464,37 +1324,67 @@ batch_step(Batch *bt, Py_ssize_t f, PyObject *prod, PyObject *c)
     return 0;
 }
 
-/* All products of one (key, c) item of vec, in the pure loops' order. */
+/* All products of one item of vec, the key k[0:klen] with count c (or the
+ * Python int cobj when inner walks a dict), in the pure loops' order. */
 static int
-batch_item(Batch *bt, PyObject *key, PyObject *c)
+batch_item(Batch *bt, const unsigned char *key, Py_ssize_t klen, uint64_t c, PyObject *cobj)
 {
-    if (bt->n_identity != NULL) {
-        PyObject *scaled = PyNumber_Multiply(bt->n_identity, c);
-        if (scaled == NULL)
-            return -1;
-        int rc = accumulate(bt->out, key, scaled);
-        Py_DECREF(scaled);
-        if (rc < 0)
-            return -1;
-    }
-    if (bt->n == 0)
-        return 0;
     Pair k;
     const int *ix = NULL;
-    if (unpack(key, &bt->keybuf, &k) < 0)
+    /* every key is checked, whatever the factors */
+    if (unpack(key, klen, &bt->keybuf, &k) < 0)
         return -1;
-    if (k.nl > 1 && (ix = index_pair(&k, &bt->index)) == NULL)
+    if (bt->n_identity && level_put(bt->out, key, klen, bt->n_identity * c, 0) < 0)
+        return -1;
+    if (bt->n && k.nl > 1 && (ix = index_pair(&k, &bt->index)) == NULL)
         return -1;
     for (Py_ssize_t f = 0; f < bt->n; f++) {
         /* as in compose_keys, a product with the identity is the other
          * factor as it is, even when that one is not reduced */
-        PyObject *prod = bt->pairs[f].nl == 1 ? Py_NewRef(key)
-                         : ix == NULL         ? Py_NewRef(bt->factors[f])
-                                              : product(&bt->pairs[f], &k, ix, &bt->work);
-        if (prod == NULL)
+        const unsigned char *p = key;
+        Py_ssize_t plen = klen;
+        if (bt->pairs[f].nl > 1 && ix == NULL) {
+            p = bt->fkeys[f];
+            plen = bt->flens[f];
+        }
+        else if (bt->pairs[f].nl > 1) {
+            plen = product(&bt->pairs[f], &k, ix, &bt->work, &bt->prod);
+            if (plen < 0)
+                return -1;
+            p = bt->prod.p;
+        }
+        if (batch_step(bt, f, p, plen, c, cobj) < 0)
             return -1;
-        int rc = batch_step(bt, f, prod, c);
-        Py_DECREF(prod);
+    }
+    return 0;
+}
+
+/* Every item of vec through batch_item, in vec's order. */
+static int
+batch_walk(Batch *bt)
+{
+    if (bt->lvec != NULL) {
+        size_t off = 0;
+        Rec r;
+        while (next_live(bt->lvec, &off, &r))
+            if (batch_item(bt, r.key, r.len, get_count(r.count), NULL) < 0)
+                return -1;
+        return 0;
+    }
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(bt->dvec, &pos, &key, &value)) {
+        const unsigned char *s;
+        Py_ssize_t n;
+        uint64_t c = 0;
+        if (key_bytes(key, &s, &n) < 0 || (bt->out != NULL && as_count(value, 1, &c) < 0))
+            return -1;
+        /* own the item: adding coefficients may run Python code */
+        Py_INCREF(key);
+        Py_INCREF(value);
+        int rc = batch_item(bt, s, n, c, value);
+        Py_DECREF(key);
+        Py_DECREF(value);
         if (rc < 0)
             return -1;
     }
@@ -508,37 +1398,47 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
 {
     if (check_nargs(name, nargs, 2) < 0)
         return NULL;
-    Batch bt = {.vec = args[1]};
-    if (!PyDict_Check(bt.vec)) {
-        PyErr_Format(PyExc_TypeError, "%s needs a dict, not %.100s", name,
-                     Py_TYPE(bt.vec)->tp_name);
+    Batch bt = {0};
+    if (is_level(args[1]))
+        bt.lvec = (Level *)args[1];
+    else if (PyDict_Check(args[1]))
+        bt.dvec = args[1];
+    else {
+        PyErr_Format(PyExc_TypeError, "%s needs a dict or a Level, not %.100s", name,
+                     Py_TYPE(args[1])->tp_name);
         return NULL;
     }
     PyObject *factors = PySequence_Tuple(args[0]);
     if (factors == NULL)
         return NULL;
-    Py_ssize_t nf = PyTuple_GET_SIZE(factors), nid = 0;
+    Py_ssize_t nf = PyTuple_GET_SIZE(factors);
     size_t total = 0;
     Buf fbuf = {0};
-    PyObject *result = NULL;
+    PyObject *result = NULL, *list = NULL;
 
-    bt.factors = PyMem_Malloc((nf + 1) * sizeof(PyObject *));
+    bt.fkeys = PyMem_Malloc((nf + 1) * sizeof(*bt.fkeys));
+    bt.flens = PyMem_Malloc((nf + 1) * sizeof(*bt.flens));
     bt.pairs = PyMem_Malloc((nf + 1) * sizeof(Pair));
-    if (bt.factors == NULL || bt.pairs == NULL) {
+    bt.wide = PyMem_Calloc(nf + 1, sizeof(*bt.wide));
+    if (bt.fkeys == NULL || bt.flens == NULL || bt.pairs == NULL || bt.wide == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t f = 0; f < nf; f++) {
-        PyObject *g = PyTuple_GET_ITEM(factors, f);
-        if (!inner && is_identity(g)) {
-            nid++;
+        const unsigned char *s;
+        Py_ssize_t len;
+        if (key_bytes(PyTuple_GET_ITEM(factors, f), &s, &len) < 0)
+            goto done;
+        if (!inner && is_identity(s, len)) {
+            bt.n_identity++;
             continue;
         }
-        int nl = key_leaves(g);
+        int nl = key_leaves(s, len);
         if (nl < 0)
             goto done;
         total += token_room(nl);
-        bt.factors[bt.n] = g;
+        bt.fkeys[bt.n] = s;
+        bt.flens[bt.n] = len;
         bt.pairs[bt.n++].nl = nl;
     }
     /* unpack every factor once, into one buffer sized up front */
@@ -547,45 +1447,43 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
     total = 0;
     for (Py_ssize_t f = 0; f < bt.n; f++) {
         int nl = bt.pairs[f].nl;
-        if (unpack_into(bt.factors[f], nl, fbuf.p + total, &bt.pairs[f]) < 0)
+        if (unpack_into(bt.fkeys[f], bt.flens[f], nl, fbuf.p + total, &bt.pairs[f]) < 0)
             goto done;
         total += token_room(nl);
     }
-    if (nid && (bt.n_identity = PyLong_FromSsize_t(nid)) == NULL)
-        goto done;
-    if (inner) {
-        /* the sums live in the result list, which nothing else sees until
-         * the end */
-        if ((bt.out = PyList_New(nf)) == NULL)
+    if (!inner) {
+        if ((bt.out = level_alloc()) == NULL || batch_walk(&bt) < 0)
             goto done;
-        for (Py_ssize_t f = 0; f < nf; f++)
-            PyList_SET_ITEM(bt.out, f, PyLong_FromLong(0));
-        bt.sums = PySequence_Fast_ITEMS(bt.out);
-    }
-    else if ((bt.out = PyDict_New()) == NULL)
+        result = Py_NewRef(bt.out);
         goto done;
-
-    Py_ssize_t pos = 0;
-    PyObject *key, *c;
-    while (PyDict_Next(bt.vec, &pos, &key, &c)) {
-        /* own the item: adding coefficients may run Python code */
-        Py_INCREF(key);
-        Py_INCREF(c);
-        int rc = batch_item(&bt, key, c);
-        Py_DECREF(key);
-        Py_DECREF(c);
-        if (rc < 0)
-            goto done;
     }
-    result = Py_NewRef(bt.out);
+    /* the sums live in the result list, which nothing else sees until the
+     * end */
+    if ((list = PyList_New(nf)) == NULL)
+        goto done;
+    for (Py_ssize_t f = 0; f < nf; f++)
+        PyList_SET_ITEM(list, f, PyLong_FromLong(0));
+    bt.sums = PySequence_Fast_ITEMS(list);
+    if (batch_walk(&bt) < 0)
+        goto done;
+    for (Py_ssize_t f = 0; bt.lvec != NULL && f < nf; f++) {
+        PyObject *sum = long_from_u128(bt.wide[f]);
+        if (sum == NULL)
+            goto done;
+        Py_SETREF(bt.sums[f], sum);
+    }
+    result = Py_NewRef(list);
 done:
+    Py_XDECREF(list);
     Py_XDECREF(bt.out);
-    Py_XDECREF(bt.n_identity);
-    PyMem_Free(bt.factors);
+    PyMem_Free(bt.fkeys);
+    PyMem_Free(bt.flens);
     PyMem_Free(bt.pairs);
+    PyMem_Free(bt.wide);
     PyMem_Free(bt.keybuf.p);
     PyMem_Free(bt.index.p);
     PyMem_Free(bt.work.p);
+    PyMem_Free(bt.prod.p);
     PyMem_Free(fbuf.p);
     Py_DECREF(factors);
     return result;
@@ -612,10 +1510,13 @@ static PyMethodDef methods[] = {
      "invert_key(a)\n--\n\nCanonical key of the inverse of a."},
     {"apply_left", (PyCFunction)(void (*)(void))apply_left, METH_FASTCALL,
      "apply_left(factors, vec)\n--\n\n"
-     "Multiset product (sum of factors) . vec, multiplying on the left."},
+     "Multiset product (sum of factors) . vec, multiplying on the left, as a Level."},
     {"inner", (PyCFunction)(void (*)(void))inner, METH_FASTCALL,
      "inner(words, vec)\n--\n\n"
      "For each word w, the sum over keys x of vec of vec[x] * vec[w*x]."},
+    {"load_entries", (PyCFunction)(void (*)(void))load_entries, METH_FASTCALL,
+     "load_entries(body, count)\n--\n\n"
+     "The Level that a checkpoint body of `count` entries holds."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -623,6 +1524,8 @@ static int
 exec_module(PyObject *module)
 {
     if (TreePairError == NULL) {
+        if (PyType_Ready(&LevelType) < 0 || PyType_Ready(&LevelIterType) < 0)
+            return -1;
         PyObject *pure = PyImport_ImportModule("tgf.treepair");
         if (pure == NULL)
             return -1;
@@ -637,6 +1540,8 @@ exec_module(PyObject *module)
             for (int k = 0; k < 8; k++)
                 BITS[v][k] = (v >> (7 - k)) & 1;
     }
+    if (PyModule_AddObjectRef(module, "Level", (PyObject *)&LevelType) < 0)
+        return -1;
     return PyModule_AddObjectRef(module, "IDENTITY_KEY", IdentityKey);
 }
 
@@ -648,7 +1553,7 @@ static PyModuleDef_Slot slots[] = {
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT,
     .m_name = "tgf._treepair",
-    .m_doc = "Compiled tree-pair kernel; same semantics as tgf.treepair.",
+    .m_doc = "Compiled tree-pair kernel and level store; same semantics as tgf.treepair.",
     .m_size = 0,
     .m_methods = methods,
     .m_slots = slots,

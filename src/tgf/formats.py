@@ -10,29 +10,38 @@ Stable on-disk contracts:
                  5 decimal places; a `-full` companion carries 30
                  significant digits.
   curve CSV      header `t,rho`, 6 decimal places, optional `# label` line.
-  checkpoint     magic `TGFL`, then little-endian: version u32 (= 1),
-                 level u32, q u32, entry count u64, then per entry:
-                 key length u16, key bytes, sign u8 (0 positive),
-                 magnitude length u32, magnitude bytes (big endian),
-                 sorted by key.
+  checkpoint     version 2: magic `TGFL`, then little-endian: version
+                 u32 (= 2), level u32, q u32, entry count u64, the
+                 generator fingerprint u32 (the CRC32 of the sorted
+                 generator keys, each after its u16 length), and the
+                 CRC32 u32 of the body.  The body holds per entry, sorted
+                 by key: key length u16, key bytes, sign u8 (0 positive),
+                 magnitude length u32, magnitude bytes (big endian).
+                 A file whose fingerprint is not the run's generator
+                 set's, whose body fails its CRC, or of version 1 (the
+                 same body without fingerprint or CRC) is refused.
 """
 from __future__ import annotations
 
 import csv
 import io
 import struct
+import zlib
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 import mpmath
 
+from . import treepair
 from .errors import UsageError
-from .ladder import MultiplicityVector
+from .ladder import GeneratorSet, MultiplicityVector
 from .sequences import SequenceTable
 
 CHECKPOINT_MAGIC = b"TGFL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# magic, version, level, q, entry count, generator fingerprint, body CRC32
+CHECKPOINT_HEADER = struct.Struct("<4sIIIQII")
 
 
 # -- table CSV ---------------------------------------------------------------
@@ -217,64 +226,57 @@ def checkpoint_path(directory: Path, n: int) -> Path:
     return Path(directory) / f"level_{n:04d}.tgfl"
 
 
-def write_checkpoint(directory: Path, q: int, vec: MultiplicityVector) -> Path:
+def generator_fingerprint(gen: GeneratorSet) -> int:
+    """CRC32 of the sorted generator keys, each after its u16 length."""
+    return zlib.crc32(b"".join(struct.pack("<H", len(k)) + k for k in sorted(gen.keys())))
+
+
+def write_checkpoint(directory: Path, gen: GeneratorSet, vec: MultiplicityVector) -> Path:
     path = checkpoint_path(directory, vec.n)
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<III", CHECKPOINT_VERSION, vec.n, q)
-    buf += struct.pack("<Q", len(vec.entries))
-    for key in sorted(vec.entries):
-        coeff = vec.entries[key]
-        sign = 0 if coeff >= 0 else 1
-        mag = abs(coeff)
-        mag_bytes = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
-        buf += struct.pack("<H", len(key))
-        buf += key
-        buf += struct.pack("<BI", sign, len(mag_bytes))
-        buf += mag_bytes
+    body = vec.dump_entries()
+    header = CHECKPOINT_HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, vec.n, gen.q, len(vec.entries),
+        generator_fingerprint(gen), zlib.crc32(body))
     tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(bytes(buf))
+    with open(tmp, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
     tmp.replace(path)
     return path
 
 
-def read_checkpoint(path) -> tuple[int, MultiplicityVector]:
-    """Returns (q, vector); a malformed file raises UsageError naming it."""
+def read_checkpoint(path, gen: Optional[GeneratorSet] = None) -> tuple[int, MultiplicityVector]:
+    """Returns (q, vector); a malformed file raises UsageError naming it.
+
+    With `gen`, a file written for another generator set is refused too,
+    and gen's backend loads the entries (a Level with the compiled kernel);
+    without, they load as a dict."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise UsageError(f"{path}: not a ladder checkpoint")
-    entries: dict[bytes, int] = {}
-    try:
-        version, n, q = struct.unpack_from("<III", data, 4)
-        if version != CHECKPOINT_VERSION:
-            raise UsageError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack_from("<Q", data, 16)
-        offset = 24
-        for _ in range(count):
-            (key_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            key = data[offset : offset + key_len]
-            offset += key_len
-            sign, mag_len = struct.unpack_from("<BI", data, offset)
-            offset += 5
-            mag = int.from_bytes(data[offset : offset + mag_len], "big")
-            offset += mag_len
-            entries[key] = -mag if sign else mag
-    except struct.error:
-        raise UsageError(f"{path}: checkpoint is truncated") from None
-    # each field advances the offset by its declared length, so a short
-    # final key or magnitude leaves it past the end
-    if offset > len(data):
+    if len(data) < CHECKPOINT_HEADER.size:
         raise UsageError(f"{path}: checkpoint is truncated")
-    if offset < len(data):
-        raise UsageError(f"{path}: trailing bytes after checkpoint entries")
+    _, version, n, q, count, fingerprint, crc = CHECKPOINT_HEADER.unpack_from(data)
+    if version != CHECKPOINT_VERSION:
+        raise UsageError(f"{path}: unsupported checkpoint version {version}")
+    body = memoryview(data)[CHECKPOINT_HEADER.size :]
+    if zlib.crc32(body) != crc:
+        raise UsageError(f"{path}: checkpoint body fails its CRC32 check")
+    if gen is not None and (q != gen.q or fingerprint != generator_fingerprint(gen)):
+        raise UsageError(f"{path}: checkpoint was written for another generator set")
+    load = treepair.load_entries if gen is None else gen.backend.load_entries
+    try:
+        entries = load(body, count)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     return q, MultiplicityVector(n, entries)
 
 
 def latest_checkpoint_pair(
-    directory: Path, q: int, max_n: int
+    directory: Path, gen: GeneratorSet, max_n: int
 ) -> Optional[tuple[MultiplicityVector, MultiplicityVector]]:
-    """Newest consecutive pair of levels <= max_n usable as a ladder seed."""
+    """Newest consecutive pair of levels <= max_n usable as a ladder seed;
+    a file of that pair from another generator set raises UsageError."""
     directory = Path(directory)
     levels = {}
     for path in directory.glob("level_*.tgfl"):
@@ -286,10 +288,7 @@ def latest_checkpoint_pair(
             levels[level] = path
     for n in sorted(levels, reverse=True):
         if n - 1 in levels:
-            q1, prev = read_checkpoint(levels[n - 1])
-            q2, cur = read_checkpoint(levels[n])
-            if q1 == q == q2:
-                return prev, cur
+            return read_checkpoint(levels[n - 1], gen)[1], read_checkpoint(levels[n], gen)[1]
     return None
 
 

@@ -16,6 +16,7 @@ Key format (version 1, stable): one backend tag byte followed by the payload.
 from __future__ import annotations
 
 import abc
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import kernel, treepair
@@ -120,15 +121,22 @@ class GroupBackend(abc.ABC):
     @abc.abstractmethod
     def decode_payload(self, key: bytes): ...
 
-    def apply_left(self, factors: list[bytes], vec: dict[bytes, int]) -> dict[bytes, int]:
+    # the ladder's batched loops and level store; the defaults are the pure
+    # loops over dicts
+
+    def apply_left(self, factors: list[bytes], vec: Mapping[bytes, int]) -> Mapping[bytes, int]:
         """Multiset product (sum of factors) . vec, multiplying on the left."""
         return treepair.apply_left(
             factors, vec, compose=self.multiply_keys, identity=self.identity_key()
         )
 
-    def inner(self, words: list[bytes], vec: dict[bytes, int]) -> list[int]:
+    def inner(self, words: list[bytes], vec: Mapping[bytes, int]) -> list[int]:
         """For each word w, the sum over keys x of vec of vec[x] * vec[w*x]."""
         return treepair.inner(words, vec, compose=self.multiply_keys)
+
+    def load_entries(self, body, count: int) -> Mapping[bytes, int]:
+        """The level that a checkpoint body of `count` entries holds."""
+        return treepair.load_entries(body, count)
 
     # element-level wrappers
 
@@ -213,11 +221,14 @@ class ThompsonF(GroupBackend):
     def invert_key(self, a: bytes) -> bytes:
         return kernel.invert_key(a)
 
-    def apply_left(self, factors: list[bytes], vec: dict[bytes, int]) -> dict[bytes, int]:
+    def apply_left(self, factors: list[bytes], vec: Mapping[bytes, int]) -> Mapping[bytes, int]:
         return kernel.apply_left(factors, vec)
 
-    def inner(self, words: list[bytes], vec: dict[bytes, int]) -> list[int]:
+    def inner(self, words: list[bytes], vec: Mapping[bytes, int]) -> list[int]:
         return kernel.inner(words, vec)
+
+    def load_entries(self, body, count: int) -> Mapping[bytes, int]:
+        return kernel.load_entries(body, count)
 
     def decode_payload(self, key: bytes) -> TreePair:
         d, r = treepair.unpack_key(key)

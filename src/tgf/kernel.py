@@ -2,14 +2,28 @@
 
 Prefers the compiled C extension (tgf._treepair, built from
 src/tgf/_treepair.c); falls back to the pure-Python reference
-(tgf.treepair).  Both export the same API: compose_keys(a, b),
-invert_key(a), apply_left(factors, vec) (the ladder's batched
-multiply-and-accumulate) and inner(words, vec) (for each word w, the sum
-of vec[x] * vec[w*x] over the keys x, which the ladder's last-row
-lookahead takes).  Set TGF_PURE_PY=1 to force the fallback, e.g. for
-benchmarking one against the other.  FALLBACK_REASON says why the pure
-kernel runs (None when the compiled one does), and PURE_REQUESTED whether
-TGF_PURE_PY asked for it.
+(tgf.treepair).  Both export the same API:
+
+  compose_keys(a, b), invert_key(a)   products and inverses of keys
+  apply_left(factors, vec)            the ladder's batched
+                                      multiply-and-accumulate
+  inner(words, vec)                   for each word w, the sum of
+                                      vec[x] * vec[w*x] over the keys x
+                                      (the last-row lookahead's passes)
+  load_entries(body, count)           a level from a checkpoint body
+
+The compiled apply_left and load_entries return a Level, the C kernel's
+compact store of one ladder level: a read-only mapping of keys to counts
+in 1..2**32-1 in insertion order, about 24-37 bytes per key against about
+79-101 for a dict of bytes.  Its methods subtract_scaled,
+squared_two_norm, coefficient_sum and dump_entries are the per-level
+passes, whose dict twins are the functions of the same names in
+tgf.treepair.  The pure kernel returns dicts.  Both kernels take a dict
+or their own level as vec.
+
+Set TGF_PURE_PY=1 to force the fallback, e.g. for benchmarking one against
+the other.  FALLBACK_REASON says why the pure kernel runs (None when the
+compiled one does), and PURE_REQUESTED whether TGF_PURE_PY asked for it.
 """
 import importlib
 import os
@@ -32,5 +46,6 @@ compose_keys = _impl.compose_keys
 invert_key = _impl.invert_key
 apply_left = _impl.apply_left
 inner = _impl.inner
+load_entries = _impl.load_entries
 IDENTITY_KEY = _pure.IDENTITY_KEY
 IMPLEMENTATION = "c" if _impl is not _pure else "python"

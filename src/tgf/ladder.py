@@ -10,8 +10,19 @@ For a generator set Y (|Y| = q+1) inside a group backend, the ladder is
 where each h_n is a multiset of canonical keys with positive integer
 multiplicities whose coefficient sum is (q+1) q^(n-1).  The subtraction
 steps must cancel exactly; a negative coefficient means the arithmetic is
-corrupt and aborts the run.  Only the last two levels are kept in memory;
-optional per-level checkpoints allow long runs to resume.
+corrupt and aborts the run.  Three levels are live while a step runs:
+h_{n-1} and h_n, and h_{n+1} as it accumulates; no other level is kept.
+Optional per-level checkpoints allow long runs to resume.
+
+A level's entries are whatever the backend's apply_left returns.  For F
+with the compiled kernel that is a Level: the C kernel's compact store,
+one open-addressing table whose 8-byte slots index an arena of (key
+length, key, u32 count) records in insertion order, about 24-37 bytes
+per key where a dict of bytes takes about 79-101.  It is a read-only
+mapping, and the per-level passes (subtracting the previous level, the
+coefficient sum, the 2-norm, the checkpoint dump) are its own C methods;
+on a dict, the pure loops of the same names in tgf.treepair run instead.
+A count past 2**32 - 1 cannot be stored, and aborts the run as corrupt.
 
 The last row needs no last level (the norm lookahead).  Let N >= 3 and g
 be the factor sum of the step N -> N+1 (h or h*).  Since
@@ -35,11 +46,13 @@ is what catches a pass that is off by a little.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
 
+from . import treepair
 from .errors import CorruptionError, UsageError
 from .groups import (
     CanonicalElement,
@@ -119,18 +132,31 @@ def custom_f_set(words: list[str]) -> GeneratorSet:
     return GeneratorSet(f, els, label="custom")
 
 
+def _level_pass(entries: Mapping[bytes, int], name: str, *args):
+    """A per-level pass: the level store's own C method, or on a dict the
+    pure loop of the same name in tgf.treepair."""
+    if isinstance(entries, dict):
+        return getattr(treepair, name)(entries, *args)
+    return getattr(entries, name)(*args)
+
+
 @dataclass
 class MultiplicityVector:
-    """A group-ring element with integer coefficients, keyed canonically."""
+    """A group-ring element with integer coefficients, keyed canonically;
+    entries is a dict or the compiled kernel's Level (module docstring)."""
 
     n: int
-    entries: dict[bytes, int]
+    entries: Mapping[bytes, int]
 
     def coefficient_sum(self) -> int:
-        return sum(self.entries.values())
+        return _level_pass(self.entries, "coefficient_sum")
 
     def squared_two_norm(self) -> int:
-        return sum(c * c for c in self.entries.values())
+        return _level_pass(self.entries, "squared_two_norm")
+
+    def dump_entries(self) -> bytes:
+        """The checkpoint body: the entries sorted by key (see formats)."""
+        return _level_pass(self.entries, "dump_entries")
 
     def coefficient(self, key: bytes) -> int:
         return self.entries.get(key, 0)
@@ -154,18 +180,24 @@ class LadderRun:
         return [s.h2norm for s in self.summaries]
 
 
-def _subtract_scaled(acc: dict[bytes, int], sub: dict[bytes, int], factor: int, n: int):
-    get = acc.get
-    for key, c in sub.items():
-        left = get(key, 0) - factor * c
-        if left < 0:
-            raise CorruptionError(
-                f"negative coefficient at level {n}: subtraction did not cancel"
-            )
-        if left:
-            acc[key] = left
-        else:
-            acc.pop(key, None)
+def _subtract_scaled(acc: Mapping[bytes, int], sub: Mapping[bytes, int], factor: int, n: int):
+    try:
+        _level_pass(acc, "subtract_scaled", sub, factor)
+    except ValueError:
+        raise CorruptionError(
+            f"negative coefficient at level {n}: subtraction did not cancel"
+        ) from None
+
+
+def _next_level(backend: GroupBackend, factors: list[bytes], vec: Mapping[bytes, int],
+                sub: Mapping[bytes, int], factor: int, n: int) -> MultiplicityVector:
+    """h_n = (sum of factors) . vec - factor * sub."""
+    try:
+        ent = backend.apply_left(factors, vec)
+    except OverflowError as exc:
+        raise CorruptionError(f"level {n}: {exc}") from None
+    _subtract_scaled(ent, sub, factor, n)
+    return MultiplicityVector(n, ent)
 
 
 def ladder_levels(
@@ -186,9 +218,7 @@ def ladder_levels(
         yield prev
         if max_n == 1:
             return
-        ent = backend.apply_left(y_inv, prev.entries)
-        _subtract_scaled(ent, {e: 1}, q + 1, 2)
-        cur = MultiplicityVector(2, ent)
+        cur = _next_level(backend, y_inv, prev.entries, {e: 1}, q + 1, 2)
         _check_sum(cur, q)
         yield cur
     else:
@@ -199,9 +229,7 @@ def ladder_levels(
     while cur.n < max_n:
         n = cur.n
         factors = y if n % 2 == 0 else y_inv
-        ent = backend.apply_left(factors, cur.entries)
-        _subtract_scaled(ent, prev.entries, q, n + 1)
-        nxt = MultiplicityVector(n + 1, ent)
+        nxt = _next_level(backend, factors, cur.entries, prev.entries, q, n + 1)
         _check_sum(nxt, q)
         yield nxt
         prev, cur = cur, nxt
@@ -225,8 +253,8 @@ def build_ladder(
     """Run the ladder, returning per-level summaries.
 
     `keep_levels` lists levels whose full multiplicity vectors the caller
-    wants retained (everything else is discarded to keep memory at two
-    levels).  Row max_n comes from the norm lookahead over level max_n - 1
+    wants retained (any other level is dropped once the two after it are
+    built).  Row max_n comes from the norm lookahead over level max_n - 1
     unless max_n <= 3 or max_n is kept.  With `checkpoint_dir`, each
     materialised level is dumped after it is computed and an interrupted
     run restarts from the newest consecutive pair on disk.
@@ -248,7 +276,7 @@ def build_ladder(
         if last.n in keep_levels:
             run.kept[last.n] = last
         if checkpoint_dir is not None and last.n >= fresh_from:
-            formats.write_checkpoint(ckdir, gen.q, last)
+            formats.write_checkpoint(ckdir, gen, last)
     if lookahead:
         row = lookahead_h2norm(gen, last, run.h2norms())
         run.summaries.append(LadderSummary(max_n, row))
@@ -302,7 +330,7 @@ def _resume(
     from . import formats
 
     ckdir.mkdir(parents=True, exist_ok=True)
-    seed = formats.latest_checkpoint_pair(ckdir, gen.q, top)
+    seed = formats.latest_checkpoint_pair(ckdir, gen, top)
     if seed is None:
         return ladder_levels(gen, top), 1
     # a bad key in either level fails here, naming its file, even when
@@ -315,11 +343,11 @@ def _resume(
             raise UsageError(f"{formats.checkpoint_path(ckdir, vec.n)}: {exc}") from None
     # summaries for the levels below the seed come off disk, so a resumed
     # run still reports the whole ladder
-    levels = chain(_disk_levels(ckdir, seed[0].n), seed, ladder_levels(gen, top, seed=seed))
+    levels = chain(_disk_levels(gen, ckdir, seed[0].n), seed, ladder_levels(gen, top, seed=seed))
     return levels, seed[1].n + 1
 
 
-def _disk_levels(ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
+def _disk_levels(gen: GeneratorSet, ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
     """Checkpointed levels 1 .. below-1, read one at a time."""
     from . import formats
 
@@ -330,7 +358,7 @@ def _disk_levels(ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
                 f"checkpoint level {n} missing from {ckdir}; "
                 "delete the directory to restart from scratch"
             )
-        yield formats.read_checkpoint(path)[1]
+        yield formats.read_checkpoint(path, gen)[1]
 
 
 def eta_direct(vec: MultiplicityVector, identity_key: bytes) -> int:

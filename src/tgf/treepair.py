@@ -18,8 +18,11 @@ relations of F; see tests/test_groups.py.
 
 This module is the reference implementation.  tgf._treepair is a
 hand-written C extension with identical semantics (same keys, same errors,
-same dict insertion order from apply_left, same sums from inner), selected
-at import by tgf.kernel.
+same insertion order from apply_left, same sums from inner), selected at
+import by tgf.kernel.  Where this module holds a ladder level in a dict,
+the C kernel holds it in its compact Level store; the level passes at the
+end of this module (subtract_scaled, squared_two_norm, coefficient_sum,
+dump_entries, load_entries) are the dict twins of that store's methods.
 """
 from __future__ import annotations
 
@@ -247,14 +250,18 @@ def apply_left(
 
     For each key of vec in order, the identity factors' contribution is
     added first, then the products with the other factors in their order;
-    the compiled kernel reproduces this dict insertion order exactly.  Other
-    backends pass their own `compose` and `identity` (GroupBackend).
+    the compiled kernel reproduces this insertion order exactly.  Every key
+    of vec is checked, whatever the factors.  Other backends pass their own
+    `compose` and `identity` (GroupBackend).
     """
     plain = [g for g in factors if g != identity]
     n_identity = len(factors) - len(plain)
     out: dict[bytes, int] = {}
     get = out.get
     for key, c in vec.items():
+        if not plain:
+            # a product checks the key; without one, this does
+            compose(identity, key)
         if n_identity:
             out[key] = get(key, 0) + n_identity * c
         for g in plain:
@@ -279,3 +286,73 @@ def inner(
         for i, w in enumerate(words):
             sums[i] += c * get(compose(w, key), 0)
     return sums
+
+
+# -- level passes -------------------------------------------------------------
+#
+# The dict versions of the compiled Level store's methods, and its
+# checkpoint body: per entry in key order, key length u16, key bytes,
+# sign u8 (0 positive), magnitude length u32 (all little endian), then the
+# magnitude big endian.
+
+def subtract_scaled(acc: dict[bytes, int], sub, factor: int) -> None:
+    """acc -= factor * sub, dropping keys that reach 0; a coefficient that
+    would go negative raises ValueError (the ladder's cancellation check)."""
+    get = acc.get
+    for key, c in sub.items():
+        left = get(key, 0) - factor * c
+        if left < 0:
+            raise ValueError("negative coefficient: subtraction did not cancel")
+        if left:
+            acc[key] = left
+        else:
+            acc.pop(key, None)
+
+
+def squared_two_norm(vec: dict[bytes, int]) -> int:
+    return sum(c * c for c in vec.values())
+
+
+def coefficient_sum(vec: dict[bytes, int]) -> int:
+    return sum(vec.values())
+
+
+def dump_entries(vec: dict[bytes, int]) -> bytes:
+    """The checkpoint body of vec, sorted by key."""
+    buf = bytearray()
+    for key in sorted(vec):
+        coeff = vec[key]
+        mag = abs(coeff)
+        mag_bytes = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
+        buf += struct.pack("<H", len(key))
+        buf += key
+        buf += struct.pack("<BI", coeff < 0, len(mag_bytes))
+        buf += mag_bytes
+    return bytes(buf)
+
+
+def load_entries(body, count: int) -> dict[bytes, int]:
+    """The dict that a checkpoint body of `count` entries holds; a short or
+    overlong body raises ValueError."""
+    entries: dict[bytes, int] = {}
+    offset = 0
+    try:
+        for _ in range(count):
+            (key_len,) = struct.unpack_from("<H", body, offset)
+            offset += 2
+            key = bytes(body[offset : offset + key_len])
+            offset += key_len
+            sign, mag_len = struct.unpack_from("<BI", body, offset)
+            offset += 5
+            mag = int.from_bytes(body[offset : offset + mag_len], "big")
+            offset += mag_len
+            entries[key] = -mag if sign else mag
+    except struct.error:
+        raise ValueError("checkpoint is truncated") from None
+    # each field advances the offset by its declared length, so a short
+    # final key or magnitude leaves it past the end
+    if offset > len(body):
+        raise ValueError("checkpoint is truncated")
+    if offset < len(body):
+        raise ValueError("trailing bytes after checkpoint entries")
+    return entries

@@ -47,21 +47,18 @@ def gen_case2():
     return case2()
 
 
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """tgf._treepair built from this checkout by setup.py build_ext.
-
-    The build appends -Wextra -Werror to CFLAGS, so a new compiler warning
-    fails it.  Skips only when no C compiler is found; a failed build is an
-    error.
-    """
+def _build_kernel(tmp_path_factory, cflags):
+    """tgf._treepair built from this checkout by setup.py build_ext, with
+    -Wextra -Werror and `cflags` appended to CFLAGS, and loaded under its
+    own name.  Skips only when no C compiler is found; a failed build is an
+    error."""
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     if shutil.which(cc.split()[0]) is None:
         pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
     out = tmp_path_factory.mktemp("kernel-build")
     env = dict(os.environ)
     env["CFLAGS"] = " ".join(
-        [env.get("CFLAGS", ""), "-Wextra -Wno-unused-parameter -Werror"]).strip()
+        [env.get("CFLAGS", ""), "-Wextra -Wno-unused-parameter -Werror", cflags]).strip()
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
@@ -75,3 +72,16 @@ def compiled(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel; a new compiler warning fails its build."""
+    return _build_kernel(tmp_path_factory, "")
+
+
+@pytest.fixture(scope="session")
+def compiled_ubsan(tmp_path_factory):
+    """The compiled kernel under the undefined-behaviour sanitizer: any
+    undefined behaviour it detects aborts the test process."""
+    return _build_kernel(tmp_path_factory, "-fsanitize=undefined -fno-sanitize-recover=all")

@@ -1,15 +1,17 @@
 """CLI contract: subcommands, exit codes, deterministic output bytes."""
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 import tgf
 from tgf.cli import main
-from tgf.formats import write_checkpoint
+from tgf.formats import CHECKPOINT_HEADER, CHECKPOINT_MAGIC, write_checkpoint
 from tgf.ladder import free_set, ladder_levels
 
 
@@ -109,10 +111,19 @@ def test_argparse_usage_exit_code():
     assert info.value.code == 1
 
 
+def _restamp_crc(data):
+    """Rewrites the body CRC of checkpoint bytes after an edit of the body."""
+    end = CHECKPOINT_HEADER.size
+    data[end - 4 : end] = struct.pack("<I", zlib.crc32(data[end:]))
+
+
 def _overwrite_first_key(path):
+    # under a valid CRC, so that the key check refuses the file
     data = bytearray(path.read_bytes())
-    key_len = int.from_bytes(data[24:26], "little")
-    data[26 : 26 + key_len] = b"\xff" * key_len
+    at = CHECKPOINT_HEADER.size
+    key_len = int.from_bytes(data[at : at + 2], "little")
+    data[at + 2 : at + 2 + key_len] = b"\xff" * key_len
+    _restamp_crc(data)
     path.write_bytes(bytes(data))
 
 
@@ -123,7 +134,7 @@ def _truncate(path):
 def _free_group_level(path):
     # same q = 2, so only the keys tell the levels apart
     *_, level = ladder_levels(free_set(2), 4)
-    write_checkpoint(path.parent, 2, level)
+    write_checkpoint(path.parent, free_set(2), level)
 
 
 @pytest.mark.parametrize("level, corrupt", [
@@ -142,6 +153,39 @@ def test_corrupt_checkpoint_exits_1(capsys, tmp_path, level, corrupt):
     assert err.splitlines()[-1].startswith("error: ")
     assert f"level_{level:04d}.tgfl" in err
     assert "Traceback" not in err
+
+
+def _flip_body_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _downgrade_to_version_1(path):
+    # version 1: the same body after magic, version, level, q and count
+    data = path.read_bytes()
+    _, _, n, q, count, _, _ = CHECKPOINT_HEADER.unpack_from(data)
+    head = CHECKPOINT_MAGIC + struct.pack("<IIIQ", 1, n, q, count)
+    path.write_bytes(head + data[CHECKPOINT_HEADER.size:])
+
+
+@pytest.mark.parametrize("case, corrupt, level, says", [
+    (["--case=custom", "--words=A,a,B"], None, 5, "another generator set"),
+    (["--case=1"], _flip_body_byte, 6, "CRC32"),
+    (["--case=1"], _downgrade_to_version_1, 6, "version 1"),
+], ids=["other-generators", "bad-crc", "version-1"])
+def test_refused_checkpoint_exits_1(capsys, tmp_path, case, corrupt, level, says):
+    # case 1 to n = 7 stores levels 1..6, and a run to n = 9 resumes from
+    # the pair (5, 6); {A, a, B} has the same q = 2 as case 1
+    ckdir = tmp_path / "ck"
+    assert run_cli(capsys, "tables", "--case=1", "--max-n=7", f"--checkpoint-dir={ckdir}")[0] == 0
+    if corrupt is not None:
+        corrupt(ckdir / "level_0006.tgfl")
+    code, out, err = run_cli(capsys, "tables", *case, "--max-n=9",
+                             f"--checkpoint-dir={ckdir}")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith(f"error: {ckdir / f'level_{level:04d}.tgfl'}: ")
+    assert says in err and "Traceback" not in err
 
 
 def test_norm_case1_fixture(capsys, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tgf import errors, formats
 from tgf.density import free_density_curve
 from tgf.errors import UsageError
-from tgf.ladder import MultiplicityVector
+from tgf.ladder import MultiplicityVector, case1
 from tgf.sequences import SequenceTable
 
 
@@ -163,7 +163,7 @@ def test_fuzz_parse_table_csv(text):
 
 
 def _checkpoint_bytes(tmp_dir, entries):
-    formats.write_checkpoint(tmp_dir, 2, MultiplicityVector(3, entries))
+    formats.write_checkpoint(tmp_dir, case1(), MultiplicityVector(3, entries))
     return formats.checkpoint_path(tmp_dir, 3).read_bytes()
 
 

@@ -142,7 +142,7 @@ def test_checkpoint_resume_incomplete_dir(tmp_path, gen_case1):
 
 def test_checkpoint_sign_encoding(tmp_path):
     vec = MultiplicityVector(3, {b"a": 5, b"b": -7, b"c": 1 << 80})
-    formats.write_checkpoint(tmp_path, 9, vec)
+    formats.write_checkpoint(tmp_path, free_set(9), vec)
     q, back = formats.read_checkpoint(formats.checkpoint_path(tmp_path, 3))
     assert q == 9 and back.entries == vec.entries
 
@@ -166,6 +166,9 @@ class CompiledF(ThompsonF):
 
     def inner(self, words, vec):
         return self.module.inner(words, vec)
+
+    def load_entries(self, body, count):
+        return self.module.load_entries(body, count)
 
 
 def _assert_lookahead_matches_ladder(gen, max_n):
@@ -192,6 +195,13 @@ def test_lookahead_equals_materialised_level(gen, max_n):
 def test_lookahead_equals_materialised_level_compiled(compiled, gen, max_n):
     _assert_lookahead_matches_ladder(
         dataclasses.replace(gen, backend=CompiledF(compiled)), max_n)
+
+
+@pytest.mark.parametrize("gen, max_n", [(case1(), 16), (case2(), 12)],
+                         ids=["case1", "case2"])
+def test_lookahead_equals_materialised_level_ubsan(compiled_ubsan, gen, max_n):
+    _assert_lookahead_matches_ladder(
+        dataclasses.replace(gen, backend=CompiledF(compiled_ubsan)), max_n)
 
 
 def _levels_and_norms(gen, max_n):

@@ -202,6 +202,13 @@ def kernel_impl(request):
     return tp if request.param == "pure" else request.getfixturevalue("compiled")
 
 
+def test_apply_left_checks_keys_whatever_the_factors(kernel_impl):
+    # no product is formed, yet a bad key fails as it does in inner
+    for factors in ([tp.IDENTITY_KEY], [tp.IDENTITY_KEY] * 2, []):
+        with pytest.raises(tp.TreePairError):
+            kernel_impl.apply_left(factors, {word_key("A"): 1, b"junk": 1})
+
+
 @pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_keys_raise_tree_pair_error(kernel_impl, bad):
     good = word_key("aB")
