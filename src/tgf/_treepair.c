@@ -13,7 +13,8 @@
  * dict's does.  Its methods are the per-level passes, each the twin of a
  * dict loop in tgf.treepair: subtract_scaled, squared_two_norm,
  * coefficient_sum and dump_entries (the sorted checkpoint body);
- * load_entries(body, count) reads such a body back into a Level.  Sums
+ * load_entries(body, count) reads such a body back into a Level.  A Level
+ * comes only from apply_left or load_entries; it has no constructor.  Sums
  * are exact (128-bit), and a count past 2**32 - 1 raises OverflowError.
  *
  * apply_left(factors, vec) and inner(words, vec) run one batch driver over
@@ -23,7 +24,9 @@
  * the other factor as it is.  Only the step per product differs:
  *   - apply_left accumulates into a new Level, in the insertion order of
  *     tgf.treepair.apply_left (identity factors first, then the others),
- *     making no Python object per product.
+ *     making no Python object per product.  So its counts, those of a dict
+ *     vec included, lie in 1..2**32-1; any other raises OverflowError,
+ *     where the pure apply_left takes any int.
  *   - inner adds vec[x] * vec[w*x] to the sum of word w, giving <w.h, h>
  *     for the group-ring element h that vec holds.  Over a Level it looks
  *     the product up by its raw bytes; over a dict it sums Python ints.
@@ -383,7 +386,6 @@ product(const Pair *a, const Pair *b, const int *ix, Buf *w, Buf *out)
 #define COUNT_MAX UINT32_MAX
 /* a record's first byte is its key length, or LONG_KEY before a u16 length */
 #define LONG_KEY 255
-#define KEY_MAX 0xFFFF
 
 typedef struct {
     PyObject_HEAD
@@ -552,14 +554,12 @@ rebuild(Level *lv, size_t nslots)
     return 0;
 }
 
-/* Appends the record (k[0:n], c); returns its offset + 1, or 0 on failure. */
+/* Appends the record (k[0:n], c); returns its offset + 1, or 0 on failure.
+ * n <= 0xFFFF: a key comes from a checkpoint body, which gives its length in
+ * a u16, or has been checked, and so has at most MAX_LEAVES leaves. */
 static uint64_t
 append(Level *lv, const unsigned char *k, size_t n, uint32_t c)
 {
-    if (n > KEY_MAX) {
-        PyErr_SetString(PyExc_OverflowError, "key too long for a level store");
-        return 0;
-    }
     size_t head = n < LONG_KEY ? 1 : 3, size = head + n + 4;
     if (lv->used + size > lv->cap) {
         size_t cap = lv->cap < 4096 ? 4096 : lv->cap + lv->cap / 2;
@@ -744,50 +744,7 @@ next_live(const Level *lv, size_t *off, Rec *r)
     return 0;
 }
 
-/* -- Level: construction and the mapping protocol ---------------------------- */
-
-/* Copies every (key, count) of a dict or a Level into lv. */
-static int
-level_update(Level *lv, PyObject *src)
-{
-    if (is_level(src)) {
-        size_t off = 0;
-        Rec r;
-        while (next_live((Level *)src, &off, &r))
-            if (level_put(lv, r.key, r.len, get_count(r.count), 1) < 0)
-                return -1;
-        return 0;
-    }
-    if (!PyDict_Check(src)) {
-        PyErr_Format(PyExc_TypeError, "Level needs a dict or a Level, not %.100s",
-                     Py_TYPE(src)->tp_name);
-        return -1;
-    }
-    Py_ssize_t pos = 0;
-    PyObject *key, *value;
-    while (PyDict_Next(src, &pos, &key, &value)) {
-        const unsigned char *s;
-        Py_ssize_t n;
-        uint64_t c;
-        if (key_bytes(key, &s, &n) < 0 || as_count(value, 1, &c) < 0
-            || level_put(lv, s, n, c, 1) < 0)
-            return -1;
-    }
-    return 0;
-}
-
-static PyObject *
-level_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"mapping", NULL};
-    PyObject *src = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O:Level", kwlist, &src))
-        return NULL;
-    Level *lv = level_alloc();
-    if (lv != NULL && src != NULL && level_update(lv, src) < 0)
-        Py_CLEAR(lv);
-    return (PyObject *)lv;
-}
+/* -- Level: the mapping protocol ------------------------------------------- */
 
 static void
 level_dealloc(Level *lv)
@@ -1206,12 +1163,10 @@ static PyTypeObject LevelType = {
     .tp_as_mapping = &level_as_mapping,
     .tp_hash = PyObject_HashNotImplemented,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Level(mapping=None)\n--\n\n"
-              "Read-only mapping of keys to counts in 1..2**32-1, in insertion order.",
+    .tp_doc = "Read-only mapping of keys to counts in 1..2**32-1, in insertion order.",
     .tp_richcompare = (richcmpfunc)level_richcompare,
     .tp_iter = (getiterfunc)level_iter,
     .tp_methods = level_methods,
-    .tp_new = level_new,
 };
 
 static PyTypeObject LevelIterType = {

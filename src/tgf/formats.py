@@ -33,7 +33,6 @@ from typing import Optional
 
 import mpmath
 
-from . import treepair
 from .errors import UsageError
 from .ladder import GeneratorSet, MultiplicityVector
 from .sequences import SequenceTable
@@ -245,12 +244,10 @@ def write_checkpoint(directory: Path, gen: GeneratorSet, vec: MultiplicityVector
     return path
 
 
-def read_checkpoint(path, gen: Optional[GeneratorSet] = None) -> tuple[int, MultiplicityVector]:
-    """Returns (q, vector); a malformed file raises UsageError naming it.
-
-    With `gen`, a file written for another generator set is refused too,
-    and gen's backend loads the entries (a Level with the compiled kernel);
-    without, they load as a dict."""
+def read_checkpoint(path, gen: GeneratorSet) -> MultiplicityVector:
+    """The level that a checkpoint of gen's ladder holds, its entries loaded
+    by gen's backend (a Level with the compiled kernel); a malformed file, or
+    one written for another generator set, raises UsageError naming it."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise UsageError(f"{path}: not a ladder checkpoint")
@@ -262,14 +259,13 @@ def read_checkpoint(path, gen: Optional[GeneratorSet] = None) -> tuple[int, Mult
     body = memoryview(data)[CHECKPOINT_HEADER.size :]
     if zlib.crc32(body) != crc:
         raise UsageError(f"{path}: checkpoint body fails its CRC32 check")
-    if gen is not None and (q != gen.q or fingerprint != generator_fingerprint(gen)):
+    if q != gen.q or fingerprint != generator_fingerprint(gen):
         raise UsageError(f"{path}: checkpoint was written for another generator set")
-    load = treepair.load_entries if gen is None else gen.backend.load_entries
     try:
-        entries = load(body, count)
+        entries = gen.backend.load_entries(body, count)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    return q, MultiplicityVector(n, entries)
+    return MultiplicityVector(n, entries)
 
 
 def latest_checkpoint_pair(
@@ -288,7 +284,7 @@ def latest_checkpoint_pair(
             levels[level] = path
     for n in sorted(levels, reverse=True):
         if n - 1 in levels:
-            return read_checkpoint(levels[n - 1], gen)[1], read_checkpoint(levels[n], gen)[1]
+            return read_checkpoint(levels[n - 1], gen), read_checkpoint(levels[n], gen)
     return None
 
 

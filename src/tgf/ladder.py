@@ -358,7 +358,7 @@ def _disk_levels(gen: GeneratorSet, ckdir: Path, below: int) -> Iterator[Multipl
                 f"checkpoint level {n} missing from {ckdir}; "
                 "delete the directory to restart from scratch"
             )
-        yield formats.read_checkpoint(path, gen)[1]
+        yield formats.read_checkpoint(path, gen)
 
 
 def eta_direct(vec: MultiplicityVector, identity_key: bytes) -> int:

@@ -23,6 +23,9 @@ import by tgf.kernel.  Where this module holds a ladder level in a dict,
 the C kernel holds it in its compact Level store; the level passes at the
 end of this module (subtract_scaled, squared_two_norm, coefficient_sum,
 dump_entries, load_entries) are the dict twins of that store's methods.
+The store bounds one thing: the C apply_left takes and makes counts in
+1..2**32-1 only (OverflowError otherwise), where apply_left here takes any
+int.
 """
 from __future__ import annotations
 

@@ -85,3 +85,10 @@ def compiled_ubsan(tmp_path_factory):
     """The compiled kernel under the undefined-behaviour sanitizer: any
     undefined behaviour it detects aborts the test process."""
     return _build_kernel(tmp_path_factory, "-fsanitize=undefined -fno-sanitize-recover=all")
+
+
+@pytest.fixture(scope="session", params=["compiled", "compiled_ubsan"], ids=["plain", "ubsan"])
+def kernel(request):
+    """Each build of the compiled kernel in turn: the plain one, then the
+    one under the undefined-behaviour sanitizer."""
+    return request.getfixturevalue(request.param)

@@ -1,16 +1,21 @@
 """On-disk formats: table CSV, moments files, bounds CSV, curves, fixtures,
 and fuzzing of the parsers of user-supplied files."""
+import dataclasses
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgf import errors, formats
+from tgf import errors, formats, treepair
 from tgf.density import free_density_curve
 from tgf.errors import UsageError
+from tgf.groups import ThompsonF
 from tgf.ladder import MultiplicityVector, case1
 from tgf.sequences import SequenceTable
+from test_ladder import CompiledF
+from test_treepair import word_key
 
 
 def test_table_csv_roundtrip(table2):
@@ -162,37 +167,95 @@ def test_fuzz_parse_table_csv(text):
     _parses_or_tgf_error(formats.parse_table_csv, text)
 
 
-def _checkpoint_bytes(tmp_dir, entries):
-    formats.write_checkpoint(tmp_dir, case1(), MultiplicityVector(3, entries))
-    return formats.checkpoint_path(tmp_dir, 3).read_bytes()
+class DictLoadF(ThompsonF):
+    """F that loads checkpoint bodies into dicts, with the pure loader."""
+
+    def load_entries(self, body, count):
+        return treepair.load_entries(body, count)
 
 
-HEADER = st.tuples(st.sampled_from([1, 1, 2, 0]), st.integers(0, 2**32 - 1),
-                   st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)).map(
-    lambda f: formats.CHECKPOINT_MAGIC + struct.pack("<IIIQ", *f))
+FINGERPRINT = formats.generator_fingerprint(case1())
+# a body that only a dict holds (a key the loaders do not check, a negative
+# and a wide count), and one that the level store holds too
+GENUINE = [
+    {b"F\x00\x01\x00": 3, b"ab": -(2**70)},
+    {treepair.IDENTITY_KEY: 1, word_key("A"): 2**32 - 1, word_key("aB"): 300},
+]
+# v2 headers whose version, q and fingerprint are often those of case 1
+HEADER = st.tuples(
+    st.sampled_from([2, 2, 1, 0]), st.integers(0, 2**32 - 1),
+    st.one_of(st.just(2), st.integers(0, 2**32 - 1)), st.integers(0, 2**64 - 1),
+    st.one_of(st.just(FINGERPRINT), st.integers(0, 2**32 - 1)), st.integers(0, 2**32 - 1),
+).map(lambda f: formats.CHECKPOINT_HEADER.pack(formats.CHECKPOINT_MAGIC, *f))
+# each with a flag, mostly set, to re-stamp the body CRC after the edit
+RESTAMP = st.integers(0, 3).map(bool)
+CHECKPOINTS = st.one_of(
+    st.tuples(st.binary(max_size=64), RESTAMP),
+    st.tuples(st.tuples(HEADER, st.binary(max_size=48)).map(b"".join), RESTAMP),
+    st.tuples(st.sampled_from(range(len(GENUINE))), st.integers(0, 200), st.integers(0, 255),
+              st.sampled_from(["flip", "cut", "extend", "append", "keep"]), RESTAMP),
+)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.one_of(
-    st.binary(max_size=64),
-    st.tuples(HEADER, st.binary(max_size=48)).map(b"".join),
-    st.tuples(st.just("valid"), st.integers(0, 200), st.integers(0, 255),
-              st.sampled_from(["flip", "cut", "extend"])),
-))
-def test_fuzz_read_checkpoint(tmp_path_factory, data):
-    tmp_dir = tmp_path_factory.mktemp("ckpt")
-    if isinstance(data, tuple):
-        # a genuine checkpoint with one byte changed, cut short or extended
-        _, at, byte, how = data
-        raw = bytearray(_checkpoint_bytes(tmp_dir, {b"F\x00\x01\x00": 3, b"ab": -(2**70)}))
-        at %= len(raw)
+def _restamp_crc(data):
+    """Rewrites the body CRC of checkpoint bytes, so that an edit of the body
+    reaches the entry parser."""
+    end = formats.CHECKPOINT_HEADER.size
+    if len(data) >= end:
+        data[end - 4 : end] = struct.pack("<I", zlib.crc32(data[end:]))
+
+
+def _fuzz_read_checkpoint(tmp_dir, gen, data):
+    """Reads a fuzzed checkpoint for case 1 through gen's loader: it loads
+    or raises one of the package's errors.  An unchanged genuine file loads
+    its entries."""
+    *data, restamp = data
+    expected = None
+    if len(data) == 1:
+        raw = bytearray(data[0])
+    else:
+        # a genuine checkpoint with one byte changed, cut short or put in,
+        # `at` bytes before its end so that most edits are in the body, or
+        # with a byte appended
+        which, at, byte, how = data
+        entries = GENUINE[which]
+        formats.write_checkpoint(tmp_dir, case1(), MultiplicityVector(3, entries))
+        raw = bytearray(formats.checkpoint_path(tmp_dir, 3).read_bytes())
+        at = len(raw) - 1 - at % len(raw)
         if how == "flip":
             raw[at] = byte
         elif how == "cut":
             del raw[at:]
-        else:
+        elif how == "extend":
             raw[at:at] = bytes([byte])
-        data = bytes(raw)
+        elif how == "append":
+            raw.append(byte)
+        elif which == 1 or isinstance(gen.backend, DictLoadF):
+            # unchanged, and a body that gen's loader holds
+            expected = entries
+    if restamp:
+        _restamp_crc(raw)
     path = tmp_dir / "fuzzed.tgfl"
-    path.write_bytes(data)
-    _parses_or_tgf_error(formats.read_checkpoint, path)
+    path.write_bytes(bytes(raw))
+    try:
+        vec = formats.read_checkpoint(path, gen)
+    except TGF_ERRORS:
+        assert expected is None
+        return
+    if expected is not None:
+        assert vec.n == 3 and vec.entries == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=CHECKPOINTS)
+def test_fuzz_read_checkpoint(tmp_path_factory, data):
+    gen = dataclasses.replace(case1(), backend=DictLoadF())
+    _fuzz_read_checkpoint(tmp_path_factory.mktemp("ckpt"), gen, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=CHECKPOINTS)
+def test_fuzz_read_checkpoint_into_a_level(tmp_path_factory, kernel, data):
+    # the compiled kernel's load_entries, plain and under UBSan
+    gen = dataclasses.replace(case1(), backend=CompiledF(kernel))
+    _fuzz_read_checkpoint(tmp_path_factory.mktemp("ckpt"), gen, data)

@@ -98,8 +98,8 @@ def test_checkpoint_roundtrip(tmp_path, gen_case1):
     run = build_ladder(gen_case1, 6, checkpoint_dir=tmp_path)
     files = sorted(p.name for p in tmp_path.glob("*.tgfl"))
     assert files == [f"level_{n:04d}.tgfl" for n in range(1, 6)]
-    q, vec = formats.read_checkpoint(tmp_path / "level_0005.tgfl")
-    assert q == 2 and vec.n == 5
+    vec = formats.read_checkpoint(tmp_path / "level_0005.tgfl", gen_case1)
+    assert vec.n == 5
     assert vec.squared_two_norm() == run.summaries[4].h2norm
     assert len(run.summaries) == 6
 
@@ -143,8 +143,8 @@ def test_checkpoint_resume_incomplete_dir(tmp_path, gen_case1):
 def test_checkpoint_sign_encoding(tmp_path):
     vec = MultiplicityVector(3, {b"a": 5, b"b": -7, b"c": 1 << 80})
     formats.write_checkpoint(tmp_path, free_set(9), vec)
-    q, back = formats.read_checkpoint(formats.checkpoint_path(tmp_path, 3))
-    assert q == 9 and back.entries == vec.entries
+    back = formats.read_checkpoint(formats.checkpoint_path(tmp_path, 3), free_set(9))
+    assert back.n == 3 and back.entries == vec.entries
 
 
 # -- norm lookahead -----------------------------------------------------------
