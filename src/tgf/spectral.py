@@ -8,12 +8,18 @@ eigenvalues form a nondecreasing chain of certified lower bounds for the
 operator norm.  Everything before the final eigenvalue extraction is exact
 integer / rational arithmetic: Hankel conditioning destroys a floating
 pipeline long before n = 37, so alpha_n is computed as the square root of
-an exact determinant ratio at a configurable bit precision (default 512).
+an exact determinant ratio at a configurable bit precision P (default 512).
+
+lambda_max bisects in P-bit mpmath floats with an exact Sturm test on P-bit
+fixed-point integers.  The bracket stops shrinking once its ends are
+adjacent floats, so P has a floor: P >= 42 for the default tolerance 1e-12
+and a Schur bound in [2, 4); a lower P is a UsageError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -114,8 +120,25 @@ class JacobiCoefficients:
     def pair_sum(self, n: int):
         return self.alpha[n - 1] + self.alpha[n]
 
-    def max_pair_sum(self, n: int):
-        return max(self.alpha[k - 1] + self.alpha[k] for k in range(2, n + 1))
+    @cached_property
+    def schur_bounds(self) -> tuple:
+        """Entry n >= 2 is the Schur bound max_{2<=k<=n} (alpha_{k-1} + alpha_k)
+        on lambda_max(M_n), at `precision_bits`."""
+        out = [None, None]
+        with mpmath.workprec(self.precision_bits):
+            for n in range(2, self.top + 1):
+                pair = self.pair_sum(n)
+                out.append(pair if out[-1] is None else max(out[-1], pair))
+        return tuple(out)
+
+    @cached_property
+    def scaled_alpha_sq(self) -> tuple[int, ...]:
+        """Entry i >= 1 is floor(alpha_i^2 * 2^P) * 2^P, P = `precision_bits`:
+        alpha_i^2 at twice the fixed-point scale of the Sturm test's pivots."""
+        bits = self.precision_bits
+        return (0,) + tuple(
+            ((r.numerator << bits) // r.denominator) << bits for r in self.alpha_sq[1:]
+        )
 
 
 def jacobi_coefficients(
@@ -134,19 +157,26 @@ def jacobi_coefficients(
     return JacobiCoefficients(tuple(alphas), tuple(alpha_sq), precision_bits)
 
 
-def _eigenvalues_below(alpha_sq_mpf: Sequence, n: int, x, tiny) -> int:
-    """Sturm count for the (n+1)x(n+1) zero-diagonal tridiagonal matrix."""
-    count = 0
+def _to_fixed(x, bits: int) -> int:
+    """floor(x * 2^bits) for an mpf x; exact for a bits-bit float >= 1/2."""
+    man, exp = x.man_exp
+    shift = exp + bits
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _above_spectrum(scaled_sq: Sequence[int], n: int, x: int) -> bool:
+    """True iff the fixed-point x lies above the spectrum of M_n, i.e. all
+    n+1 pivots d_0 = -x, d_i = -x - alpha_i^2 / d_{i-1} of M_n - x are
+    negative (the Sturm count is n+1).  The first pivot >= 0 decides, so a
+    zero pivot is never divided by."""
     d = -x
-    if d < 0:
-        count += 1
+    if d >= 0:
+        return False
     for i in range(1, n + 1):
-        if d == 0:
-            d = tiny
-        d = -x - alpha_sq_mpf[i] / d
-        if d < 0:
-            count += 1
-    return count
+        d = -x - scaled_sq[i] // d
+        if d >= 0:
+            return False
+    return True
 
 
 def lambda_max(
@@ -155,11 +185,16 @@ def lambda_max(
     tol: float = DEFAULT_TOL,
     lower: Optional[object] = None,
 ):
-    """Largest eigenvalue of M_n by Sturm-count bisection.
+    """Largest eigenvalue of M_n by Sturm-count bisection (Barth, Martin &
+    Wilkinson 1967).
 
     The bracket starts at `lower` (any known lower bound, e.g. the moment
     ratio root) or max_k alpha_k, and ends at the Schur bound
-    max_k (alpha_{k-1} + alpha_k)."""
+    max_k (alpha_{k-1} + alpha_k) + tol, and is halved in P-bit mpmath floats
+    (P = jc.precision_bits) until narrower than `tol`.  The Sturm test of
+    each midpoint is exact integer arithmetic on P-bit fixed point.
+    UsageError when `tol` is below the spacing of P-bit floats at the Schur
+    bound (P >= 42 for the default 1e-12 and a bound in [2, 4))."""
     if not 1 <= n <= jc.top:
         raise UsageError(f"need alpha_1..alpha_{n}")
     if tol <= 0:
@@ -173,22 +208,27 @@ def lambda_max(
         r = jc.alpha_sq[1] + jc.alpha_sq[2]
         with mpmath.workprec(jc.precision_bits):
             return mpmath.sqrt(mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator))
-    with mpmath.workprec(jc.precision_bits):
-        alpha_sq_mpf = [None] + [
-            mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator)
-            for r in jc.alpha_sq[1 : n + 1]
-        ]
-        tiny = mpmath.mpf(2) ** (-4 * jc.precision_bits)
+    bits = jc.precision_bits
+    with mpmath.workprec(bits):
+        hi = jc.schur_bounds[n] + mpmath.mpf(tol)
+        # the halving stalls once lo and hi are adjacent floats, which below
+        # hi lie at most 2^(floor(log2 hi) + 1 - bits) apart
+        man, exp = hi.man_exp
+        need = max(exp + man.bit_length() + 1 - math.frexp(float(tol))[1], 1)
+        if bits < need:
+            raise UsageError(
+                f"{bits}-bit precision cannot bisect to tolerance {float(tol):g} "
+                f"near {float(hi):g}; need at least {need} bits"
+            )
         lo = mpmath.mpf(lower) if lower is not None else max(jc.alpha[1 : n + 1])
-        hi = jc.max_pair_sum(n) + mpmath.mpf(tol)
-        full = n + 1
-        if _eigenvalues_below(alpha_sq_mpf, n, hi, tiny) != full:
+        scaled_sq = jc.scaled_alpha_sq
+        if not _above_spectrum(scaled_sq, n, _to_fixed(hi, bits)):
             raise NumericError("eigenvalue bracket failed; alpha precision suspect")
-        if _eigenvalues_below(alpha_sq_mpf, n, lo, tiny) == full:
+        if _above_spectrum(scaled_sq, n, _to_fixed(lo, bits)):
             raise NumericError("lower bracket already above top eigenvalue")
         while hi - lo > tol:
             mid = (lo + hi) / 2
-            if _eigenvalues_below(alpha_sq_mpf, n, mid, tiny) == full:
+            if _above_spectrum(scaled_sq, n, _to_fixed(mid, bits)):
                 hi = mid
             else:
                 lo = mid
@@ -227,6 +267,7 @@ def bounds_table(
         raise UsageError("order exceeds available coefficients")
     rows = []
     slack = mpmath.mpf(tol) * 8
+    schur = jc.schur_bounds
     with mpmath.workprec(jc.precision_bits):
         prev_lambda = None
         for n in range(1, order + 1):
@@ -241,20 +282,16 @@ def bounds_table(
                 )
             if prev_lambda is not None and lam < prev_lambda - slack:
                 raise VerificationError(f"lambda_max decreased at n={n}")
-            if n >= 2 and lam > jc.max_pair_sum(n) + slack:
+            if n >= 2 and lam > schur[n] + slack:
                 raise VerificationError(f"Schur bound violated at n={n}")
             rows.append(
                 NormBoundsRow(n, root_moment, ratio_root, lam, jc.alpha[n], pair)
             )
             prev_lambda = lam
-    pairs = [row.alpha_sum for row in rows if row.alpha_sum is not None]
-    prefix = []
-    for value in pairs:
-        prefix.append(value if not prefix else max(prefix[-1], value))
     suffix: list = []
-    for value in reversed(pairs):
-        suffix.append(value if not suffix else min(suffix[-1], value))
-    diag = BoundsDiagnostics(tuple(prefix), tuple(reversed(suffix)))
+    for row in reversed(rows[1:]):
+        suffix.append(row.alpha_sum if not suffix else min(suffix[-1], row.alpha_sum))
+    diag = BoundsDiagnostics(schur[2 : order + 1], tuple(reversed(suffix)))
     return rows, diag
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import mpmath
 
-from .errors import ResourceError, VerificationError
+from .errors import ResourceError, UsageError, VerificationError
 from .ladder import GeneratorSet, build_ladder, eta_direct
 from .sequences import (
     SequenceTable,
@@ -31,6 +31,7 @@ from .sequences import (
     zeta_from_m,
 )
 from .spectral import (
+    DEFAULT_PRECISION_BITS,
     MomentVector,
     bounds_table,
     hankel_ladder,
@@ -59,7 +60,7 @@ def run_suite(
     gen: GeneratorSet,
     max_n: int = 10,
     brute_max_n: int | None = None,
-    precision_bits: int = 512,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> VerifyReport:
     report = VerifyReport()
     run = build_ladder(gen, max_n, keep_levels=tuple(
@@ -109,6 +110,8 @@ def run_suite(
         spectral_invariants(table, order, precision_bits)
         report.add("spectral_invariants", True,
                    f"Hankel positive, bound chain ordered, moments rebuilt (order {order})")
+    except UsageError:
+        raise  # a precision too low for the bisection is the caller's error
     except (VerificationError, ValueError) as exc:
         report.add("spectral_invariants", False, str(exc))
     return report
@@ -147,7 +150,10 @@ def spectral_invariants(table: SequenceTable, order: int, precision_bits: int):
     moment reconstruction identity on the table's own moments."""
     from .errors import NumericError
 
-    mv = MomentVector(table.q, tuple(table.moments()))
+    try:
+        mv = MomentVector(table.q, tuple(table.moments()))
+    except UsageError as exc:
+        raise VerificationError(str(exc)) from exc
     order = min(order, mv.top)
     hl = hankel_ladder(mv, order)
     if hl.degenerate_at is not None:

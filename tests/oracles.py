@@ -6,9 +6,13 @@ breakpoint list and composition/inversion happen on the maps themselves,
 with no shared code with the library's tree-pair kernel.  A quadratic-scan
 word reducer plays the same role for the free-group backend.  The Chebyshev
 polynomials T_n and U_n give closed forms for the ladder polynomials.
+Sturm-count bisection in P-bit mpmath floats is the oracle for the
+fixed-point eigenvalue bisection of `tgf.spectral.lambda_max`.
 """
 from fractions import Fraction as Fr
 from functools import lru_cache
+
+import mpmath
 
 from tgf import treepair
 from tgf.polynomials import poly_add, poly_shift_scale
@@ -127,3 +131,48 @@ def chebyshev_u(n: int) -> tuple:
     return tuple(
         poly_add(poly_shift_scale(chebyshev_u(n - 1), 2), chebyshev_u(n - 2), -1)
     )
+
+
+def sturm_count(alpha_sq_mpf, n: int, x, tiny) -> int:
+    """Eigenvalues of the (n+1)x(n+1) zero-diagonal tridiagonal matrix with
+    squared off-diagonals alpha_sq_mpf[1..n] that lie below x, counted in
+    floating point at the working precision; a zero pivot is replaced by
+    `tiny`."""
+    count = 0
+    d = -x
+    if d < 0:
+        count += 1
+    for i in range(1, n + 1):
+        if d == 0:
+            d = tiny
+        d = -x - alpha_sq_mpf[i] / d
+        if d < 0:
+            count += 1
+    return count
+
+
+def bisect_lambda_max(jc, n: int, tol: float = 1e-12, lower=None):
+    """lambda_max(M_n) for n >= 3 by bisection on `sturm_count`, with the
+    library's bracket: from `lower` (or max alpha_k) to the Schur bound
+    max_k (alpha_{k-1} + alpha_k) + tol, halved at jc.precision_bits bits.
+    None when either end of the bracket fails."""
+    with mpmath.workprec(jc.precision_bits):
+        alpha_sq_mpf = [None] + [
+            mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator)
+            for r in jc.alpha_sq[1 : n + 1]
+        ]
+        tiny = mpmath.mpf(2) ** (-4 * jc.precision_bits)
+        lo = mpmath.mpf(lower) if lower is not None else max(jc.alpha[1 : n + 1])
+        hi = max(jc.alpha[k - 1] + jc.alpha[k] for k in range(2, n + 1)) + mpmath.mpf(tol)
+        full = n + 1
+        if sturm_count(alpha_sq_mpf, n, hi, tiny) != full:
+            return None
+        if sturm_count(alpha_sq_mpf, n, lo, tiny) == full:
+            return None
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if sturm_count(alpha_sq_mpf, n, mid, tiny) == full:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2

@@ -245,6 +245,30 @@ def test_norm_fit_imports_neither_scipy_nor_numpy():
     assert lines[-1] == "heavy: []"
 
 
+def _run_cli_subprocess(*argv, timeout=60):
+    """The CLI in a fresh interpreter, killed after `timeout` seconds, so a
+    command that would never end fails the test instead of hanging it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tgf.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "tgf.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("bits", [0, -5, 8, 20, 40, 41])
+def test_norm_precision_too_low_exits_1(bits):
+    # below 42 bits the floats near the Schur bound 3.146 lie more than the
+    # default tolerance 1e-12 apart, so the bisection could never end
+    proc = _run_cli_subprocess("norm", "--case=1", f"--precision-bits={bits}")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert f"error: {bits}-bit precision cannot bisect to tolerance 1e-12" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_precision_too_low_exits_1():
+    proc = _run_cli_subprocess("verify", "--case=1", "--max-n=6", "--precision-bits=16")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "need at least 42 bits" in proc.stderr
+
+
 def test_norm_degenerate_moments_exit_3(capsys, tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("1 1\n2 1\n3 1\n")  # two-point measure: finite support

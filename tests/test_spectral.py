@@ -1,13 +1,20 @@
 """Hankel ladder, Jacobi coefficients, eigenvalue bounds, cogrowth rate."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from tgf.errors import UsageError
+from oracles import bisect_lambda_max, sturm_count
+from tgf import spectral
+from tgf.errors import NumericError, UsageError
 from tgf.sequences import m_free
 from tgf.spectral import (
+    JacobiCoefficients,
     MomentVector,
     bounds_table,
     gamma_cogrowth,
@@ -141,6 +148,93 @@ def test_lambda_fixture_endpoints(table1, table2, bounds1, bounds2):
     jc2 = jacobi_coefficients(hankel_ladder(fixture_mv(table2), 24))
     assert abs(float(lambda_max(jc2, 24)) - 3.60613) < 5e-6
     assert abs(float(jc2.alpha[23] + jc2.alpha[24]) - 3.68189) < 5e-6
+
+
+def test_lambda_max_equals_mpmath_bisection(table1, table2):
+    # every bisection decision of the fixed-point Sturm test matches the
+    # floating-point Sturm count, so the results are the same mpf
+    for table in (table1, table2):
+        mv = fixture_mv(table)
+        jc = jacobi_coefficients(hankel_ladder(mv, mv.top))
+        for n in range(3, jc.top + 1):
+            with mpmath.workprec(jc.precision_bits):
+                ratio_root = mpmath.sqrt(mpmath.mpf(mv.m[n]) / mpmath.mpf(mv.m[n - 1]))
+            assert lambda_max(jc, n) == bisect_lambda_max(jc, n)
+            assert lambda_max(jc, n, lower=ratio_root) == bisect_lambda_max(
+                jc, n, lower=ratio_root)
+
+
+@pytest.mark.parametrize("bits", [64, 1024])
+def test_lambda_max_equals_mpmath_bisection_free(bits):
+    moments = [1] + [m_free(2, n) for n in range(1, 31)]
+    jc = jacobi_coefficients(hankel_ladder(MomentVector(2, tuple(moments)), 30), bits)
+    assert lambda_max(jc, 30) == bisect_lambda_max(jc, 30)
+
+
+def test_zero_pivot_is_not_above_spectrum():
+    # every alpha_k = 1: M_n is a path graph, eigenvalues 2 cos(k pi/(n+2))
+    bits = spectral.DEFAULT_PRECISION_BITS
+    jc = JacobiCoefficients((None, mpmath.mpf(1), mpmath.mpf(1)),
+                            (None, Fraction(1), Fraction(1)), bits)
+    with mpmath.workprec(bits):
+        alpha_sq_mpf = [None, mpmath.mpf(1), mpmath.mpf(1)]
+        tiny = mpmath.mpf(2) ** (-4 * bits)
+        # x = 0 makes d_0 = 0; x = 1 on M_1 (eigenvalues +-1) makes d_1 = 0;
+        # x = 1 on M_2 (eigenvalues 0, +-sqrt 2) makes d_1 = 0 with d_2 left
+        for n, x in ((1, 0), (2, 0), (1, 1), (2, 1)):
+            x = mpmath.mpf(x)
+            assert not spectral._above_spectrum(
+                jc.scaled_alpha_sq, n, spectral._to_fixed(x, bits))
+            assert sturm_count(alpha_sq_mpf, n, x, tiny) < n + 1
+        # just above the top eigenvalue both tests say "above"
+        for n, top in ((1, mpmath.mpf(1)), (2, mpmath.sqrt(2))):
+            x = top + mpmath.mpf(2) ** -100
+            assert spectral._above_spectrum(
+                jc.scaled_alpha_sq, n, spectral._to_fixed(x, bits))
+            assert sturm_count(alpha_sq_mpf, n, x, tiny) == n + 1
+
+
+def test_bracket_failure_raises():
+    # alpha_sq says every alpha_k = 2 (top eigenvalue of M_3 is 1 + sqrt 5),
+    # but the stored roots say 1, so the Schur bound 2 + tol is not above it
+    jc = JacobiCoefficients((None,) + (mpmath.mpf(1),) * 3,
+                            (None,) + (Fraction(4),) * 3, 128)
+    with pytest.raises(NumericError, match="bracket failed"):
+        lambda_max(jc, 3)
+
+
+def test_lambda_max_tolerance_beyond_precision_raises():
+    # 512-bit floats near the Schur bound ~3.15 lie 2^-510 ~ 3e-154 apart, so
+    # a 1e-200 bracket is unreachable; run in a fresh interpreter under a
+    # timeout so a bisection that never ends fails instead of hanging
+    script = (
+        "import sys\n"
+        "from tgf import formats, spectral\n"
+        "from tgf.errors import UsageError\n"
+        "t = formats.load_fixture_table(1)\n"
+        "mv = spectral.MomentVector(t.q, tuple(t.moments()))\n"
+        "jc = spectral.jacobi_coefficients(spectral.hankel_ladder(mv, 12), 512)\n"
+        "try:\n"
+        "    spectral.lambda_max(jc, 12, tol=1e-200)\n"
+        "except UsageError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(spectral.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "need at least 667 bits" in proc.stdout
+
+
+def test_lambda_max_precision_floor():
+    moments = [1] + [m_free(2, n) for n in range(1, 13)]
+    hl = hankel_ladder(MomentVector(2, tuple(moments)), 12)
+    with pytest.raises(UsageError, match="need at least 42 bits"):
+        lambda_max(jacobi_coefficients(hl, 41), 12)
+    lam = lambda_max(jacobi_coefficients(hl, 42), 12)
+    assert abs(lam - lambda_max(jacobi_coefficients(hl), 12)) < 1e-11
 
 
 def test_bounds_rows_and_invariants(table1):
