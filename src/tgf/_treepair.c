@@ -17,19 +17,24 @@
  * comes only from apply_left or load_entries; it has no constructor.  Sums
  * are exact (128-bit), and a count past 2**32 - 1 raises OverflowError.
  *
- * apply_left(factors, vec) and inner(words, vec) run one batch driver over
- * a Level or a dict.  It unpacks each factor once per call, walks vec once,
- * checks, unpacks and indexes each key once for all factors, and packs
- * each product g*x into a scratch buffer; a product with the identity is
- * the other factor as it is.  Only the step per product differs:
+ * apply_left(factors, vec), inner(words, vec) and subtract_scaled(sub,
+ * factor) walk only Levels: a dict vec or sub is first read into a new
+ * Level in its order (as_level), so its counts must lie in 1..2**32-1 (a
+ * sub's may also be 0, which is skipped) and any other raises
+ * OverflowError, where the pure kernel takes any int.
+ *
+ * apply_left and inner run one batch driver.  It unpacks each factor once
+ * per call, walks vec once, checks, unpacks and indexes each key once for
+ * all factors, and packs each product g*x into a scratch buffer; a product
+ * with the identity is the other factor as it is.  Only the step per
+ * product differs:
  *   - apply_left accumulates into a new Level, in the insertion order of
  *     tgf.treepair.apply_left (identity factors first, then the others),
- *     making no Python object per product.  So its counts, those of a dict
- *     vec included, lie in 1..2**32-1; any other raises OverflowError,
- *     where the pure apply_left takes any int.
- *   - inner adds vec[x] * vec[w*x] to the sum of word w, giving <w.h, h>
- *     for the group-ring element h that vec holds.  Over a Level it looks
- *     the product up by its raw bytes; over a dict it sums Python ints.
+ *     making no Python object per product.
+ *   - inner adds vec[x] * vec[w*x], looked up by the product's raw bytes,
+ *     to the 128-bit sum of word w, giving <w.h, h> for the group-ring
+ *     element h that vec holds.  A count is below 2**32 and the arena holds
+ *     fewer than 2**40 records, so a sum stays below 2**104.
  * compose_keys and invert_key use static scratch buffers instead, so the
  * brute-force walks pay no allocation per call.
  *
@@ -704,6 +709,36 @@ as_count(PyObject *v, uint64_t lo, uint64_t *c)
     return 0;
 }
 
+/* vec as a Level: a Level itself (a new reference), or a dict read into a
+ * new Level in its order, with counts in lo..2**32-1 (a 0 is skipped).  A
+ * dict key is checked only for its type and for fitting a record; whoever
+ * walks the Level checks the rest.  No Python code runs meanwhile. */
+static Level *
+as_level(const char *name, PyObject *vec, uint64_t lo)
+{
+    if (is_level(vec))
+        return (Level *)Py_NewRef(vec);
+    if (!PyDict_Check(vec)) {
+        PyErr_Format(PyExc_TypeError, "%s needs a dict or a Level, not %.100s", name,
+                     Py_TYPE(vec)->tp_name);
+        return NULL;
+    }
+    Level *lv = level_alloc();
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (lv != NULL && PyDict_Next(vec, &pos, &key, &value)) {
+        const unsigned char *s;
+        Py_ssize_t n;
+        uint64_t c;
+        /* a key past 0xFFFF bytes is too long for any leaf count, so
+         * key_leaves refuses it as unpack would */
+        if (key_bytes(key, &s, &n) < 0 || (n > 0xFFFF && key_leaves(s, n) < 0)
+            || as_count(value, lo, &c) < 0 || level_put(lv, s, n, c, 1) < 0)
+            Py_CLEAR(lv);
+    }
+    return lv;
+}
+
 static PyObject *
 long_from_u128(unsigned __int128 v)
 {
@@ -946,35 +981,21 @@ level_subtract_scaled(Level *lv, PyObject *const *args, Py_ssize_t nargs)
 {
     if (check_nargs("subtract_scaled", nargs, 2) < 0)
         return NULL;
-    PyObject *sub = args[0];
     unsigned long long factor = PyLong_AsUnsignedLongLong(args[1]);
     if (factor == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
-    lv->version++;
-    if (is_level(sub)) {
-        size_t off = 0;
-        Rec r;
-        while (next_live((Level *)sub, &off, &r))
-            if (take(lv, r.key, r.len, (unsigned __int128)factor * get_count(r.count)) < 0)
-                return NULL;
-    }
-    else if (PyDict_Check(sub)) {
-        Py_ssize_t pos = 0;
-        PyObject *key, *value;
-        while (PyDict_Next(sub, &pos, &key, &value)) {
-            const unsigned char *s;
-            Py_ssize_t n;
-            uint64_t c;
-            if (key_bytes(key, &s, &n) < 0 || as_count(value, 0, &c) < 0
-                || take(lv, s, n, (unsigned __int128)factor * c) < 0)
-                return NULL;
-        }
-    }
-    else {
-        PyErr_Format(PyExc_TypeError, "subtract_scaled needs a dict or a Level, not %.100s",
-                     Py_TYPE(sub)->tp_name);
+    Level *sub = as_level("subtract_scaled", args[0], 0);
+    if (sub == NULL)
         return NULL;
-    }
+    lv->version++;
+    size_t off = 0;
+    Rec r;
+    int rc = 0;
+    while (rc == 0 && next_live(sub, &off, &r))
+        rc = take(lv, r.key, r.len, (unsigned __int128)factor * get_count(r.count));
+    Py_DECREF(sub);
+    if (rc < 0)
+        return NULL;
     /* compacting rehashes every key, so it runs only when it frees an
      * eighth of the records or half the table */
     if ((lv->dead * 8 > (size_t)lv->live || (lv->dead && slots_for(lv->live) <= lv->mask))
@@ -1132,8 +1153,8 @@ static PyMethodDef level_methods[] = {
     {"items", (PyCFunction)level_items, METH_NOARGS, "Iterator over (key, count) pairs."},
     {"subtract_scaled", (PyCFunction)(void (*)(void))level_subtract_scaled, METH_FASTCALL,
      "subtract_scaled(sub, factor)\n--\n\n"
-     "self -= factor * sub for a dict or Level sub; a count that would go "
-     "negative raises ValueError."},
+     "self -= factor * sub for a Level sub, or a dict sub read into one; a "
+     "count that would go negative raises ValueError."},
     {"squared_two_norm", (PyCFunction)level_squared_two_norm, METH_NOARGS,
      "The sum of the squared counts."},
     {"coefficient_sum", (PyCFunction)level_coefficient_sum, METH_NOARGS,
@@ -1230,15 +1251,13 @@ is_identity(const unsigned char *s, Py_ssize_t len)
            && memcmp(s, PyBytes_AS_STRING(IdentityKey), len) == 0;
 }
 
-/* One pass of vec (a Level or a dict) against a list of factors, shared by
- * apply_left and inner. */
+/* One pass of vec against a list of factors, shared by apply_left and
+ * inner. */
 typedef struct {
-    Level *lvec;                 /* vec when it is a Level */
-    PyObject *dvec;              /* vec when it is a dict */
+    Level *vec;                  /* vec, a dict one read into a new Level */
     Level *out;                  /* apply_left's new level; NULL for inner */
     uint64_t n_identity;         /* apply_left's identity factors, only counted */
-    unsigned __int128 *wide;     /* inner's sums over a Level */
-    PyObject **sums;             /* inner's sums over a dict, the items of a list */
+    unsigned __int128 *wide;     /* inner's sums, one per word */
     const unsigned char **fkeys; /* the factors composed, borrowed from a tuple */
     Py_ssize_t *flens;
     Pair *pairs;                 /* their unpacked trees */
@@ -1246,43 +1265,22 @@ typedef struct {
     Buf keybuf, index, work, prod;
 } Batch;
 
-/* The per-product step for product p[0:plen] of item (c, cobj) and factor
- * f: apply_left adds c to out[p]; inner adds c * vec[p] to the sum of f,
- * exactly. */
+/* The per-product step for product p[0:plen] of an item with count c and
+ * factor f: apply_left adds c to out[p]; inner adds c * vec[p] to the sum
+ * of f. */
 static int
-batch_step(Batch *bt, Py_ssize_t f, const unsigned char *p, Py_ssize_t plen,
-           uint64_t c, PyObject *cobj)
+batch_step(Batch *bt, Py_ssize_t f, const unsigned char *p, Py_ssize_t plen, uint64_t c)
 {
     if (bt->out != NULL)
         return level_put(bt->out, p, plen, c, 0);
-    if (bt->lvec != NULL) {
-        bt->wide[f] += (unsigned __int128)c * level_get(bt->lvec, p, plen);
-        return 0;
-    }
-    PyObject *prod = PyBytes_FromStringAndSize((const char *)p, plen);
-    if (prod == NULL)
-        return -1;
-    PyObject *d = PyDict_GetItemWithError(bt->dvec, prod);
-    Py_DECREF(prod);
-    if (d == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    Py_INCREF(d);
-    PyObject *term = PyNumber_Multiply(cobj, d);
-    Py_DECREF(d);
-    if (term == NULL)
-        return -1;
-    PyObject *total = PyNumber_Add(bt->sums[f], term);
-    Py_DECREF(term);
-    if (total == NULL)
-        return -1;
-    Py_SETREF(bt->sums[f], total);
+    bt->wide[f] += (unsigned __int128)c * level_get(bt->vec, p, plen);
     return 0;
 }
 
-/* All products of one item of vec, the key k[0:klen] with count c (or the
- * Python int cobj when inner walks a dict), in the pure loops' order. */
+/* All products of one item of vec, the key k[0:klen] with count c, in the
+ * pure loops' order. */
 static int
-batch_item(Batch *bt, const unsigned char *key, Py_ssize_t klen, uint64_t c, PyObject *cobj)
+batch_item(Batch *bt, const unsigned char *key, Py_ssize_t klen, uint64_t c)
 {
     Pair k;
     const int *ix = NULL;
@@ -1308,39 +1306,7 @@ batch_item(Batch *bt, const unsigned char *key, Py_ssize_t klen, uint64_t c, PyO
                 return -1;
             p = bt->prod.p;
         }
-        if (batch_step(bt, f, p, plen, c, cobj) < 0)
-            return -1;
-    }
-    return 0;
-}
-
-/* Every item of vec through batch_item, in vec's order. */
-static int
-batch_walk(Batch *bt)
-{
-    if (bt->lvec != NULL) {
-        size_t off = 0;
-        Rec r;
-        while (next_live(bt->lvec, &off, &r))
-            if (batch_item(bt, r.key, r.len, get_count(r.count), NULL) < 0)
-                return -1;
-        return 0;
-    }
-    Py_ssize_t pos = 0;
-    PyObject *key, *value;
-    while (PyDict_Next(bt->dvec, &pos, &key, &value)) {
-        const unsigned char *s;
-        Py_ssize_t n;
-        uint64_t c = 0;
-        if (key_bytes(key, &s, &n) < 0 || (bt->out != NULL && as_count(value, 1, &c) < 0))
-            return -1;
-        /* own the item: adding coefficients may run Python code */
-        Py_INCREF(key);
-        Py_INCREF(value);
-        int rc = batch_item(bt, s, n, c, value);
-        Py_DECREF(key);
-        Py_DECREF(value);
-        if (rc < 0)
+        if (batch_step(bt, f, p, plen, c) < 0)
             return -1;
     }
     return 0;
@@ -1354,22 +1320,17 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
     if (check_nargs(name, nargs, 2) < 0)
         return NULL;
     Batch bt = {0};
-    if (is_level(args[1]))
-        bt.lvec = (Level *)args[1];
-    else if (PyDict_Check(args[1]))
-        bt.dvec = args[1];
-    else {
-        PyErr_Format(PyExc_TypeError, "%s needs a dict or a Level, not %.100s", name,
-                     Py_TYPE(args[1])->tp_name);
+    if ((bt.vec = as_level(name, args[1], 1)) == NULL)
+        return NULL;
+    PyObject *factors = PySequence_Tuple(args[0]);
+    if (factors == NULL) {
+        Py_DECREF(bt.vec);
         return NULL;
     }
-    PyObject *factors = PySequence_Tuple(args[0]);
-    if (factors == NULL)
-        return NULL;
     Py_ssize_t nf = PyTuple_GET_SIZE(factors);
     size_t total = 0;
     Buf fbuf = {0};
-    PyObject *result = NULL, *list = NULL;
+    PyObject *result = NULL;
 
     bt.fkeys = PyMem_Malloc((nf + 1) * sizeof(*bt.fkeys));
     bt.flens = PyMem_Malloc((nf + 1) * sizeof(*bt.flens));
@@ -1406,30 +1367,30 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
             goto done;
         total += token_room(nl);
     }
-    if (!inner) {
-        if ((bt.out = level_alloc()) == NULL || batch_walk(&bt) < 0)
+    if (!inner && (bt.out = level_alloc()) == NULL)
+        goto done;
+    size_t off = 0;
+    Rec r;
+    while (next_live(bt.vec, &off, &r))
+        if (batch_item(&bt, r.key, r.len, get_count(r.count)) < 0)
             goto done;
+    if (!inner) {
         result = Py_NewRef(bt.out);
         goto done;
     }
-    /* the sums live in the result list, which nothing else sees until the
-     * end */
-    if ((list = PyList_New(nf)) == NULL)
+    /* a list's unset items are NULL, which its dealloc skips */
+    if ((result = PyList_New(nf)) == NULL)
         goto done;
-    for (Py_ssize_t f = 0; f < nf; f++)
-        PyList_SET_ITEM(list, f, PyLong_FromLong(0));
-    bt.sums = PySequence_Fast_ITEMS(list);
-    if (batch_walk(&bt) < 0)
-        goto done;
-    for (Py_ssize_t f = 0; bt.lvec != NULL && f < nf; f++) {
+    for (Py_ssize_t f = 0; f < nf; f++) {
         PyObject *sum = long_from_u128(bt.wide[f]);
-        if (sum == NULL)
+        if (sum == NULL) {
+            Py_CLEAR(result);
             goto done;
-        Py_SETREF(bt.sums[f], sum);
+        }
+        PyList_SET_ITEM(result, f, sum);
     }
-    result = Py_NewRef(list);
 done:
-    Py_XDECREF(list);
+    Py_DECREF(bt.vec);
     Py_XDECREF(bt.out);
     PyMem_Free(bt.fkeys);
     PyMem_Free(bt.flens);

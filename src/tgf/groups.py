@@ -320,18 +320,29 @@ class Lattice(GroupBackend):
         return bytes(out)
 
     def decode_payload(self, key: bytes) -> tuple[int, ...]:
+        """The coordinates of key; a key of another tag or dimension, a
+        truncated one, one with an overlong varint (which _encode never
+        writes) or one with trailing bytes raises ValueError."""
+        if key[:2] != bytes([_LATTICE_TAG, self.dim]):
+            raise ValueError(f"not a Z^{self.dim} key")
         coords = []
         i = 2
-        for _ in range(key[1]):
+        for _ in range(self.dim):
             z = shift = 0
             while True:
+                if i == len(key):
+                    raise ValueError(f"truncated Z^{self.dim} key")
                 byte = key[i]
                 i += 1
                 z |= (byte & 0x7F) << shift
                 shift += 7
                 if not byte & 0x80:
+                    if byte == 0 and shift > 7:
+                        raise ValueError(f"overlong varint in a Z^{self.dim} key")
                     break
             coords.append(_unzigzag(z))
+        if i != len(key):
+            raise ValueError(f"trailing bytes after a Z^{self.dim} key")
         return tuple(coords)
 
     def identity_key(self) -> bytes:

@@ -19,9 +19,11 @@ in 1..2**32-1 in insertion order, about 24-37 bytes per key against about
 squared_two_norm, coefficient_sum and dump_entries are the per-level
 passes, whose dict twins are the functions of the same names in
 tgf.treepair.  The pure kernel returns dicts.  Both kernels take a dict
-or their own level as vec.  The compiled apply_left takes counts in
-1..2**32-1 only, a dict's too, and raises OverflowError on any other or on
-a sum past 2**32-1; the pure one takes any int.  A Level has no
+or their own level as vec.  The compiled kernel reads a dict vec (or a
+dict sub of subtract_scaled) into a Level first, so its apply_left, inner
+and subtract_scaled take counts in 1..2**32-1 only (subtract_scaled also
+skips a 0) and raise OverflowError on any other, as apply_left does on a
+sum past 2**32-1; the pure ones take any int.  A Level has no
 constructor: it comes from apply_left or load_entries.
 
 Set TGF_PURE_PY=1 to force the fallback, e.g. for benchmarking one against

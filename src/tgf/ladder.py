@@ -63,7 +63,6 @@ from .groups import (
     ThompsonF,
     Word,
 )
-from .treepair import TreePairError
 
 
 @dataclass(frozen=True)
@@ -334,12 +333,13 @@ def _resume(
     if seed is None:
         return ladder_levels(gen, top), 1
     # a bad key in either level fails here, naming its file, even when
-    # the run composes none of that level's keys
+    # the run composes none of that level's keys (TreePairError is a
+    # ValueError, as is a backend's refusal of a key)
     for vec in seed:
         try:
             for key in vec.entries:
                 gen.backend.invert_key(key)
-        except TreePairError as exc:
+        except ValueError as exc:
             raise UsageError(f"{formats.checkpoint_path(ckdir, vec.n)}: {exc}") from None
     # summaries for the levels below the seed come off disk, so a resumed
     # run still reports the whole ladder

@@ -23,9 +23,11 @@ import by tgf.kernel.  Where this module holds a ladder level in a dict,
 the C kernel holds it in its compact Level store; the level passes at the
 end of this module (subtract_scaled, squared_two_norm, coefficient_sum,
 dump_entries, load_entries) are the dict twins of that store's methods.
-The store bounds one thing: the C apply_left takes and makes counts in
-1..2**32-1 only (OverflowError otherwise), where apply_left here takes any
-int.
+The store bounds one thing: the C kernel reads a dict vec or sub into a
+Level first, so its apply_left, inner and subtract_scaled take counts in
+1..2**32-1 only (OverflowError otherwise; subtract_scaled also skips a 0),
+and its apply_left makes no count past 2**32-1, where the functions here
+take any int.
 """
 from __future__ import annotations
 

@@ -87,6 +87,13 @@ def compiled_ubsan(tmp_path_factory):
     return _build_kernel(tmp_path_factory, "-fsanitize=undefined -fno-sanitize-recover=all")
 
 
+@pytest.fixture(scope="session")
+def builds(compiled, compiled_ubsan):
+    """Both builds of the compiled kernel, for a test that checks each in
+    turn under one test id."""
+    return compiled, compiled_ubsan
+
+
 @pytest.fixture(scope="session", params=["compiled", "compiled_ubsan"], ids=["plain", "ubsan"])
 def kernel(request):
     """Each build of the compiled kernel in turn: the plain one, then the

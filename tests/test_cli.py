@@ -188,6 +188,25 @@ def test_refused_checkpoint_exits_1(capsys, tmp_path, case, corrupt, level, says
     assert says in err and "Traceback" not in err
 
 
+def test_refused_lattice_key_exits_1(capsys, tmp_path):
+    # the first key of level 4 loses its last varint byte to a continuation
+    # bit, under a valid CRC; the resume to n = 6 reads the pair (3, 4)
+    ckdir = tmp_path / "ck"
+    assert run_cli(capsys, "tables", "--case=lattice", "--max-n=5",
+                   f"--checkpoint-dir={ckdir}")[0] == 0
+    path = ckdir / "level_0004.tgfl"
+    data = bytearray(path.read_bytes())
+    at = CHECKPOINT_HEADER.size
+    data[at + 1 + int.from_bytes(data[at : at + 2], "little")] |= 0x80
+    _restamp_crc(data)
+    path.write_bytes(bytes(data))
+    code, out, err = run_cli(capsys, "tables", "--case=lattice", "--max-n=6",
+                             f"--checkpoint-dir={ckdir}")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: {path}: truncated Z^2 key"
+    assert "Traceback" not in err
+
+
 def test_norm_case1_fixture(capsys, tmp_path):
     out = tmp_path / "bounds.csv"
     code, stdout, _ = run_cli(

@@ -139,6 +139,21 @@ def test_lattice_commutative_and_key_is_vector(u, v):
     )
 
 
+@pytest.mark.parametrize("key, says", [
+    (b"", "not a Z"), (b"\x5a", "not a Z"), (b"\x57\x02\x00\x00", "not a Z"),
+    (b"\x5a\x03\x00\x00\x00", "not a Z"), (b"\x5a\x02\x00", "truncated"),
+    (b"\x5a\x02\x00\x81", "truncated"), (b"\x5a\x02\x80\x00\x00", "overlong"),
+    (b"\x5a\x02\x00\x00\x00", "trailing"),
+], ids=["empty", "tag only", "free-group tag", "dimension 3", "one coordinate",
+        "open varint", "overlong varint", "trailing byte"])
+def test_lattice_refuses_malformed_keys(key, says):
+    zd = Lattice(2)
+    assert zd.decode_payload(b"\x5a\x02\x00\x81\x01") == (0, -65)
+    for call in (zd.decode_payload, zd.invert_key, lambda k: zd.multiply_keys(k, k)):
+        with pytest.raises(ValueError, match=says):
+            call(key)
+
+
 def test_usage_errors():
     f = ThompsonF()
     with pytest.raises(UsageError):

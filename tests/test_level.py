@@ -7,6 +7,7 @@ so only the store differs: items and their order, inner sums, norms, sums,
 checkpoint bodies and failed subtractions must all agree."""
 import dataclasses
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -127,13 +128,22 @@ def test_counts_stop_at_2_pow_32(kernel):
     top = _level(kernel, {a: U32})
     assert top[a] == U32 and top.squared_two_norm() == U32**2
     assert kernel.inner([E], top) == [U32**2]
-    # the compiled apply_left takes counts in 1..2**32-1 only, a dict's
-    # too, while the pure one takes any int
+    # the compiled apply_left and inner take counts in 1..2**32-1 only, a
+    # dict's too, while the pure ones take any int; subtract_scaled also
+    # skips a 0
     for bad in (U32 + 1, 0, -1, 2**70):
         for factors in ([E], [big_a]):
             with pytest.raises(OverflowError):
                 kernel.apply_left(factors, {a: bad})
+            with pytest.raises(OverflowError):
+                kernel.inner(factors, {a: bad})
         assert tp.apply_left([big_a], {a: bad}) == {E: bad}
+        assert tp.inner([E], {a: bad}) == [bad * bad]
+        if bad:
+            with pytest.raises(OverflowError):
+                top.subtract_scaled({a: bad}, 1)
+    top.subtract_scaled({a: 0}, 1)
+    assert top == {a: U32}
     with pytest.raises(OverflowError):
         kernel.apply_left([E, E], _level(kernel, {a: 2**31}))
     # A.a and B.b are both the identity
@@ -198,6 +208,12 @@ def test_long_keys_round_trip(kernel):
     assert list(level.items()) == list(entries.items())
     assert level.dump_entries() == body
     assert level == tp.load_entries(body, len(entries))
+    # a dict key of 65536 bytes or more fits no record, and no tree-pair key
+    # is that long, so reading it into a Level refuses it
+    for call in (lambda vec: kernel.apply_left([E], vec), lambda vec: kernel.inner([E], vec),
+                 lambda vec: level.subtract_scaled(vec, 0)):
+        with pytest.raises(tp.TreePairError, match="not a tree-pair key"):
+            call({b"k" * 65536: 1})
 
 
 @pytest.mark.parametrize("body, count, says", [
@@ -214,3 +230,38 @@ def test_load_entries_rejects_what_the_store_cannot_hold(kernel, body, count, sa
     if says != "range":
         with pytest.raises(ValueError, match=says):
             tp.load_entries(body, count)
+
+
+def test_refused_dicts_leave_nothing_behind(kernel):
+    # a dict vec or sub is read into a Level first; one refused while it is
+    # read (a count out of range, a key too long for a record) or while the
+    # Level is walked (a malformed key, which subtract_scaled finds nowhere)
+    # must free what was read
+    good = {word_key(w): 1 for w in ("A", "B", "AB", "ba", "aB", "Ab", "AA", "bb")}
+    level = _level(kernel, good)
+    extra = word_key("AAB")
+    vecs = [{**good, b"junk": 1}, {**good, b"F" * 70000: 1},
+            {**good, extra: 2**32}, {**good, extra: -1}]
+    calls = [lambda v: kernel.apply_left([E, extra], v), lambda v: kernel.inner([extra], v),
+             lambda v: level.subtract_scaled(v, 1)]
+
+    def refusals():
+        refused = 0
+        for vec in vecs:
+            for call in calls:
+                try:
+                    call(vec)
+                except (ValueError, OverflowError):
+                    refused += 1
+        return refused
+
+    assert refusals() == len(vecs) * len(calls)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        refused = sum(refusals() for _ in range(300))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert refused == 300 * len(vecs) * len(calls)
+    assert grown < 64 * 1024

@@ -1,6 +1,7 @@
 """Tree-pair kernel: packing, reduction, composition vs the exact PL oracle,
-agreement between the pure and compiled implementations (the compiled one
-built by the `compiled` fixture), and malformed keys failing closed."""
+agreement between the pure and compiled implementations (the cross-checks
+run on both compiled builds, plain and under the undefined-behaviour
+sanitizer; see conftest), and malformed keys failing closed."""
 import random
 
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from tgf import treepair as tp
 from tgf.ladder import case1, case2, custom_f_set, ladder_levels
 from oracles import PL_IDENTITY, key_to_map, pl_compose, pl_word
+
+
+U32 = 2**32 - 1
 
 
 def random_word(rng, length):
@@ -117,45 +121,57 @@ def test_compiled_identity_constant(compiled):
     (case2(), 7),
     (custom_f_set(["", "AB", "ba", "aa"]), 7),
 ], ids=["case1", "case2", "custom"])
-def test_compiled_apply_left_matches_pure(compiled, gen, max_n):
+def test_compiled_apply_left_matches_pure(builds, gen, max_n):
     # same dict, same insertion order, on every level of a real ladder and
     # for both factor lists the ladder uses
     factor_lists = (gen.keys(), gen.inverse_keys())
     for level in ladder_levels(gen, max_n):
         for factors in factor_lists:
             pure = tp.apply_left(factors, level.entries)
-            fast = compiled.apply_left(factors, level.entries)
-            assert list(fast.items()) == list(pure.items())
+            for compiled in builds:
+                fast = compiled.apply_left(factors, level.entries)
+                assert list(fast.items()) == list(pure.items())
 
 
 @pytest.mark.parametrize("gen, max_n", [(case1(), 12), (case2(), 8)],
                          ids=["case1", "case2"])
-def test_compiled_inner_matches_pure(compiled, gen, max_n):
+def test_compiled_inner_matches_pure(builds, gen, max_n):
     # the identity and every t^-1 s of each step's factors s, t, which hold
     # each word and its inverse: <w.h, h> = <w^-1.h, h>
     for level in ladder_levels(gen, max_n):
         g = gen.keys() if level.n % 2 == 0 else gen.inverse_keys()
         words = [tp.IDENTITY_KEY] + [
             tp.compose_keys(tp.invert_key(t), s) for t in g for s in g if s != t]
-        sums = compiled.inner(words, level.entries)
-        assert sums == tp.inner(words, level.entries)
+        sums = tp.inner(words, level.entries)
         assert sums[0] == level.squared_two_norm()
         by_word = dict(zip(words, sums))
         assert all(by_word[tp.invert_key(w)] == v for w, v in by_word.items())
+        for compiled in builds:
+            assert compiled.inner(words, level.entries) == sums
 
 
-def test_inner_sums_exactly(compiled):
-    # sums stay exact past 64 bits and with negative coefficients
-    a = word_key("A")
-    vec = {tp.IDENTITY_KEY: 3**50, a: -(2**40), word_key("AA"): 7}
-    for impl in (tp, compiled):
-        assert impl.inner([a, tp.IDENTITY_KEY, word_key("a")], vec) == [
-            -(2**40) * (3**50 + 7), 3**100 + 2**80 + 49, -(2**40) * (3**50 + 7)]
+def test_inner_sums_exactly(builds):
+    # the pure inner sums any ints exactly, negative ones and ones past 64
+    # bits; the compiled one takes counts in 1..2**32-1 only, and its sums
+    # stay exact past 64 bits
+    e, a, aa = tp.IDENTITY_KEY, word_key("A"), word_key("AA")
+    words = [a, e, word_key("a")]
+    wide = {e: 3**50, a: -(2**40), aa: 7}
+    assert tp.inner(words, wide) == [
+        -(2**40) * (3**50 + 7), 3**100 + 2**80 + 49, -(2**40) * (3**50 + 7)]
+    vec = {e: U32, a: U32, aa: U32 - 1}
+    want = [U32**2 + U32 * (U32 - 1), 2 * U32**2 + (U32 - 1) ** 2, U32**2 + U32 * (U32 - 1)]
+    assert min(want) > 2**64
+    for impl in (tp, *builds):
+        assert impl.inner(words, vec) == want
         assert impl.inner([], vec) == []
         assert impl.inner([a], {}) == [0]
+    for compiled in builds:
+        with pytest.raises(OverflowError):
+            compiled.inner(words, wide)
 
 
-def test_apply_left_identity_first_then_factors_in_order(compiled):
+def test_apply_left_identity_first_then_factors_in_order(builds):
     a = word_key("A")
     b = word_key("B")
     vec = {tp.IDENTITY_KEY: 2, a: 5}
@@ -164,21 +180,34 @@ def test_apply_left_identity_first_then_factors_in_order(compiled):
         (tp.IDENTITY_KEY, 4), (b, 2), (a, 2 + 10),
         (tp.compose_keys(b, a), 5), (word_key("AA"), 5),
     ]
-    for impl in (tp, compiled):
+    for impl in (tp, *builds):
         assert list(impl.apply_left(factors, vec).items()) == want
         assert impl.apply_left([], vec) == {}
         assert impl.apply_left(factors, {}) == {}
 
 
 @pytest.mark.parametrize("name", ["apply_left", "inner"])
-def test_compiled_batch_argument_errors(compiled, name):
-    fn = getattr(compiled, name)
+def test_compiled_batch_argument_errors(builds, name):
     e = tp.IDENTITY_KEY
-    for args in [(), ([e],), ([e], {e: 1}, {}), ([e], [(e, 1)]), ([e], None)]:
-        with pytest.raises(TypeError, match=name):
-            fn(*args)
-    with pytest.raises(TypeError, match="must be bytes"):
-        fn([word_key("A"), 1], {e: 1})
+    for compiled in builds:
+        fn = getattr(compiled, name)
+        for args in [(), ([e],), ([e], {e: 1}, {}), ([e], [(e, 1)]), ([e], None)]:
+            with pytest.raises(TypeError, match=name):
+                fn(*args)
+        for args in [([word_key("A"), 1], {e: 1}), ([e], {e: 1, "A": 1})]:
+            with pytest.raises(TypeError, match="must be bytes"):
+                fn(*args)
+
+
+def test_compiled_subtract_scaled_argument_errors(builds):
+    e = tp.IDENTITY_KEY
+    for compiled in builds:
+        fn = compiled.apply_left([e], {e: 1}).subtract_scaled
+        for args in [(), ({e: 1},), ({e: 1}, 1, 2), ([(e, 1)], 1), (None, 1)]:
+            with pytest.raises(TypeError, match="subtract_scaled"):
+                fn(*args)
+        with pytest.raises(TypeError, match="must be bytes"):
+            fn({e: 1, "A": 1}, 1)
 
 
 # -- malformed keys -----------------------------------------------------------
@@ -197,9 +226,9 @@ MALFORMED = {
 }
 
 
-@pytest.fixture(params=["pure", "compiled"])
+@pytest.fixture(params=["pure", "compiled", "compiled_ubsan"], ids=["pure", "compiled", "ubsan"])
 def kernel_impl(request):
-    return tp if request.param == "pure" else request.getfixturevalue("compiled")
+    return tp if request.param == "pure" else request.getfixturevalue(request.param)
 
 
 def test_apply_left_checks_keys_whatever_the_factors(kernel_impl):
