@@ -9,32 +9,36 @@ Subcommands:
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 verification
 failure, 3 numeric or resource failure.
+
+Imports (this paragraph is not part of --help): start-up is most of a short
+run, so this module loads only argparse and tgf.errors, and each cmd_*
+imports what its subcommand uses.  `tables` loads the tree-pair kernel
+(tgf._treepair) but not mpmath, `norm` loads mpmath but not the kernel,
+`density` loads neither and `verify` loads both.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import density as density_mod
-from . import formats, kernel, spectral
 from .errors import (
     CorruptionError,
     NumericError,
     ResourceError,
+    TreePairError,
     UsageError,
     VerificationError,
 )
-from .groups import ThompsonF
-from .ladder import GeneratorSet, case1, case2, custom_f_set, free_set, lattice_set
-from .sequences import check_chain_bounds, compute_table, moebius_verify
-from .treepair import TreePairError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
+
+# spectral.DEFAULT_PRECISION_BITS, spelled out so that building the parser
+# imports no mpmath (a test keeps the two equal)
+DEFAULT_PRECISION_BITS = 512
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _resolve_generator_set(args) -> GeneratorSet:
+def _resolve_generator_set(args):
+    from .ladder import case1, case2, custom_f_set, free_set, lattice_set
+
     case = args.case
     if case == "1":
         return case1()
@@ -61,8 +67,11 @@ def _resolve_generator_set(args) -> GeneratorSet:
     raise UsageError(f"unknown case {case!r}")
 
 
-def _note_kernel(gen: GeneratorSet):
+def _note_kernel(gen):
     """One stderr line when F arithmetic falls back to the pure kernel unasked."""
+    from . import kernel
+    from .groups import ThompsonF
+
     if (isinstance(gen.backend, ThompsonF) and kernel.FALLBACK_REASON
             and not kernel.PURE_REQUESTED):
         sys.stderr.write(
@@ -96,6 +105,9 @@ def _emit(text: str, out: str | None):
 # -- tables ------------------------------------------------------------------
 
 def cmd_tables(args) -> int:
+    from . import formats
+    from .sequences import check_chain_bounds, compute_table, moebius_verify
+
     gen = _resolve_generator_set(args)
     _note_kernel(gen)
     table = compute_table(gen, args.max_n, checkpoint_dir=args.checkpoint_dir)
@@ -112,6 +124,8 @@ def cmd_tables(args) -> int:
 # -- norm --------------------------------------------------------------------
 
 def _load_moments(args) -> tuple[int, list[int]]:
+    from . import formats
+
     if getattr(args, "free", False):
         from .sequences import m_free
 
@@ -128,6 +142,8 @@ def _load_moments(args) -> tuple[int, list[int]]:
 
 
 def cmd_norm(args) -> int:
+    from . import formats, spectral
+
     q, moments = _load_moments(args)
     order = args.order if args.order is not None else len(moments) - 1
     if order > len(moments) - 1:
@@ -178,6 +194,10 @@ def cmd_norm(args) -> int:
 # -- density -----------------------------------------------------------------
 
 def cmd_density(args) -> int:
+    from . import density as density_mod
+    from . import formats
+    from .sequences import MomentVector
+
     prefix = args.out or "density"
     written = []
     if args.free:
@@ -192,7 +212,7 @@ def cmd_density(args) -> int:
     else:
         q, moments = _load_moments(args)
         order = args.order if args.order is not None else len(moments) - 1
-        mv = spectral.MomentVector(q, tuple(moments[: order + 1]))
+        mv = MomentVector(q, tuple(moments[: order + 1]))
         exp = density_mod.project_density(mv, order)
         lo, hi = _parse_range(args.range) if args.range else (0.0, float(q + 1))
         label = args.label or f"density order {order}"
@@ -200,7 +220,7 @@ def cmd_density(args) -> int:
             if order < 1:
                 raise UsageError("--tail needs order >= 1")
             prev = density_mod.project_density(
-                spectral.MomentVector(q, tuple(moments[:order])), order - 1
+                MomentVector(q, tuple(moments[:order])), order - 1
             )
             for tag, curve in (
                 (f"rho{order - 1}", density_mod.evaluate_curve(prev, lo, hi, args.step, f"{label} (order {order - 1})")),
@@ -230,6 +250,8 @@ def cmd_density(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    import json
+
     from .verify import report_to_dict, run_suite
 
     gen = _resolve_generator_set(args)
@@ -259,7 +281,7 @@ def _add_case_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tgf", description=__doc__,
+    parser = _Parser(prog="tgf", description=(__doc__ or "").partition("\nImports")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -277,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the closed-form free moments instead of a file")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--precision-bits", type=int, default=spectral.DEFAULT_PRECISION_BITS)
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     p.add_argument("--fit-window", default=None, help="lo:hi for the extrapolation fit")
     p.add_argument("--out", default=None, help="bounds CSV path (default stdout)")
     p.set_defaults(func=cmd_norm)
@@ -300,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_case_flags(p)
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--brute-max-n", type=int, default=None)
-    p.add_argument("--precision-bits", type=int, default=spectral.DEFAULT_PRECISION_BITS)
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .polynomials import legendre_p
-from .sequences import m_free
-from .spectral import MomentVector
+from .sequences import MomentVector, m_free
 
 
 @dataclass(frozen=True)

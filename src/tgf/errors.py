@@ -2,8 +2,8 @@
 
 The CLI maps these onto its exit-code contract: UsageError -> 1,
 VerificationError -> 2, NumericError / ResourceError -> 3.  A malformed
-tree-pair key (treepair.TreePairError) can only come from an input file,
-so it is a usage error too.
+tree-pair key (TreePairError, raised by both tree-pair kernels) can only
+come from an input file, so it is a usage error too.
 """
 
 
@@ -25,3 +25,7 @@ class VerificationError(AssertionError):
 
 class NumericError(RuntimeError):
     """A numeric routine failed to converge or lost its bracket."""
+
+
+class TreePairError(ValueError):
+    """Structurally invalid tree pair (bad tokens or mismatched leaf counts)."""

@@ -27,15 +27,14 @@ import csv
 import io
 import struct
 import zlib
-from importlib import resources
 from pathlib import Path
-from typing import Optional
-
-import mpmath
+from typing import TYPE_CHECKING, Optional
 
 from .errors import UsageError
-from .ladder import GeneratorSet, MultiplicityVector
 from .sequences import SequenceTable
+
+if TYPE_CHECKING:
+    from .ladder import GeneratorSet, MultiplicityVector
 
 CHECKPOINT_MAGIC = b"TGFL"
 CHECKPOINT_VERSION = 2
@@ -55,10 +54,6 @@ def table_csv_text(table: SequenceTable) -> str:
     for n in range(1, table.max_n + 1):
         writer.writerow([n, *table.row(n)])
     return out.getvalue()
-
-
-def write_table_csv(path, table: SequenceTable) -> None:
-    Path(path).write_text(table_csv_text(table), encoding="ascii")
 
 
 def parse_table_csv(text: str) -> SequenceTable:
@@ -154,11 +149,13 @@ def bounds_csv_text(rows, full_precision: bool = False) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(BOUNDS_HEADER)
+    if full_precision:
+        import mpmath
+
+        fmt = lambda v: mpmath.nstr(v, 30, strip_zeros=False)
+    else:
+        fmt = lambda v: "%.5f" % float(v)
     for row in rows:
-        if full_precision:
-            fmt = lambda v: mpmath.nstr(v, 30, strip_zeros=False)
-        else:
-            fmt = lambda v: "%.5f" % float(v)
         writer.writerow(
             [
                 row.n,
@@ -248,6 +245,8 @@ def read_checkpoint(path, gen: GeneratorSet) -> MultiplicityVector:
     """The level that a checkpoint of gen's ladder holds, its entries loaded
     by gen's backend (a Level with the compiled kernel); a malformed file, or
     one written for another generator set, raises UsageError naming it."""
+    from .ladder import MultiplicityVector
+
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise UsageError(f"{path}: not a ladder checkpoint")
@@ -291,6 +290,8 @@ def latest_checkpoint_pair(
 # -- packaged fixtures -------------------------------------------------------
 
 def fixture_text(name: str) -> str:
+    from importlib import resources
+
     return (resources.files("tgf") / "fixtures" / name).read_text(encoding="ascii")
 
 
@@ -300,9 +301,3 @@ def load_fixture_table(case: int) -> SequenceTable:
         raise UsageError("fixture tables exist for cases 1 and 2")
     return parse_table_csv(fixture_text(f"table{case}.csv"))
 
-
-def load_fixture_bounds(case: int) -> list[dict]:
-    """The published 5-decimal norm-bound tables for cases 1 and 2."""
-    if case not in (1, 2):
-        raise UsageError("fixture bounds exist for cases 1 and 2")
-    return parse_bounds_csv(fixture_text(f"bounds{case}.csv"))

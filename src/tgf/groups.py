@@ -87,9 +87,6 @@ class CanonicalElement:
     def payload(self):
         return self.backend.decode_payload(self.key)
 
-    def is_identity(self) -> bool:
-        return self.key == self.backend.identity_key()
-
     def __mul__(self, other: "CanonicalElement") -> "CanonicalElement":
         return self.backend.multiply(self, other)
 
@@ -258,6 +255,22 @@ class FreeGroup(GroupBackend):
     def generator_key(self, letter: GeneratorLetter) -> bytes:
         return bytes([_FREE_TAG, letter.index << 1 | letter.inverted])
 
+    def _letters(self, key: bytes) -> bytes:
+        """The letters of key; a key of another tag, one with a letter index
+        >= rank or one that is not freely reduced (which multiply_keys never
+        makes) raises ValueError."""
+        if key[:1] != bytes([_FREE_TAG]):
+            raise ValueError(f"not a {self.name} key")
+        word = key[1:]
+        prev = None
+        for letter in word:
+            if letter >> 1 >= self.rank:
+                raise ValueError(f"letter index {letter >> 1} out of range for {self.name}")
+            if letter ^ 1 == prev:
+                raise ValueError(f"{self.name} key is not freely reduced")
+            prev = letter
+        return word
+
     def multiply_keys(self, a: bytes, b: bytes) -> bytes:
         word = bytearray(a[1:])
         for letter in b[1:]:
@@ -268,11 +281,11 @@ class FreeGroup(GroupBackend):
         return bytes([_FREE_TAG]) + bytes(word)
 
     def invert_key(self, a: bytes) -> bytes:
-        return bytes([_FREE_TAG]) + bytes(letter ^ 1 for letter in reversed(a[1:]))
+        return bytes([_FREE_TAG]) + bytes(letter ^ 1 for letter in reversed(self._letters(a)))
 
     def decode_payload(self, key: bytes) -> tuple[GeneratorLetter, ...]:
         return tuple(
-            GeneratorLetter(letter >> 1, bool(letter & 1)) for letter in key[1:]
+            GeneratorLetter(letter >> 1, bool(letter & 1)) for letter in self._letters(key)
         )
 
 

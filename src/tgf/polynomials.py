@@ -29,13 +29,6 @@ def poly_shift_scale(a: list, scale=1) -> list:
     return [0] + [scale * coeff for coeff in a]
 
 
-def poly_eval(a: list, x):
-    acc = 0
-    for coeff in reversed(a):
-        acc = acc * x + coeff
-    return acc
-
-
 @lru_cache(maxsize=None)
 def ladder_poly(q: int, n: int) -> tuple:
     """The n-th ladder polynomial for parameter q (n >= 1)."""

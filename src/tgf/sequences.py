@@ -9,19 +9,24 @@ moments m_n of h*h.  Each determines the others through exact integer
 transforms; this module implements the transforms, the closed form for the
 free (Leinert) moments, definition-level brute-force oracles, the
 group-ring identity checks, the Moebius/parity verification suite, and the
-cogrowth diagnostics.
+cogrowth diagnostics.  MomentVector, the checked moments m_0..m_N that
+tgf.spectral and tgf.density start from, lives here too, so that a density
+run needs neither mpmath nor the ladder.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ResourceError, UsageError, VerificationError
-from .groups import GroupBackend
-from .ladder import GeneratorSet, LadderRun, MultiplicityVector, build_ladder
-from .polynomials import ladder_poly_even_core
+
+# the ladder (and with it the tree-pair kernel) is imported only where one
+# is built, so that reading a table or a moments file does not load it
+if TYPE_CHECKING:
+    from .groups import GroupBackend
+    from .ladder import GeneratorSet, LadderRun, MultiplicityVector
 
 # ---------------------------------------------------------------------------
 # transforms; all lists are indexed so that entry i corresponds to n = i+1
@@ -116,6 +121,34 @@ class SequenceTable:
         return [1] + list(self.m)
 
 
+@dataclass(frozen=True)
+class MomentVector:
+    """Moments m_0..m_N of h*h (m_0 = 1); the symmetric measure has even
+    moments c_{2k} = m_k and vanishing odd moments."""
+
+    q: int
+    m: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.m or self.m[0] != 1:
+            raise UsageError("moment vector must start with m_0 = 1")
+        if len(self.m) > 1 and self.m[1] != self.q + 1:
+            raise UsageError(f"m_1 = {self.m[1]} but q+1 = {self.q + 1}")
+        for i, value in enumerate(self.m):
+            if value <= 0:
+                raise UsageError(f"moment m_{i} = {value} is not positive")
+        for i in range(2, len(self.m)):
+            if self.m[i] * self.m[i - 2] < self.m[i - 1] ** 2:
+                raise UsageError(f"moment ratios decrease at n = {i}")
+
+    @property
+    def top(self) -> int:
+        return len(self.m) - 1
+
+    def symmetric_moment(self, k: int) -> int:
+        return self.m[k // 2] if k % 2 == 0 else 0
+
+
 def table_from_ladder(gen: GeneratorSet, run: LadderRun) -> SequenceTable:
     return SequenceTable.from_h2norms(gen.q, run.h2norms())
 
@@ -125,6 +158,8 @@ def compute_table(
     max_n: int,
     checkpoint_dir=None,
 ) -> SequenceTable:
+    from .ladder import build_ladder
+
     run = build_ladder(gen, max_n, checkpoint_dir=checkpoint_dir)
     return table_from_ladder(gen, run)
 
@@ -187,6 +222,8 @@ def brute_force_sequences(
 
 def brute_force_ladder_element(gen: GeneratorSet, n: int) -> MultiplicityVector:
     """h_n materialized term by term from its defining sum over E_n."""
+    from .ladder import MultiplicityVector
+
     backend = gen.backend
     mul = backend.multiply_keys
     y = gen.keys()
@@ -263,6 +300,9 @@ def group_ring_check(gen: GeneratorSet, m: int) -> None:
 
     Raises VerificationError with the first differing key on mismatch.
     """
+    from .ladder import build_ladder
+    from .polynomials import ladder_poly_even_core
+
     if not 1 <= m <= 4:
         raise UsageError("group-ring check supports 1 <= m <= 4")
     backend, q = gen.backend, gen.q
@@ -366,10 +406,6 @@ class VerifyReport:
 
     def failures(self) -> list[str]:
         return [f"{name}: {detail}" for name, ok, detail in self.checks if not ok]
-
-    def raise_if_failed(self):
-        if not self.ok:
-            raise VerificationError("; ".join(self.failures()))
 
 
 def moebius_verify(table: SequenceTable) -> VerifyReport:

@@ -26,37 +26,10 @@ from typing import Optional, Sequence
 import mpmath
 
 from .errors import NumericError, UsageError, VerificationError
+from .sequences import MomentVector
 
 DEFAULT_PRECISION_BITS = 512
 DEFAULT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Moments m_0..m_N of h*h (m_0 = 1); the symmetric measure has even
-    moments c_{2k} = m_k and vanishing odd moments."""
-
-    q: int
-    m: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.m or self.m[0] != 1:
-            raise UsageError("moment vector must start with m_0 = 1")
-        if len(self.m) > 1 and self.m[1] != self.q + 1:
-            raise UsageError(f"m_1 = {self.m[1]} but q+1 = {self.q + 1}")
-        for i, value in enumerate(self.m):
-            if value <= 0:
-                raise UsageError(f"moment m_{i} = {value} is not positive")
-        for i in range(2, len(self.m)):
-            if self.m[i] * self.m[i - 2] < self.m[i - 1] ** 2:
-                raise UsageError(f"moment ratios decrease at n = {i}")
-
-    @property
-    def top(self) -> int:
-        return len(self.m) - 1
-
-    def symmetric_moment(self, k: int) -> int:
-        return self.m[k // 2] if k % 2 == 0 else 0
 
 
 @dataclass(frozen=True)
@@ -347,9 +320,6 @@ class FitParams:
     d: float
     residual: float
     window: tuple[int, int]
-
-    def predict(self, n: float) -> float:
-        return self.a - self.b * (n - self.c) ** (-self.d)
 
 
 def fit_extrapolation(

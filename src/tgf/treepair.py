@@ -34,6 +34,8 @@ from __future__ import annotations
 import functools
 import struct
 
+from .errors import TreePairError
+
 LEAF = 0
 CARET = 1
 
@@ -44,10 +46,6 @@ _LEAF, _CARET = bytes([LEAF]), bytes([CARET])
 
 # maps the digits of a binary numeral to tree tokens
 _TOKENS = bytes.maketrans(b"01", bytes([LEAF, CARET]))
-
-
-class TreePairError(ValueError):
-    """Structurally invalid tree pair (bad tokens or mismatched leaf counts)."""
 
 
 def leaf_count(tree: bytes) -> int:

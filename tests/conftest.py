@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 ROOT = Path(__file__).resolve().parent.parent
 
+from oracles import load_fixture_bounds
 from tgf import formats
 from tgf.ladder import case1, case2
 
@@ -29,12 +30,12 @@ def table2():
 
 @pytest.fixture(scope="session")
 def bounds1():
-    return formats.load_fixture_bounds(1)
+    return load_fixture_bounds(1)
 
 
 @pytest.fixture(scope="session")
 def bounds2():
-    return formats.load_fixture_bounds(2)
+    return load_fixture_bounds(2)
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +46,24 @@ def gen_case1():
 @pytest.fixture(scope="session")
 def gen_case2():
     return case2()
+
+
+@pytest.fixture(scope="session")
+def built_lib(tmp_path_factory):
+    """The package as `setup.py build` makes it from this checkout, under
+    PYTHONDONTWRITEBYTECODE=1 and with its egg-info kept out of the
+    checkout: bytecode for every module, and the compiled kernel where a C
+    compiler is found.  Returns the lib directory."""
+    out = tmp_path_factory.mktemp("package-build")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "egg_info", "--egg-base", str(out),
+         "build", "--build-base", str(out / "build"), "--build-lib", str(out / "lib")],
+        cwd=ROOT, capture_output=True, text=True, env=env,
+    )
+    if proc.returncode != 0:
+        pytest.fail(f"setup.py build failed:\n{proc.stdout}\n{proc.stderr}")
+    return out / "lib"
 
 
 def _build_kernel(tmp_path_factory, cflags):

@@ -7,14 +7,19 @@ with no shared code with the library's tree-pair kernel.  A quadratic-scan
 word reducer plays the same role for the free-group backend.  The Chebyshev
 polynomials T_n and U_n give closed forms for the ladder polynomials.
 Sturm-count bisection in P-bit mpmath floats is the oracle for the
-fixed-point eigenvalue bisection of `tgf.spectral.lambda_max`.
+fixed-point eigenvalue bisection of `tgf.spectral.lambda_max`.  The helpers
+at the end (polynomial evaluation, the fitted model, the identity test, a
+report's failures as an exception, the table CSV as a file and the
+packaged bounds tables) are used by the tests only.
 """
 from fractions import Fraction as Fr
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 
-from tgf import treepair
+from tgf import formats, treepair
+from tgf.errors import VerificationError
 from tgf.polynomials import poly_add, poly_shift_scale
 
 
@@ -176,3 +181,37 @@ def bisect_lambda_max(jc, n: int, tol: float = 1e-12, lower=None):
             else:
                 lo = mid
         return (lo + hi) / 2
+
+
+def poly_eval(a, x):
+    """a(x) by Horner's rule, for a coefficient list in ascending degree."""
+    acc = 0
+    for coeff in reversed(a):
+        acc = acc * x + coeff
+    return acc
+
+
+def fit_predict(fit, n: float) -> float:
+    """The fitted model f(n) = a - b (n-c)^(-d) of a `FitParams`."""
+    return fit.a - fit.b * (n - fit.c) ** (-fit.d)
+
+
+def is_identity(element) -> bool:
+    """Whether a `CanonicalElement` is its backend's identity."""
+    return element.key == element.backend.identity_key()
+
+
+def raise_if_failed(report) -> None:
+    """VerificationError naming every failed check of a `VerifyReport`."""
+    if not report.ok:
+        raise VerificationError("; ".join(report.failures()))
+
+
+def write_table_csv(path, table) -> None:
+    """The table CSV of a `SequenceTable`, written to `path`."""
+    Path(path).write_text(formats.table_csv_text(table), encoding="ascii")
+
+
+def load_fixture_bounds(case: int) -> list[dict]:
+    """The published 5-decimal norm-bound tables for cases 1 and 2."""
+    return formats.parse_bounds_csv(formats.fixture_text(f"bounds{case}.csv"))

@@ -16,6 +16,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from oracles import raise_if_failed
 from tgf import formats
 from tgf.cli import main
 from tgf.density import (
@@ -180,7 +181,7 @@ def test_criterion_7_moebius_parity_suite(computed_case1, computed_case2):
     bad = moebius_verify(corrupted)
     assert not bad.ok
     with pytest.raises(VerificationError):
-        bad.raise_if_failed()
+        raise_if_failed(bad)
     report("7", "Moebius/parity suite passes on computed tables (case 1 n<=16, "
                 "case 2 n<=12); corrupted zeta_8 caught")
 

@@ -207,6 +207,26 @@ def test_refused_lattice_key_exits_1(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_refused_free_key_exits_1(capsys, tmp_path):
+    # the first key of level 4 gets the letter 0x7f (index 63 of a rank-2
+    # group) as its last byte, under a valid CRC; the resume to n = 6 reads
+    # the pair (3, 4)
+    ckdir = tmp_path / "ck"
+    assert run_cli(capsys, "tables", "--case=free", "--q=2", "--max-n=5",
+                   f"--checkpoint-dir={ckdir}")[0] == 0
+    path = ckdir / "level_0004.tgfl"
+    data = bytearray(path.read_bytes())
+    at = CHECKPOINT_HEADER.size
+    data[at + 1 + int.from_bytes(data[at : at + 2], "little")] = 0x7F
+    _restamp_crc(data)
+    path.write_bytes(bytes(data))
+    code, out, err = run_cli(capsys, "tables", "--case=free", "--q=2", "--max-n=6",
+                             f"--checkpoint-dir={ckdir}")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: {path}: letter index 63 out of range for free_2"
+    assert "Traceback" not in err
+
+
 def test_norm_case1_fixture(capsys, tmp_path):
     out = tmp_path / "bounds.csv"
     code, stdout, _ = run_cli(
@@ -317,15 +337,15 @@ def test_density_full_order_grid(capsys, tmp_path, monkeypatch):
 
 
 def test_tables_verification_failure_exits_2(capsys, monkeypatch):
-    import tgf.cli as cli_mod
-    from tgf.sequences import VerifyReport
+    from tgf import sequences
 
     def fake_verify(table):
-        report = VerifyReport()
+        report = sequences.VerifyReport()
         report.add("moebius_n2", False, "injected")
         return report
 
-    monkeypatch.setattr(cli_mod, "moebius_verify", fake_verify)
+    # cmd_tables imports moebius_verify from tgf.sequences when it runs
+    monkeypatch.setattr(sequences, "moebius_verify", fake_verify)
     code, out, err = run_cli(capsys, "tables", "--case=1", "--max-n=3")
     assert code == 2
     assert "verification failed" in err

@@ -17,7 +17,8 @@ from tgf.density import (
     tail_average,
 )
 from tgf.errors import UsageError
-from tgf.polynomials import legendre_p, poly_eval
+from oracles import poly_eval
+from tgf.polynomials import legendre_p
 from tgf.sequences import m_free
 from tgf.spectral import MomentVector
 

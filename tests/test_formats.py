@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import write_table_csv
 from tgf import errors, formats, treepair
 from tgf.density import free_density_curve
 from tgf.errors import UsageError
@@ -61,7 +62,7 @@ def test_moments_file_errors(tmp_path):
 
 def test_read_moments_accepts_table_csv(tmp_path, table1):
     path = tmp_path / "t.csv"
-    formats.write_table_csv(path, table1)
+    write_table_csv(path, table1)
     q, moments = formats.read_moments(path)
     assert q == 2
     assert moments[:4] == [1, 3, 15, 87]

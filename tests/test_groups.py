@@ -15,7 +15,7 @@ from tgf.groups import (
     Word,
     reduce_tree_pair,
 )
-from oracles import PL_IDENTITY, key_to_map, naive_free_reduce, pl_word
+from oracles import PL_IDENTITY, is_identity, key_to_map, naive_free_reduce, pl_word
 
 BACKENDS = [ThompsonF(), FreeGroup(2), Lattice(2)]
 
@@ -48,13 +48,13 @@ def test_thompson_defining_relations():
     for u, v in (("Ab", "aBA"), ("Ab", "aaBAA")):
         inv = lambda s: "".join(c.swapcase() for c in reversed(s))
         relator = u + v + inv(u) + inv(v)
-        assert f.element_from_word(Word.parse(relator)).is_identity()
+        assert is_identity(f.element_from_word(Word.parse(relator)))
         assert pl_word(relator) == PL_IDENTITY
 
 
 def test_inverse_cancellation_word():
     f = ThompsonF()
-    assert f.element_from_word(Word.parse("Aa")).is_identity()
+    assert is_identity(f.element_from_word(Word.parse("Aa")))
 
 
 def test_ab_vs_ba_distinct_with_oracle():
@@ -118,7 +118,7 @@ def test_free_reduction_matches_naive_oracle(letters):
     word = Word(tuple(GeneratorLetter(i, inv) for i, inv in letters))
     element = fg.element_from_word(word)
     oracle = naive_free_reduce(letters)
-    assert element.is_identity() == (not oracle)
+    assert is_identity(element) == (not oracle)
     assert [(l.index, l.inverted) for l in element.payload] == [
         (i, bool(v)) for i, v in oracle
     ]
@@ -150,6 +150,19 @@ def test_lattice_refuses_malformed_keys(key, says):
     zd = Lattice(2)
     assert zd.decode_payload(b"\x5a\x02\x00\x81\x01") == (0, -65)
     for call in (zd.decode_payload, zd.invert_key, lambda k: zd.multiply_keys(k, k)):
+        with pytest.raises(ValueError, match=says):
+            call(key)
+
+
+@pytest.mark.parametrize("key, says", [
+    (b"", "not a free_2 key"), (b"\x5a\x00", "not a free_2 key"),
+    (b"\x57\x04", "letter index 2 out of range"), (b"\x57\x00\x7f", "letter index 63"),
+    (b"\x57\x02\x00\x01", "not freely reduced"), (b"\x57\x03\x02", "not freely reduced"),
+], ids=["empty", "lattice tag", "index 2", "index 63", "a a^-1", "b^-1 b"])
+def test_free_group_refuses_malformed_keys(key, says):
+    fg = FreeGroup(2)
+    assert fg.invert_key(b"\x57\x00\x03") == b"\x57\x02\x01"
+    for call in (fg.decode_payload, fg.invert_key):
         with pytest.raises(ValueError, match=says):
             call(key)
 

@@ -1,0 +1,143 @@
+"""Import boundaries: each subcommand loads only the modules it uses, and the
+package's names are served lazily.
+
+The CLI runs in a fresh interpreter and reports its sys.modules, once on the
+source tree (the pure kernel, compiled from source) and once on the package
+that `setup.py build` makes (bytecode and, with a C compiler, the compiled
+kernel).
+"""
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tgf
+from tgf import cli, formats, spectral
+
+SOURCE = Path(tgf.__file__).resolve().parents[1]
+
+# argv[1] is the file that gets tgf.__file__ and the sorted module names,
+# the CLI's arguments follow
+MODULES_OF = (
+    "import sys\n"
+    "from tgf.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    fh.write('\\n'.join([sys.modules['tgf'].__file__, *sorted(sys.modules)]))\n"
+    "sys.exit(code)\n"
+)
+
+# every name that tgf/__init__.py imported eagerly before it became lazy
+OLD_EXPORTS = {
+    "density": ["DensityCurve", "LegendreExpansion", "evaluate_curve", "free_density",
+                "free_density_curve", "free_moment_vector", "project_density",
+                "tail_average"],
+    "errors": ["CorruptionError", "NumericError", "ResourceError", "UsageError",
+               "VerificationError"],
+    "groups": ["CanonicalElement", "FreeGroup", "GeneratorLetter", "GroupBackend",
+               "Lattice", "ThompsonF", "TreePair", "Word", "reduce_tree_pair"],
+    "ladder": ["GeneratorSet", "LadderRun", "MultiplicityVector", "build_ladder", "case1",
+               "case2", "custom_f_set", "eta_direct", "free_set", "ladder_levels",
+               "lattice_set"],
+    "sequences": ["SequenceTable", "brute_force_sequences", "cogrowth_diagnostics",
+                  "compute_table", "group_ring_check", "m_free", "moebius_verify",
+                  "table_from_ladder"],
+    "spectral": ["FitParams", "HankelLadder", "JacobiCoefficients", "MomentVector",
+                 "NormBoundsRow", "bounds_table", "fit_extrapolation", "gamma_cogrowth",
+                 "hankel_ladder", "jacobi_coefficients", "lambda_max"],
+}
+
+KERNEL_SIDE = {"tgf._treepair", "tgf.kernel", "tgf.treepair", "tgf.groups", "tgf.ladder"}
+SPECTRAL_SIDE = {"mpmath", "tgf.spectral", "tgf.density", "tgf.verify"}
+
+
+@pytest.fixture(params=["source", "build"])
+def package(request):
+    """The directory that PYTHONPATH names for the CLI run."""
+    if request.param == "source":
+        return SOURCE
+    return request.getfixturevalue("built_lib")
+
+
+def modules_of(package, tmp_path, *argv) -> set[str]:
+    listing = tmp_path / "modules.txt"
+    env = dict(os.environ, PYTHONPATH=str(package))
+    env.pop("TGF_PURE_PY", None)
+    proc = subprocess.run([sys.executable, "-c", MODULES_OF, str(listing), *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    where, *mods = listing.read_text().split("\n")
+    assert Path(where).resolve().is_relative_to(Path(package).resolve())
+    return set(mods)
+
+
+def compiled_kernel_in(package) -> bool:
+    return any((Path(package) / "tgf").glob("_treepair*.so")) or any(
+        (Path(package) / "tgf").glob("_treepair*.pyd"))
+
+
+def test_tables_loads_no_spectral_side(package, tmp_path):
+    mods = modules_of(package, tmp_path, "tables", "--case=1", "--max-n=6")
+    assert not mods & SPECTRAL_SIDE
+    assert {"tgf.ladder", "tgf.kernel", "tgf.sequences", "tgf.formats"} <= mods
+    assert ("tgf._treepair" in mods) == compiled_kernel_in(package)
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--case=1", "--fit-window=12:37"),
+    ("norm", "--moments=table.csv"),
+    ("density", "--case=2", "--order=8", "--tail", "--out=d"),
+    ("density", "--free", "--q=3"),
+], ids=["norm-case", "norm-moments", "density-case", "density-free"])
+def test_norm_and_density_load_no_kernel(package, tmp_path, argv):
+    table = formats.fixture_text("table1.csv").splitlines(keepends=True)[:13]
+    (tmp_path / "table.csv").write_text("".join(table))
+    mods = modules_of(package, tmp_path, *argv)
+    assert not mods & KERNEL_SIDE
+    # only norm makes or prints an mpf
+    mpf_side = {"mpmath", "tgf.spectral"}
+    assert mods & mpf_side == (mpf_side if argv[0] == "norm" else set())
+
+
+def test_verify_loads_both_sides(package, tmp_path):
+    mods = modules_of(package, tmp_path, "verify", "--case=1", "--max-n=4",
+                      "--brute-max-n=2")
+    assert {"mpmath", "tgf.spectral", "tgf.kernel", "tgf.ladder"} <= mods
+
+
+def test_bare_import_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(SOURCE))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tgf; print(sorted(m for m in sys.modules if m.startswith('tgf.')))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_old_exports_resolve_to_their_module_objects():
+    for module, names in OLD_EXPORTS.items():
+        mod = importlib.import_module(f"tgf.{module}")
+        for name in names:
+            assert getattr(tgf, name) is getattr(mod, name), name
+            assert name in dir(tgf)
+    assert tgf.KERNEL_IMPLEMENTATION == importlib.import_module("tgf.kernel").IMPLEMENTATION
+    assert tgf.__version__ == "0.1.0"
+    assert tgf.formats is importlib.import_module("tgf.formats")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tgf.no_such_name
+    assert not hasattr(tgf, "raise_if_failed")
+    with pytest.raises(ImportError):
+        from tgf import no_such_name  # noqa: F401
+
+
+def test_precision_default_matches_spectral():
+    assert cli.DEFAULT_PRECISION_BITS == spectral.DEFAULT_PRECISION_BITS
+    args = cli.build_parser().parse_args(["norm"])
+    assert args.precision_bits == spectral.DEFAULT_PRECISION_BITS

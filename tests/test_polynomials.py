@@ -2,12 +2,11 @@
 import math
 from fractions import Fraction
 
-from oracles import chebyshev_t, chebyshev_u
+from oracles import chebyshev_t, chebyshev_u, poly_eval
 from tgf.polynomials import (
     ladder_poly,
     ladder_poly_even_core,
     legendre_p,
-    poly_eval,
 )
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import raise_if_failed
 from tgf.errors import ResourceError, VerificationError
 from tgf.ladder import build_ladder, case1, free_set, lattice_set
 from tgf.sequences import (
@@ -179,7 +180,7 @@ def test_moebius_catches_corruption(table1):
     assert not report.ok
     assert any(name == "moebius_n8" for name, ok, _ in report.checks if not ok)
     with pytest.raises(VerificationError):
-        report.raise_if_failed()
+        raise_if_failed(report)
 
 
 def test_parity_catches_odd_entry(table2):
