@@ -12,6 +12,11 @@ group-ring identity checks, the Moebius/parity verification suite, and the
 cogrowth diagnostics.  MomentVector, the checked moments m_0..m_N that
 tgf.spectral and tgf.density start from, lives here too, so that a density
 run needs neither mpmath nor the ladder.
+
+The brute force counts the alternating 2n-letter words equal to e from
+n-letter products: such a word is e exactly when its second half inverts
+its first, so m_n = sum_g A_n(g)^2, where A_n(g) counts the n-letter words
+with product g (eta_n and zeta_n likewise, from reduced n-letter words).
 """
 from __future__ import annotations
 
@@ -171,53 +176,82 @@ def compute_table(
 def brute_force_sequences(
     gen: GeneratorSet, max_n: int, budget: int = 10**8
 ) -> SequenceTable:
-    """m, eta, zeta by exhaustive product evaluation; h2norm by materializing
-    each ladder element from its definition.  Independent of the recursion."""
+    """m, eta, zeta by counting the alternating 2n-letter words
+    s_1^-1 s_2 s_3^-1 ... s_2n equal to e; h2norm by materializing each
+    ladder element from its definition.  Independent of the recursion.
+
+    A 2n-letter word equals e exactly when its second half is the inverse
+    of its first half, and that inverse, read with its letter indices
+    reversed, is again an n-letter alternating word starting with an
+    inverted letter.  So with A_n(g) the number of n-letter words with
+    product g, m_n = sum_g A_n(g)^2.  For eta_n and zeta_n the reduced
+    n-letter words are counted by (product, first index, last index): two
+    halves join into a reduced word when their last indices differ, and
+    into a cyclically reduced one when their first indices differ too.
+    Only n-letter products are made, one per distinct product and letter;
+    `budget` still bounds the size^(2n) words this stands for."""
+    if max_n < 1:
+        raise UsageError(f"brute-force max_n must be >= 1, got {max_n}")
     size = len(gen.elements)
     if size ** (2 * max_n) > budget:
         raise ResourceError(
-            f"enumeration of {size}^{2 * max_n} products exceeds budget {budget}"
+            f"enumeration of {size}^{2 * max_n} words exceeds budget {budget}"
         )
     backend = gen.backend
-    e = backend.identity_key()
     mul = backend.multiply_keys
     y = gen.keys()
     y_inv = gen.inverse_keys()
 
-    ms = [0] * max_n
-    etas = [0] * max_n
-    zetas = [0] * max_n
+    ms, etas, zetas = [], [], []
+    # words[g] = A_k(g); reduced[(g, first, last)] counts the reduced words
+    # so described (first and last are None for the empty word)
+    e = backend.identity_key()
+    words = {e: 1}
+    reduced: dict[tuple, int] = {(e, None, None): 1}
+    for k in range(max_n):
+        # letter k+1 enters inverted exactly when k+1 is odd
+        factor = y_inv if k % 2 == 0 else y
+        step = {g: [mul(g, f) for f in factor] for g in words}
+        next_words: dict[bytes, int] = {}
+        for g, c in words.items():
+            for p in step[g]:
+                next_words[p] = next_words.get(p, 0) + c
+        next_reduced: dict[tuple, int] = {}
+        for (g, first, last), c in reduced.items():
+            for i, p in enumerate(step[g]):
+                if i != last:
+                    state = (p, i if first is None else first, i)
+                    next_reduced[state] = next_reduced.get(state, 0) + c
+        words, reduced = next_words, next_reduced
 
-    def alternating(depth: int, prod: bytes):
-        # product s_1^-1 s_2 s_3^-1 ... ; odd positions contribute inverses
-        if depth and depth % 2 == 0 and prod == e:
-            ms[depth // 2 - 1] += 1
-        if depth == 2 * max_n:
-            return
-        factor = y_inv if depth % 2 == 0 else y
-        for i in range(size):
-            alternating(depth + 1, mul(prod, factor[i]))
-
-    def alternating_reduced(depth: int, prod: bytes, first: int, last: int):
-        if depth and depth % 2 == 0 and prod == e:
-            etas[depth // 2 - 1] += 1
-            if first != last:
-                zetas[depth // 2 - 1] += 1
-        if depth == 2 * max_n:
-            return
-        factor = y_inv if depth % 2 == 0 else y
-        for i in range(size):
-            if depth and i == last:
-                continue
-            alternating_reduced(depth + 1, mul(prod, factor[i]), first if depth else i, i)
-
-    alternating(0, e)
-    alternating_reduced(0, e, 0, 0)
+        ms.append(sum(c * c for c in words.values()))
+        eta, zeta = _joined_half_words(reduced)
+        etas.append(eta)
+        zetas.append(zeta)
 
     h2norms = [brute_force_ladder_element(gen, n).squared_two_norm()
                for n in range(1, max_n + 1)]
     xis = xi_from_h2norm(gen.q, h2norms)
     return SequenceTable(gen.q, h2norms, xis, etas, zetas, ms)
+
+
+def _joined_half_words(reduced: dict[tuple, int]) -> tuple[int, int]:
+    """eta and zeta from reduced half words counted by (product, first,
+    last): the ordered pairs with equal products whose last indices differ,
+    and those whose first indices differ as well (by inclusion-exclusion)."""
+    total: dict[bytes, int] = {}
+    by_first: dict[tuple, int] = {}
+    by_last: dict[tuple, int] = {}
+    same_both = 0
+    for (g, first, last), c in reduced.items():
+        total[g] = total.get(g, 0) + c
+        by_first[g, first] = by_first.get((g, first), 0) + c
+        by_last[g, last] = by_last.get((g, last), 0) + c
+        same_both += c * c
+    pairs = sum(c * c for c in total.values())
+    same_first = sum(c * c for c in by_first.values())
+    same_last = sum(c * c for c in by_last.values())
+    return pairs - same_last, pairs - same_first - same_last + same_both
 
 
 def brute_force_ladder_element(gen: GeneratorSet, n: int) -> MultiplicityVector:

@@ -19,8 +19,13 @@ from pathlib import Path
 import mpmath
 
 from tgf import formats, treepair
-from tgf.errors import VerificationError
+from tgf.errors import ResourceError, VerificationError
 from tgf.polynomials import poly_add, poly_shift_scale
+from tgf.sequences import (
+    SequenceTable,
+    brute_force_ladder_element,
+    xi_from_h2norm,
+)
 
 
 def normalize(bps):
@@ -114,6 +119,56 @@ def naive_free_reduce(letters):
                 changed = True
                 break
     return word
+
+
+def full_length_brute_force(gen, max_n: int, budget: int = 10**8) -> SequenceTable:
+    """m, eta, zeta by evaluating every alternating word of length up to
+    2 max_n; h2norm as in `brute_force_sequences`."""
+    size = len(gen.elements)
+    if size ** (2 * max_n) > budget:
+        raise ResourceError(
+            f"enumeration of {size}^{2 * max_n} products exceeds budget {budget}"
+        )
+    backend = gen.backend
+    e = backend.identity_key()
+    mul = backend.multiply_keys
+    y = gen.keys()
+    y_inv = gen.inverse_keys()
+
+    ms = [0] * max_n
+    etas = [0] * max_n
+    zetas = [0] * max_n
+
+    def alternating(depth: int, prod: bytes):
+        # product s_1^-1 s_2 s_3^-1 ... ; odd positions contribute inverses
+        if depth and depth % 2 == 0 and prod == e:
+            ms[depth // 2 - 1] += 1
+        if depth == 2 * max_n:
+            return
+        factor = y_inv if depth % 2 == 0 else y
+        for i in range(size):
+            alternating(depth + 1, mul(prod, factor[i]))
+
+    def alternating_reduced(depth: int, prod: bytes, first: int, last: int):
+        if depth and depth % 2 == 0 and prod == e:
+            etas[depth // 2 - 1] += 1
+            if first != last:
+                zetas[depth // 2 - 1] += 1
+        if depth == 2 * max_n:
+            return
+        factor = y_inv if depth % 2 == 0 else y
+        for i in range(size):
+            if depth and i == last:
+                continue
+            alternating_reduced(depth + 1, mul(prod, factor[i]), first if depth else i, i)
+
+    alternating(0, e)
+    alternating_reduced(0, e, 0, 0)
+
+    h2norms = [brute_force_ladder_element(gen, n).squared_two_norm()
+               for n in range(1, max_n + 1)]
+    xis = xi_from_h2norm(gen.q, h2norms)
+    return SequenceTable(gen.q, h2norms, xis, etas, zetas, ms)
 
 
 @lru_cache(maxsize=None)

@@ -389,6 +389,37 @@ def test_verify_lattice(capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_verify_brute_depth_below_one_is_usage_error(capsys, depth):
+    code, out, err = run_cli(capsys, "verify", "--case=1", "--max-n=6",
+                             f"--brute-max-n={depth}")
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"error: brute_max_n must be >= 1, got {depth}\n")
+
+
+def test_verify_brute_depth_over_budget_is_resource_failure(capsys):
+    code, out, err = run_cli(capsys, "verify", "--case=free", "--q=2",
+                             "--max-n=9", "--brute-max-n=9")
+    assert code == 3
+    assert out == ""
+    assert err == "error: enumeration of 3^18 words exceeds budget 100000000\n"
+
+
+@pytest.mark.parametrize("argv, depth", [
+    (("--case=1", "--max-n=6"), 5),
+    (("--case=custom", "--words=Ab,bA,AB", "--max-n=6"), 5),
+    (("--case=2", "--max-n=5"), 4),
+])
+def test_verify_default_brute_depth(capsys, argv, depth):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["brute_force_equivalence"] == {
+        "name": "brute_force_equivalence", "ok": True,
+        "detail": f"definitions match pipeline for n <= {depth}"}
+
+
 @pytest.mark.parametrize("argv", [
     ("tables", "--case=1", "--max-n=5"),
     ("verify", "--case=2", "--max-n=4", "--brute-max-n=2"),

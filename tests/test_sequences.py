@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import raise_if_failed
-from tgf.errors import ResourceError, VerificationError
-from tgf.ladder import build_ladder, case1, free_set, lattice_set
+from oracles import full_length_brute_force, raise_if_failed
+from tgf.errors import ResourceError, UsageError, VerificationError
+from tgf.ladder import build_ladder, case1, case2, custom_f_set, free_set, lattice_set
 from tgf.sequences import (
     SequenceTable,
     brute_force_ladder_element,
@@ -122,6 +122,44 @@ def test_brute_force_lattice():
 def test_brute_force_budget():
     with pytest.raises(ResourceError):
         brute_force_sequences(case1(), 12, budget=10**6)
+
+
+def test_brute_force_depth_below_one():
+    for depth in (0, -1):
+        with pytest.raises(UsageError):
+            brute_force_sequences(case1(), depth)
+
+
+# at the default verify depth of each set (tgf.verify.default_brute_depth)
+@pytest.mark.parametrize("make, depth", [
+    pytest.param(case1, 5, id="case1"),
+    pytest.param(case2, 4, id="case2"),
+    pytest.param(lambda: custom_f_set(["Ab", "bA", "AB"]), 5, id="custom-Ab,bA,AB"),
+    pytest.param(lambda: custom_f_set(["A", "B", "ab"]), 5, id="custom-A,B,ab"),
+    pytest.param(lambda: free_set(2), 5, id="free2"),
+    pytest.param(lambda: free_set(3), 4, id="free3"),
+    pytest.param(lambda: lattice_set(2), 5, id="lattice2"),
+    pytest.param(lambda: lattice_set(3), 4, id="lattice3"),
+])
+def test_half_length_equals_full_length_walk(make, depth):
+    gen = make()
+    assert brute_force_sequences(gen, depth) == full_length_brute_force(gen, depth)
+
+
+def test_brute_force_composes_only_half_length_products():
+    gen = case1()
+    calls = []
+    multiply = gen.backend.multiply_keys
+
+    def counting(a, b):
+        calls.append(None)
+        return multiply(a, b)
+
+    gen.backend.multiply_keys = counting
+    brute_force_sequences(gen, 5)
+    # 342 with the half-length counts; walking every 2n-letter word, as
+    # full_length_brute_force does, takes 91,812
+    assert len(calls) <= 2000
 
 
 def test_brute_force_ladder_element_matches_recursion(gen_case1):
