@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "ladder": (
         "GeneratorSet", "LadderRun", "MultiplicityVector", "build_ladder", "case1",
-        "case2", "custom_f_set", "eta_direct", "free_set", "ladder_levels", "lattice_set",
+        "case2", "custom_f_set", "free_set", "ladder_levels", "lattice_set",
     ),
     "sequences": (
         "MomentVector", "SequenceTable", "brute_force_sequences", "cogrowth_diagnostics",

@@ -152,7 +152,7 @@ def cmd_norm(args) -> int:
     hl = spectral.hankel_ladder(mv, order)
     truncated = hl.degenerate_at is not None
     jc = spectral.jacobi_coefficients(hl, args.precision_bits)
-    rows, diag = spectral.bounds_table(mv, jc, jc.top)
+    rows = spectral.bounds_table(mv, jc, jc.top)
     if args.out:
         companion = formats.write_bounds_csv(args.out, rows)
         sys.stdout.write(f"wrote {args.out} and {companion}\n")

@@ -179,27 +179,6 @@ def write_bounds_csv(path, rows) -> Path:
     return companion
 
 
-def parse_bounds_csv(text: str) -> list[dict]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != BOUNDS_HEADER:
-        raise UsageError("not a bounds CSV")
-    out = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        out.append(
-            {
-                "n": int(row[0]),
-                "root_moment": float(row[1]),
-                "ratio_root": float(row[2]),
-                "lambda_max": float(row[3]),
-                "alpha": float(row[4]),
-                "alpha_sum": float(row[5]) if row[5] else None,
-            }
-        )
-    return out
-
-
 # -- curve CSV ---------------------------------------------------------------
 
 def curve_csv_text(curve) -> str:

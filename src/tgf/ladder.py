@@ -36,8 +36,9 @@ c_3 = ||h_2||^2 - q(q+1) and c_n = ||h_{n-1}||^2 - q ||h_{n-2}||^2
 + q c_{n-1}.  Each <w . h, h> is one pass of the backend's `inner` over
 h_N, and <w . h, h> = <w^-1 . h, h>, so one word of each {w, w^-1} pair
 is enough.  build_ladder therefore materialises h_1 .. h_{max_n - 1} and
-takes row max_n from the lookahead, unless max_n <= 3 or the caller keeps
-level max_n; its checkpoints then hold levels up to max_n - 1.  Range and
+takes row max_n from the lookahead, unless max_n <= 3; its checkpoints
+then hold levels up to max_n - 1.  The row's identity coefficient needs
+no pass: h_{N+1}(e) = sum_{s in g} h_N(s^-1) - q h_{N-1}(e).  Range and
 parity checks on the passes and the row stand in for the missing level's
 sum and cancellation checks.  They bound a wrong pass but cannot pin it:
 every pass enters the row with an even weight, since (s, t) and (t, s)
@@ -157,21 +158,17 @@ class MultiplicityVector:
         """The checkpoint body: the entries sorted by key (see formats)."""
         return _level_pass(self.entries, "dump_entries")
 
-    def coefficient(self, key: bytes) -> int:
-        return self.entries.get(key, 0)
-
 
 @dataclass(frozen=True)
 class LadderSummary:
     n: int
     h2norm: int
+    identity: int  # h_n(e); eta_{n/2} at even n
 
 
 @dataclass
 class LadderRun:
-    q: int
     summaries: list[LadderSummary] = field(default_factory=list)
-    kept: dict[int, MultiplicityVector] = field(default_factory=dict)
 
     def h2norms(self) -> list[int]:
         if [s.n for s in self.summaries] != list(range(1, len(self.summaries) + 1)):
@@ -247,22 +244,21 @@ def build_ladder(
     gen: GeneratorSet,
     max_n: int,
     checkpoint_dir: Optional[str] = None,
-    keep_levels: tuple[int, ...] = (),
 ) -> LadderRun:
     """Run the ladder, returning per-level summaries.
 
-    `keep_levels` lists levels whose full multiplicity vectors the caller
-    wants retained (any other level is dropped once the two after it are
-    built).  Row max_n comes from the norm lookahead over level max_n - 1
-    unless max_n <= 3 or max_n is kept.  With `checkpoint_dir`, each
-    materialised level is dumped after it is computed and an interrupted
-    run restarts from the newest consecutive pair on disk.
+    No level is kept: each is dropped once the two after it are built.
+    Row max_n comes from the norm lookahead over level max_n - 1 unless
+    max_n <= 3.  With `checkpoint_dir`, each materialised level is dumped
+    after it is computed and an interrupted run restarts from the newest
+    consecutive pair on disk.
     """
     from . import formats
 
-    lookahead = max_n > 3 and max_n not in keep_levels
+    lookahead = max_n > 3
     top = max_n - 1 if lookahead else max_n
-    run = LadderRun(q=gen.q)
+    e = gen.backend.identity_key()
+    run = LadderRun()
     if checkpoint_dir is None:
         levels, fresh_from = ladder_levels(gen, top), 1
     else:
@@ -271,14 +267,17 @@ def build_ladder(
 
     last = None
     for last in levels:
-        run.summaries.append(LadderSummary(last.n, last.squared_two_norm()))
-        if last.n in keep_levels:
-            run.kept[last.n] = last
+        run.summaries.append(
+            LadderSummary(last.n, last.squared_two_norm(), last.entries.get(e, 0)))
         if checkpoint_dir is not None and last.n >= fresh_from:
             formats.write_checkpoint(ckdir, gen, last)
     if lookahead:
         row = lookahead_h2norm(gen, last, run.h2norms())
-        run.summaries.append(LadderSummary(max_n, row))
+        # h_N(s^-1) for s in g (h or h*), so the keys of the other one
+        g_inv = gen.inverse_keys() if last.n % 2 == 0 else gen.keys()
+        identity = (sum(last.entries.get(k, 0) for k in g_inv)
+                    - gen.q * run.summaries[-2].identity)
+        run.summaries.append(LadderSummary(max_n, row, identity))
     return run
 
 
@@ -360,9 +359,3 @@ def _disk_levels(gen: GeneratorSet, ckdir: Path, below: int) -> Iterator[Multipl
             )
         yield formats.read_checkpoint(path, gen)
 
-
-def eta_direct(vec: MultiplicityVector, identity_key: bytes) -> int:
-    """Reduced number from an even ladder level: the identity coefficient."""
-    if vec.n % 2:
-        raise UsageError("reduced numbers live at even ladder levels")
-    return vec.coefficient(identity_key)

@@ -173,9 +173,11 @@ def compute_table(
 # brute-force oracles straight from the definitions
 
 
-def brute_force_sequences(
-    gen: GeneratorSet, max_n: int, budget: int = 10**8
-) -> SequenceTable:
+# the brute force refuses a depth whose size^(2n) words exceed this
+BRUTE_BUDGET = 10**8
+
+
+def brute_force_sequences(gen: GeneratorSet, max_n: int) -> SequenceTable:
     """m, eta, zeta by counting the alternating 2n-letter words
     s_1^-1 s_2 s_3^-1 ... s_2n equal to e; h2norm by materializing each
     ladder element from its definition.  Independent of the recursion.
@@ -189,13 +191,13 @@ def brute_force_sequences(
     halves join into a reduced word when their last indices differ, and
     into a cyclically reduced one when their first indices differ too.
     Only n-letter products are made, one per distinct product and letter;
-    `budget` still bounds the size^(2n) words this stands for."""
+    BRUTE_BUDGET still bounds the size^(2n) words this stands for."""
     if max_n < 1:
         raise UsageError(f"brute-force max_n must be >= 1, got {max_n}")
     size = len(gen.elements)
-    if size ** (2 * max_n) > budget:
+    if size ** (2 * max_n) > BRUTE_BUDGET:
         raise ResourceError(
-            f"enumeration of {size}^{2 * max_n} words exceeds budget {budget}"
+            f"enumeration of {size}^{2 * max_n} words exceeds budget {BRUTE_BUDGET}"
         )
     backend = gen.backend
     mul = backend.multiply_keys
@@ -334,15 +336,14 @@ def group_ring_check(gen: GeneratorSet, m: int) -> None:
 
     Raises VerificationError with the first differing key on mismatch.
     """
-    from .ladder import build_ladder
+    from .ladder import ladder_levels
     from .polynomials import ladder_poly_even_core
 
     if not 1 <= m <= 4:
         raise UsageError("group-ring check supports 1 <= m <= 4")
     backend, q = gen.backend, gen.q
     e = backend.identity_key()
-    run = build_ladder(gen, 2 * m, keep_levels=tuple(range(1, 2 * m + 1)))
-    levels = run.kept
+    levels = {vec.n: vec for vec in ladder_levels(gen, 2 * m)}
 
     h1 = {k: 1 for k in gen.keys()}
     hstar = _adjoint(backend, h1)

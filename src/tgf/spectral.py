@@ -218,22 +218,12 @@ class NormBoundsRow:
     alpha_sum: Optional[object]
 
 
-@dataclass(frozen=True)
-class BoundsDiagnostics:
-    """Schur-bound bookkeeping: prefix max of the alpha pair sums (a valid
-    upper bound for every lambda_max) and suffix min (a limit-inferior
-    estimate, itself a likely lower bound for the norm)."""
-
-    prefix_max_pair: tuple
-    suffix_min_pair: tuple
-
-
 def bounds_table(
     mv: MomentVector,
     jc: JacobiCoefficients,
     order: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-) -> tuple[list[NormBoundsRow], BoundsDiagnostics]:
+) -> list[NormBoundsRow]:
     """Rows of norm lower bounds for n = 1..order, invariant-checked."""
     order = jc.top if order is None else order
     if order > jc.top or order > mv.top:
@@ -261,11 +251,7 @@ def bounds_table(
                 NormBoundsRow(n, root_moment, ratio_root, lam, jc.alpha[n], pair)
             )
             prev_lambda = lam
-    suffix: list = []
-    for row in reversed(rows[1:]):
-        suffix.append(row.alpha_sum if not suffix else min(suffix[-1], row.alpha_sum))
-    diag = BoundsDiagnostics(schur[2 : order + 1], tuple(reversed(suffix)))
-    return rows, diag
+    return rows
 
 
 def moment_reconstruction_error(

@@ -12,10 +12,11 @@ from __future__ import annotations
 import mpmath
 
 from .errors import UsageError, VerificationError
-from .ladder import GeneratorSet, build_ladder, eta_direct
+from .ladder import GeneratorSet, build_ladder
 from .sequences import (
     SequenceTable,
     VerifyReport,
+    brute_force_sequences,
     check_chain_bounds,
     cogrowth_diagnostics,
     eta_from_xi,
@@ -64,26 +65,27 @@ def run_suite(
 ) -> VerifyReport:
     if brute_max_n is not None and brute_max_n < 1:
         raise UsageError(f"brute_max_n must be >= 1, got {brute_max_n}")
+    if max_n < 1:
+        raise UsageError("max_n must be >= 1")
     report = VerifyReport()
-    run = build_ladder(gen, max_n, keep_levels=tuple(
-        n for n in range(2, max_n + 1, 2)))
+    # the brute force runs first, so a depth over its word budget raises
+    # ResourceError (the check was not made, which is not the same as a
+    # failed check) before any ladder level is built
+    brute_n = min(max_n, default_brute_depth(gen) if brute_max_n is None else brute_max_n)
+    brute = brute_force_sequences(gen, brute_n)
+    run = build_ladder(gen, max_n)
     table = table_from_ladder(gen, run)
 
     # direct reduced numbers vs the transform chain
-    e = gen.backend.identity_key()
-    ok = all(
-        eta_direct(vec, e) == table.eta[n // 2 - 1]
-        for n, vec in run.kept.items()
-    )
+    ok = all(s.identity == table.eta[s.n // 2 - 1]
+             for s in run.summaries if s.n % 2 == 0)
     report.add("eta_direct_vs_transforms", ok,
                "identity coefficients of even levels match eta")
 
-    # a depth over the word budget raises ResourceError: the check was not
-    # made, which is not the same as a failed check
-    brute_n = min(max_n, default_brute_depth(gen) if brute_max_n is None else brute_max_n)
-    brute = brute_force_equivalence(gen, brute_n, table)
-    report.add("brute_force_equivalence", brute is None, brute or
-               f"definitions match pipeline for n <= {brute_n}")
+    bad = [n for n in range(1, brute_n + 1) if brute.row(n) != table.row(n)]
+    report.add("brute_force_equivalence", not bad, (
+        f"n={bad[0]}: brute {brute.row(bad[0])} != pipeline {table.row(bad[0])}" if bad
+        else f"definitions match pipeline for n <= {brute_n}"))
 
     for m in range(1, min(RING_MAX_M, max_n // 2) + 1):
         try:
@@ -115,19 +117,6 @@ def run_suite(
     except (VerificationError, ValueError) as exc:
         report.add("spectral_invariants", False, str(exc))
     return report
-
-
-def brute_force_equivalence(
-    gen: GeneratorSet, max_n: int, table: SequenceTable
-) -> str | None:
-    """Definition-level enumeration vs the ladder pipeline; None if equal."""
-    from .sequences import brute_force_sequences
-
-    brute = brute_force_sequences(gen, max_n)
-    for n in range(1, max_n + 1):
-        if brute.row(n) != table.row(n):
-            return f"n={n}: brute {brute.row(n)} != pipeline {table.row(n)}"
-    return None
 
 
 def transform_roundtrips(table: SequenceTable) -> bool:

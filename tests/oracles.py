@@ -9,9 +9,11 @@ polynomials T_n and U_n give closed forms for the ladder polynomials.
 Sturm-count bisection in P-bit mpmath floats is the oracle for the
 fixed-point eigenvalue bisection of `tgf.spectral.lambda_max`.  The helpers
 at the end (polynomial evaluation, the fitted model, the identity test, a
-report's failures as an exception, the table CSV as a file and the
-packaged bounds tables) are used by the tests only.
+report's failures as an exception, the table CSV as a file, the bounds
+CSV parser and the packaged bounds tables) are used by the tests only.
 """
+import csv
+import io
 from fractions import Fraction as Fr
 from functools import lru_cache
 from pathlib import Path
@@ -19,7 +21,7 @@ from pathlib import Path
 import mpmath
 
 from tgf import formats, treepair
-from tgf.errors import ResourceError, VerificationError
+from tgf.errors import ResourceError, UsageError, VerificationError
 from tgf.polynomials import poly_add, poly_shift_scale
 from tgf.sequences import (
     SequenceTable,
@@ -267,6 +269,28 @@ def write_table_csv(path, table) -> None:
     Path(path).write_text(formats.table_csv_text(table), encoding="ascii")
 
 
+def parse_bounds_csv(text: str) -> list[dict]:
+    """The rows of a bounds CSV (`tgf.formats.bounds_csv_text`) as dicts."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != formats.BOUNDS_HEADER:
+        raise UsageError("not a bounds CSV")
+    out = []
+    for row in rows[1:]:
+        if not row:
+            continue
+        out.append(
+            {
+                "n": int(row[0]),
+                "root_moment": float(row[1]),
+                "ratio_root": float(row[2]),
+                "lambda_max": float(row[3]),
+                "alpha": float(row[4]),
+                "alpha_sum": float(row[5]) if row[5] else None,
+            }
+        )
+    return out
+
+
 def load_fixture_bounds(case: int) -> list[dict]:
     """The published 5-decimal norm-bound tables for cases 1 and 2."""
-    return formats.parse_bounds_csv(formats.fixture_text(f"bounds{case}.csv"))
+    return parse_bounds_csv(formats.fixture_text(f"bounds{case}.csv"))

@@ -398,12 +398,20 @@ def test_verify_brute_depth_below_one_is_usage_error(capsys, depth):
     assert err.endswith(f"error: brute_max_n must be >= 1, got {depth}\n")
 
 
-def test_verify_brute_depth_over_budget_is_resource_failure(capsys):
+def test_verify_brute_depth_over_budget_is_resource_failure(capsys, monkeypatch):
+    import tgf.verify
+
+    # refused before any ladder level is built
+    calls = []
+    real = tgf.verify.build_ladder
+    monkeypatch.setattr(tgf.verify, "build_ladder",
+                        lambda *args: calls.append(args) or real(*args))
     code, out, err = run_cli(capsys, "verify", "--case=free", "--q=2",
                              "--max-n=9", "--brute-max-n=9")
     assert code == 3
     assert out == ""
     assert err == "error: enumeration of 3^18 words exceeds budget 100000000\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv, depth", [

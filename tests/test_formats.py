@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import write_table_csv
+from oracles import parse_bounds_csv, write_table_csv
 from tgf import errors, formats, treepair
 from tgf.density import free_density_curve
 from tgf.errors import UsageError
@@ -72,17 +72,17 @@ def test_bounds_csv_roundtrip(tmp_path, table1):
     from tgf.spectral import MomentVector, bounds_table, hankel_ladder, jacobi_coefficients
 
     mv = MomentVector(table1.q, tuple(table1.moments()[:9]))
-    rows, _ = bounds_table(mv, jacobi_coefficients(hankel_ladder(mv, 8)))
+    rows = bounds_table(mv, jacobi_coefficients(hankel_ladder(mv, 8)))
     out = tmp_path / "bounds.csv"
     companion = formats.write_bounds_csv(out, rows)
     assert companion.name == "bounds-full.csv"
     text = out.read_text()
     assert text.splitlines()[0] == "n,root_moment,ratio_root,lambda_max,alpha,alpha_sum"
     assert text.splitlines()[1].endswith(",")  # no alpha_sum at n=1
-    parsed = formats.parse_bounds_csv(text)
+    parsed = parse_bounds_csv(text)
     assert parsed[7]["lambda_max"] == round(float(rows[7].lambda_max), 5)
     # full-precision companion begins with the same values
-    full = formats.parse_bounds_csv(companion.read_text())
+    full = parse_bounds_csv(companion.read_text())
     assert abs(full[7]["lambda_max"] - float(rows[7].lambda_max)) < 1e-15
 
 

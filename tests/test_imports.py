@@ -40,7 +40,7 @@ OLD_EXPORTS = {
     "groups": ["CanonicalElement", "FreeGroup", "GeneratorLetter", "GroupBackend",
                "Lattice", "ThompsonF", "TreePair", "Word", "reduce_tree_pair"],
     "ladder": ["GeneratorSet", "LadderRun", "MultiplicityVector", "build_ladder", "case1",
-               "case2", "custom_f_set", "eta_direct", "free_set", "ladder_levels",
+               "case2", "custom_f_set", "free_set", "ladder_levels",
                "lattice_set"],
     "sequences": ["SequenceTable", "brute_force_sequences", "cogrowth_diagnostics",
                   "compute_table", "group_ring_check", "m_free", "moebius_verify",

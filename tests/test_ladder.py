@@ -15,7 +15,7 @@ from tgf.ladder import (
     build_ladder,
     case1,
     case2,
-    eta_direct,
+    custom_f_set,
     free_set,
     ladder_levels,
     lattice_set,
@@ -52,22 +52,17 @@ def test_coefficient_sum_invariant(gen_case2):
 
 
 def test_eta_direct(gen_case1, table1):
-    e = gen_case1.backend.identity_key()
-    levels = {vec.n: vec for vec in ladder_levels(gen_case1, 16)}
-    assert eta_direct(levels[16], e) == 16  # eta_8
-    assert eta_direct(levels[2], e) == 0  # eta_1
-    for m in range(1, 9):
-        assert eta_direct(levels[2 * m], e) == table1.eta[m - 1]
-    with pytest.raises(UsageError):
-        eta_direct(levels[3], e)
+    # every even row carries eta_{n/2} as h_n(e); row 16 from the lookahead
+    run = build_ladder(gen_case1, 16)
+    assert run.summaries[15].identity == 16  # eta_8
+    assert run.summaries[1].identity == 0  # eta_1
+    for s in run.summaries[1::2]:
+        assert s.identity == table1.eta[s.n // 2 - 1]
 
 
 def test_eta_direct_free_backend():
-    gen = free_set(2)
-    e = gen.backend.identity_key()
-    for vec in ladder_levels(gen, 10):
-        if vec.n % 2 == 0:
-            assert eta_direct(vec, e) == 0  # Leinert set
+    for s in build_ladder(free_set(2), 10).summaries[1::2]:
+        assert s.identity == 0  # Leinert set
 
 
 def test_keys_stay_canonical(gen_case1):
@@ -202,6 +197,20 @@ def test_lookahead_equals_materialised_level_compiled(compiled, gen, max_n):
 def test_lookahead_equals_materialised_level_ubsan(compiled_ubsan, gen, max_n):
     _assert_lookahead_matches_ladder(
         dataclasses.replace(gen, backend=CompiledF(compiled_ubsan)), max_n)
+
+
+@pytest.mark.parametrize("gen", [
+    case1(), case2(), custom_f_set(["Ab", "bA", "AB"]), custom_f_set(["A", "aB"]),
+    free_set(2), lattice_set(2),
+], ids=["case1", "case2", "custom-Ab,bA,AB", "custom-A,aB", "free2", "lattice2"])
+def test_lookahead_identity_equals_materialised_level(kernel, gen):
+    if isinstance(gen.backend, ThompsonF):
+        gen = dataclasses.replace(gen, backend=CompiledF(kernel))
+    e = gen.backend.identity_key()
+    identities = [vec.entries.get(e, 0) for vec in ladder_levels(gen, 11)]
+    for max_n in range(4, 12):
+        run = build_ladder(gen, max_n)
+        assert [s.identity for s in run.summaries] == identities[:max_n], max_n
 
 
 def _levels_and_norms(gen, max_n):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from oracles import full_length_brute_force, raise_if_failed
 from tgf.errors import ResourceError, UsageError, VerificationError
-from tgf.ladder import build_ladder, case1, case2, custom_f_set, free_set, lattice_set
+from tgf.ladder import (
+    build_ladder, case1, case2, custom_f_set, free_set, ladder_levels, lattice_set,
+)
 from tgf.sequences import (
     SequenceTable,
     brute_force_ladder_element,
@@ -121,7 +123,7 @@ def test_brute_force_lattice():
 
 def test_brute_force_budget():
     with pytest.raises(ResourceError):
-        brute_force_sequences(case1(), 12, budget=10**6)
+        brute_force_sequences(case1(), 12)  # 3^24 words
 
 
 def test_brute_force_depth_below_one():
@@ -163,9 +165,9 @@ def test_brute_force_composes_only_half_length_products():
 
 
 def test_brute_force_ladder_element_matches_recursion(gen_case1):
-    run = build_ladder(gen_case1, 6, keep_levels=(5, 6))
+    levels = {vec.n: vec for vec in ladder_levels(gen_case1, 6)}
     for n in (5, 6):
-        assert brute_force_ladder_element(gen_case1, n).entries == run.kept[n].entries
+        assert brute_force_ladder_element(gen_case1, n).entries == levels[n].entries
 
 
 # -- group-ring identities ----------------------------------------------------

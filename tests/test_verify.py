@@ -1,6 +1,7 @@
 """The composite verification suite across backends."""
 import pytest
 
+from tgf import ladder
 from tgf.errors import VerificationError
 from tgf.ladder import free_set, lattice_set
 from tgf.sequences import SequenceTable, group_ring_check
@@ -26,6 +27,20 @@ def test_suite_free_and_lattice():
     for gen in (free_set(2), lattice_set(2)):
         report = run_suite(gen, max_n=6, brute_max_n=3)
         assert report.ok, report.failures()
+
+
+def test_suite_takes_the_last_row_from_the_lookahead(gen_case1, monkeypatch):
+    calls = []
+    real = ladder.lookahead_h2norm
+
+    def counting(gen, top, h2norms):
+        calls.append(top.n)
+        return real(gen, top, h2norms)
+
+    monkeypatch.setattr(ladder, "lookahead_h2norm", counting)
+    report = run_suite(gen_case1, max_n=8, brute_max_n=3)
+    assert report.ok, report.failures()
+    assert calls == [7]
 
 
 def test_report_dict_shape(gen_case1):
