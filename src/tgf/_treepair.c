@@ -13,7 +13,8 @@
  * dict's does.  Its methods are the per-level passes, each the twin of a
  * dict loop in tgf.treepair: subtract_scaled, squared_two_norm,
  * coefficient_sum and dump_entries (the sorted checkpoint body);
- * load_entries(body, count) reads such a body back into a Level.  A Level
+ * load_entries(body, count) reads such a body back into a Level, refusing
+ * keys out of strictly increasing order.  A Level
  * comes only from apply_left or load_entries; it has no constructor.  Sums
  * are exact (128-bit), and a count past 2**32 - 1 raises OverflowError.
  *
@@ -603,10 +604,10 @@ count_overflow(void)
     return -1;
 }
 
-/* Adds c >= 1 to the count of key k[0:n], or sets it to c when `assign`;
- * a new key goes after all others, as in a dict. */
+/* Adds c >= 1 to the count of key k[0:n]; a new key goes after all
+ * others, as in a dict. */
 static int
-level_put(Level *lv, const unsigned char *k, size_t n, uint64_t c, int assign)
+level_put(Level *lv, const unsigned char *k, size_t n, uint64_t c)
 {
     uint64_t h = hash_key(k, n), *slot = NULL;
     if (c == 0 || c > COUNT_MAX)
@@ -617,9 +618,9 @@ level_put(Level *lv, const unsigned char *k, size_t n, uint64_t c, int assign)
             unsigned char *cp = slot_record(lv, *slot).count;
             uint64_t old = get_count(cp);
             if (old) {
-                if (!assign && c > COUNT_MAX - old)
+                if (c > COUNT_MAX - old)
                     return count_overflow();
-                set_count(cp, (uint32_t)(assign ? c : old + c));
+                set_count(cp, (uint32_t)(old + c));
                 return 0;
             }
             /* a dead record of this key: index a new one in its place */
@@ -733,7 +734,7 @@ as_level(const char *name, PyObject *vec, uint64_t lo)
         /* a key past 0xFFFF bytes is too long for any leaf count, so
          * key_leaves refuses it as unpack would */
         if (key_bytes(key, &s, &n) < 0 || (n > 0xFFFF && key_leaves(s, n) < 0)
-            || as_count(value, lo, &c) < 0 || level_put(lv, s, n, c, 1) < 0)
+            || as_count(value, lo, &c) < 0 || level_put(lv, s, n, c) < 0)
             Py_CLEAR(lv);
     }
     return lv;
@@ -1031,14 +1032,19 @@ level_coefficient_sum(Level *lv, PyObject *unused)
 /* qsort runs no Python code, so the arena it compares in can be global. */
 static unsigned char *SortArena;
 
+/* The order of Python bytes: memcmp, then a key before its extensions. */
+static int
+compare_keys(const unsigned char *a, size_t an, const unsigned char *b, size_t bn)
+{
+    int c = memcmp(a, b, an < bn ? an : bn);
+    return c ? c : (an > bn) - (an < bn);
+}
+
 static int
 compare_records(const void *a, const void *b)
 {
     Rec x = record(SortArena + *(const size_t *)a), y = record(SortArena + *(const size_t *)b);
-    int c = memcmp(x.key, y.key, x.len < y.len ? x.len : y.len);
-    if (c)
-        return c;
-    return (x.len > y.len) - (x.len < y.len);
+    return compare_keys(x.key, x.len, y.key, y.len);
 }
 
 static int
@@ -1096,7 +1102,8 @@ load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_buffer view;
     if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
         return NULL;
-    const unsigned char *p = view.buf, *end = p + view.len;
+    const unsigned char *p = view.buf, *end = p + view.len, *last = NULL;
+    size_t last_n = 0;
     const char *error = NULL;
     Level *lv = level_alloc();
     /* an entry takes at least 8 bytes, which bounds a false count */
@@ -1113,6 +1120,12 @@ load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             error = "checkpoint is truncated";
             break;
         }
+        if (last != NULL && compare_keys(last, last_n, key, n) >= 0) {
+            error = "checkpoint keys are not in strictly increasing order";
+            break;
+        }
+        last = key;
+        last_n = n;
         p = key + n;
         int negative = p[0] != 0;
         uint32_t nb = (uint32_t)p[1] | (uint32_t)p[2] << 8 | (uint32_t)p[3] << 16
@@ -1129,7 +1142,7 @@ load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             error = "checkpoint count is not in the level store's range 1..2**32-1";
             break;
         }
-        if (level_put(lv, key, n, c, 1) < 0)
+        if (level_put(lv, key, n, c) < 0)
             goto fail;
     }
     if (error == NULL && p != end)
@@ -1272,7 +1285,7 @@ static int
 batch_step(Batch *bt, Py_ssize_t f, const unsigned char *p, Py_ssize_t plen, uint64_t c)
 {
     if (bt->out != NULL)
-        return level_put(bt->out, p, plen, c, 0);
+        return level_put(bt->out, p, plen, c);
     bt->wide[f] += (unsigned __int128)c * level_get(bt->vec, p, plen);
     return 0;
 }
@@ -1287,7 +1300,7 @@ batch_item(Batch *bt, const unsigned char *key, Py_ssize_t klen, uint64_t c)
     /* every key is checked, whatever the factors */
     if (unpack(key, klen, &bt->keybuf, &k) < 0)
         return -1;
-    if (bt->n_identity && level_put(bt->out, key, klen, bt->n_identity * c, 0) < 0)
+    if (bt->n_identity && level_put(bt->out, key, klen, bt->n_identity * c) < 0)
         return -1;
     if (bt->n && k.nl > 1 && (ix = index_pair(&k, &bt->index)) == NULL)
         return -1;

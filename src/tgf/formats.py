@@ -14,11 +14,12 @@ Stable on-disk contracts:
                  u32 (= 2), level u32, q u32, entry count u64, the
                  generator fingerprint u32 (the CRC32 of the sorted
                  generator keys, each after its u16 length), and the
-                 CRC32 u32 of the body.  The body holds per entry, sorted
-                 by key: key length u16, key bytes, sign u8 (0 positive),
-                 magnitude length u32, magnitude bytes (big endian).
-                 A file whose fingerprint is not the run's generator
-                 set's, whose body fails its CRC, or of version 1 (the
+                 CRC32 u32 of the body.  The body holds per entry, in
+                 strictly increasing key order: key length u16, key
+                 bytes, sign u8 (0 positive), magnitude length u32,
+                 magnitude bytes (big endian).  A file whose fingerprint
+                 is not the run's generator set's, whose body fails its
+                 CRC or repeats or misorders a key, or of version 1 (the
                  same body without fingerprint or CRC) is refused.
 """
 from __future__ import annotations
@@ -76,7 +77,8 @@ def parse_table_csv(text: str) -> SequenceTable:
         cols[n] = tuple(values)
     if not cols:
         raise UsageError("table CSV has no rows")
-    max_n = max(cols)
+    # the rows' count, not the largest n, which may be any size
+    max_n = len(cols)
     if sorted(cols) != list(range(1, max_n + 1)):
         raise UsageError("table CSV must cover n = 1..max contiguously")
     q = cols[1][4] - 1

@@ -1,49 +1,48 @@
 """Group-ring ladder h_n built by the three-term recursion.
 
-For a generator set Y (|Y| = q+1) inside a group backend, the ladder is
+For a generator set Y (|Y| = q+1) inside a group backend, with h the sum
+of Y, the ladder starts at h_0 = e (and h_{-1} = 0) and steps
 
-    h_1 = sum of Y,
-    h_2 = h* . h_1 - (q+1) e,
-    h_{n+1} = h . h_n - q h_{n-1}    (n even),
-    h_{n+1} = h* . h_n - q h_{n-1}   (n odd, n >= 3),
+    h_{n+1} = g_n . h_n - s_n h_{n-1},
 
-where each h_n is a multiset of canonical keys with positive integer
-multiplicities whose coefficient sum is (q+1) q^(n-1).  The subtraction
-steps must cancel exactly; a negative coefficient means the arithmetic is
-corrupt and aborts the run.  Three levels are live while a step runs:
-h_{n-1} and h_n, and h_{n+1} as it accumulates; no other level is kept.
-Optional per-level checkpoints allow long runs to resume.
+where g_n is h at even n and h* at odd n, s_0 = 0, s_1 = q+1 and s_n = q
+for n >= 2 (so h_1 = h and h_2 = h* . h_1 - (q+1) e); _step is that
+rule.  Each h_n (n >= 1) is a multiset of canonical keys with positive
+integer multiplicities whose coefficient sum is (q+1) q^(n-1).  The
+subtraction steps must cancel exactly; a negative coefficient means the
+arithmetic is corrupt and aborts the run.  Three levels are live while a
+step runs: h_{n-1} and h_n, and h_{n+1} as it accumulates; no other level
+is kept.  Optional per-level checkpoints allow long runs to resume.
 
 A level's entries are whatever the backend's apply_left returns.  For F
-with the compiled kernel that is a Level: the C kernel's compact store,
-one open-addressing table whose 8-byte slots index an arena of (key
-length, key, u32 count) records in insertion order, about 24-37 bytes
-per key where a dict of bytes takes about 79-101.  It is a read-only
-mapping, and the per-level passes (subtracting the previous level, the
-coefficient sum, the 2-norm, the checkpoint dump) are its own C methods;
-on a dict, the pure loops of the same names in tgf.treepair run instead.
-A count past 2**32 - 1 cannot be stored, and aborts the run as corrupt.
+with the compiled kernel that is a Level, the C kernel's compact store
+(about 24-37 bytes per key where a dict of bytes takes about 79-101; see
+tgf._treepair): a read-only mapping whose per-level passes (subtracting
+the previous level, the coefficient sum, the 2-norm, the checkpoint dump)
+are its own C methods.  On a dict, the pure loops of the same names in
+tgf.treepair run instead.  A count past 2**32 - 1 cannot be stored, and
+aborts the run as corrupt.
 
-The last row needs no last level (the norm lookahead).  Let N >= 3 and g
-be the factor sum of the step N -> N+1 (h or h*).  Since
-g* . h_{N-1} = h_N + q h_{N-2},
+The last row needs no last level (the norm lookahead).  For N >= 0, since
+g_N* = g_{N-1} and g_{N-1} . h_{N-1} = h_N + s_{N-1} h_{N-2},
 
-    ||h_{N+1}||^2 = sum_{s,t in g} <t^-1 s . h_N, h_N>
-                    - 2q (||h_N||^2 + q c_N) + q^2 ||h_{N-1}||^2,
+    ||h_{N+1}||^2 = sum_{s,t in g_N} <t^-1 s . h_N, h_N>
+                    - 2 s_N (||h_N||^2 + s_{N-1} c_N) + s_N^2 ||h_{N-1}||^2
 
-where c_n = <h_n, h_{n-2}> follows from the norms alone:
-c_3 = ||h_2||^2 - q(q+1) and c_n = ||h_{n-1}||^2 - q ||h_{n-2}||^2
-+ q c_{n-1}.  Each <w . h, h> is one pass of the backend's `inner` over
-h_N, and <w . h, h> = <w^-1 . h, h>, so one word of each {w, w^-1} pair
-is enough.  build_ladder therefore materialises h_1 .. h_{max_n - 1} and
-takes row max_n from the lookahead, unless max_n <= 3; its checkpoints
-then hold levels up to max_n - 1.  The row's identity coefficient needs
-no pass: h_{N+1}(e) = sum_{s in g} h_N(s^-1) - q h_{N-1}(e).  Range and
-parity checks on the passes and the row stand in for the missing level's
-sum and cancellation checks.  They bound a wrong pass but cannot pin it:
-every pass enters the row with an even weight, since (s, t) and (t, s)
-give inverse words.  The CLI's Moebius/parity suite on the finished table
-is what catches a pass that is off by a little.
+(s_0 = 0 drops the rest at N = 0), where c_n = <h_n, h_{n-2}> follows
+from the norms alone, with ||h_0||^2 = 1 and ||h_{-1}||^2 = 0: c_0 = c_1 = 0
+and c_n = ||h_{n-1}||^2 + s_{n-2} c_{n-1} - s_{n-1} ||h_{n-2}||^2.  Each
+<w . h, h> is one pass of the backend's `inner` over h_N, and
+<w . h, h> = <w^-1 . h, h>, so one word of each {w, w^-1} pair is enough.
+The identity coefficient needs no pass:
+h_{N+1}(e) = sum_{s in g_N} h_N(s^-1) - s_N h_{N-1}(e).  build_ladder
+therefore builds h_1 .. h_{max_n - 1}, and checkpoints them, and takes row
+max_n from the lookahead.  Range and parity checks on the passes and the
+row stand in for the missing level's sum and cancellation checks.  They
+bound a wrong pass but cannot pin it: every pass enters the row with an
+even weight, since (s, t) and (t, s) give inverse words.  The CLI's
+Moebius/parity suite on the finished table is what catches a pass that is
+off by a little.
 """
 from __future__ import annotations
 
@@ -185,15 +184,16 @@ def _subtract_scaled(acc: Mapping[bytes, int], sub: Mapping[bytes, int], factor:
         ) from None
 
 
-def _next_level(backend: GroupBackend, factors: list[bytes], vec: Mapping[bytes, int],
-                sub: Mapping[bytes, int], factor: int, n: int) -> MultiplicityVector:
-    """h_n = (sum of factors) . vec - factor * sub."""
-    try:
-        ent = backend.apply_left(factors, vec)
-    except OverflowError as exc:
-        raise CorruptionError(f"level {n}: {exc}") from None
-    _subtract_scaled(ent, sub, factor, n)
-    return MultiplicityVector(n, ent)
+def _step(gen: GeneratorSet, n: int) -> tuple[list[bytes], int]:
+    """The step h_n -> h_{n+1} = g_n . h_n - s_n h_{n-1}: the factors of
+    g_n (h at even n, h* at odd n) and s_n (0, then q+1, then q)."""
+    factors = gen.keys() if n % 2 == 0 else gen.inverse_keys()
+    return factors, 0 if n == 0 else gen.q + 1 if n == 1 else gen.q
+
+
+def _origin(gen: GeneratorSet) -> tuple[MultiplicityVector, MultiplicityVector]:
+    """h_{-1} = 0 and h_0 = e, where every ladder starts."""
+    return MultiplicityVector(-1, {}), MultiplicityVector(0, {gen.backend.identity_key(): 1})
 
 
 def ladder_levels(
@@ -201,34 +201,22 @@ def ladder_levels(
     max_n: int,
     seed: Optional[tuple[MultiplicityVector, MultiplicityVector]] = None,
 ) -> Iterator[MultiplicityVector]:
-    """Yield h_1 .. h_max_n (or continue past a checkpointed pair `seed`)."""
-    if max_n < 1:
-        raise UsageError("max_n must be >= 1")
-    backend, q = gen.backend, gen.q
-    y = gen.keys()
-    y_inv = gen.inverse_keys()
-    e = backend.identity_key()
-
-    if seed is None:
-        prev = MultiplicityVector(1, {k: 1 for k in y})
-        yield prev
-        if max_n == 1:
-            return
-        cur = _next_level(backend, y_inv, prev.entries, {e: 1}, q + 1, 2)
-        _check_sum(cur, q)
-        yield cur
-    else:
-        prev, cur = seed
-        if cur.n != prev.n + 1:
-            raise UsageError("seed levels must be consecutive")
-
+    """Yield h_1 .. h_max_n from h_0 = e, or the levels after a
+    checkpointed pair `seed` up to h_max_n."""
+    prev, cur = seed or _origin(gen)
+    if cur.n != prev.n + 1:
+        raise UsageError("seed levels must be consecutive")
     while cur.n < max_n:
-        n = cur.n
-        factors = y if n % 2 == 0 else y_inv
-        nxt = _next_level(backend, factors, cur.entries, prev.entries, q, n + 1)
-        _check_sum(nxt, q)
-        yield nxt
-        prev, cur = cur, nxt
+        n = cur.n + 1
+        factors, scale = _step(gen, cur.n)
+        try:
+            ent = gen.backend.apply_left(factors, cur.entries)
+        except OverflowError as exc:
+            raise CorruptionError(f"level {n}: {exc}") from None
+        _subtract_scaled(ent, prev.entries, scale, n)
+        prev, cur = cur, MultiplicityVector(n, ent)
+        _check_sum(cur, gen.q)
+        yield cur
 
 
 def _check_sum(vec: MultiplicityVector, q: int):
@@ -248,55 +236,56 @@ def build_ladder(
     """Run the ladder, returning per-level summaries.
 
     No level is kept: each is dropped once the two after it are built.
-    Row max_n comes from the norm lookahead over level max_n - 1 unless
-    max_n <= 3.  With `checkpoint_dir`, each materialised level is dumped
-    after it is computed and an interrupted run restarts from the newest
+    Levels 1 .. max_n - 1 are built and row max_n comes from the norm
+    lookahead.  With `checkpoint_dir`, each built level is dumped after it
+    is computed and an interrupted run restarts from the newest
     consecutive pair on disk.
     """
     from . import formats
 
-    lookahead = max_n > 3
-    top = max_n - 1 if lookahead else max_n
+    if max_n < 1:
+        raise UsageError("max_n must be >= 1")
     e = gen.backend.identity_key()
     run = LadderRun()
     if checkpoint_dir is None:
-        levels, fresh_from = ladder_levels(gen, top), 1
+        levels, fresh_from = ladder_levels(gen, max_n - 1), 1
     else:
         ckdir = Path(checkpoint_dir)
-        levels, fresh_from = _resume(gen, top, ckdir)
+        levels, fresh_from = _resume(gen, max_n - 1, ckdir)
 
-    last = None
-    for last in levels:
+    _, top = _origin(gen)  # the lookahead's level when max_n = 1
+    for top in levels:
         run.summaries.append(
-            LadderSummary(last.n, last.squared_two_norm(), last.entries.get(e, 0)))
-        if checkpoint_dir is not None and last.n >= fresh_from:
-            formats.write_checkpoint(ckdir, gen, last)
-    if lookahead:
-        row = lookahead_h2norm(gen, last, run.h2norms())
-        # h_N(s^-1) for s in g (h or h*), so the keys of the other one
-        g_inv = gen.inverse_keys() if last.n % 2 == 0 else gen.keys()
-        identity = (sum(last.entries.get(k, 0) for k in g_inv)
-                    - gen.q * run.summaries[-2].identity)
-        run.summaries.append(LadderSummary(max_n, row, identity))
+            LadderSummary(top.n, top.squared_two_norm(), top.entries.get(e, 0)))
+        if checkpoint_dir is not None and top.n >= fresh_from:
+            formats.write_checkpoint(ckdir, gen, top)
+    run.summaries.append(lookahead_h2norm(gen, top, run.summaries))
     return run
 
 
-def lookahead_h2norm(gen: GeneratorSet, top: MultiplicityVector, h2norms: list[int]) -> int:
-    """||h_{N+1}||^2 from the level top = h_N (N >= 3) and the norms of
-    h_1 .. h_N, without building h_{N+1} (see the module docstring)."""
+def lookahead_h2norm(
+    gen: GeneratorSet, top: MultiplicityVector, summaries: list[LadderSummary]
+) -> LadderSummary:
+    """Row N+1 from the level top = h_N (N >= 0) and the rows 1 .. N,
+    without building h_{N+1} (see the module docstring)."""
     backend, q, n = gen.backend, gen.q, top.n
-    if n < 3 or len(h2norms) < n:
-        raise UsageError("the lookahead needs level N >= 3 and the norms up to N")
-    norm = h2norms[n - 1]
-    c = h2norms[1] - q * (q + 1)
-    for m in range(4, n + 1):
-        c = h2norms[m - 2] - q * h2norms[m - 3] + q * c
-    g = gen.keys() if n % 2 == 0 else gen.inverse_keys()
+    if n < 0 or len(summaries) < n:
+        raise UsageError("the lookahead needs a level N >= 0 and the rows up to N")
+    # rows[m + 1] is row m, from h_{-1} = 0 and h_0 = e
+    rows = [LadderSummary(-1, 0, 0), LadderSummary(0, 1, 1), *summaries[:n]]
+    norms = [r.h2norm for r in rows]
+    c = 0
+    for m in range(2, n + 1):
+        c = norms[m] + _step(gen, m - 2)[1] * c - _step(gen, m - 1)[1] * norms[m - 1]
+    g, scale = _step(gen, n)
+    norm = norms[n + 1]
     # the ordered pairs s != t, one word per {w, w^-1}; the s = t pairs are
-    # the identity and give ||h_N||^2 each
+    # the identity and give ||h_N||^2 each.  h_{N+1}(e) adds up h_N(t^-1)
     counts: dict[bytes, int] = {}
+    identity = -scale * rows[n].identity
     for t in g:
         t_inv = backend.invert_key(t)
+        identity += top.entries.get(t_inv, 0)
         for s in g:
             if s != t:
                 w = backend.multiply_keys(t_inv, s)
@@ -310,14 +299,14 @@ def lookahead_h2norm(gen: GeneratorSet, top: MultiplicityVector, h2norms: list[i
                 f"outside [0, ||h_{n}||^2 = {norm}]"
             )
     gram = (q + 1) * norm + sum(k * v for k, v in zip(counts.values(), passes))
-    row = gram - 2 * q * (norm + q * c) + q * q * h2norms[n - 2]
+    row = gram - 2 * scale * (norm + _step(gen, n - 1)[1] * c) + scale * scale * norms[n]
     total = (q + 1) * q**n
     if not total <= row <= total * total or (row - total) % 2:
         raise CorruptionError(
             f"lookahead at level {n + 1}: ||h||^2 = {row} is outside [S, S^2] or "
             f"differs from S = (q+1)q^n = {total} in parity"
         )
-    return row
+    return LadderSummary(n + 1, row, identity)
 
 
 def _resume(
@@ -331,15 +320,8 @@ def _resume(
     seed = formats.latest_checkpoint_pair(ckdir, gen, top)
     if seed is None:
         return ladder_levels(gen, top), 1
-    # a bad key in either level fails here, naming its file, even when
-    # the run composes none of that level's keys (TreePairError is a
-    # ValueError, as is a backend's refusal of a key)
     for vec in seed:
-        try:
-            for key in vec.entries:
-                gen.backend.invert_key(key)
-        except ValueError as exc:
-            raise UsageError(f"{formats.checkpoint_path(ckdir, vec.n)}: {exc}") from None
+        _check_read(gen, ckdir, vec)
     # summaries for the levels below the seed come off disk, so a resumed
     # run still reports the whole ladder
     levels = chain(_disk_levels(gen, ckdir, seed[0].n), seed, ladder_levels(gen, top, seed=seed))
@@ -347,7 +329,7 @@ def _resume(
 
 
 def _disk_levels(gen: GeneratorSet, ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
-    """Checkpointed levels 1 .. below-1, read one at a time."""
+    """Checkpointed levels 1 .. below-1, read and checked one at a time."""
     from . import formats
 
     for n in range(1, below):
@@ -357,5 +339,20 @@ def _disk_levels(gen: GeneratorSet, ckdir: Path, below: int) -> Iterator[Multipl
                 f"checkpoint level {n} missing from {ckdir}; "
                 "delete the directory to restart from scratch"
             )
-        yield formats.read_checkpoint(path, gen)
+        yield _check_read(gen, ckdir, formats.read_checkpoint(path, gen))
 
+
+def _check_read(gen: GeneratorSet, ckdir: Path, vec: MultiplicityVector) -> MultiplicityVector:
+    """vec as read from ckdir, refused with its file named unless the
+    backend takes every key, even where the run composes none of them
+    (TreePairError is a ValueError, as is a backend's refusal of a key),
+    and its coefficients sum to (q+1)q^(n-1)."""
+    from . import formats
+
+    try:
+        for key in vec.entries:
+            gen.backend.invert_key(key)
+        _check_sum(vec, gen.q)
+    except (ValueError, CorruptionError) as exc:
+        raise UsageError(f"{formats.checkpoint_path(ckdir, vec.n)}: {exc}") from None
+    return vec

@@ -380,21 +380,19 @@ def group_ring_check(gen: GeneratorSet, m: int) -> None:
 
 
 def _companion_ladder(gen: GeneratorSet, max_n: int) -> dict[int, dict]:
-    """k_n ladder: the same recursion started from h* with factors swapped."""
-    backend, q = gen.backend, gen.q
-    e = backend.identity_key()
+    """k_1 .. k_max_n: the ladder's recursion from k_0 = e with the factors
+    swapped, h* at even steps and h at odd ones."""
+    from .ladder import _step
+
+    backend = gen.backend
     h1 = {k: 1 for k in gen.keys()}
-    hstar = _adjoint(backend, h1)
-    out = {1: hstar}
-    cur = _scaled_sum([(1, _convolve(backend, h1, hstar)), (-(q + 1), {e: 1})])
-    out[2] = cur
-    prev = hstar
-    for n in range(2, max_n):
-        factor = hstar if n % 2 == 0 else h1
-        nxt = _scaled_sum([(1, _convolve(backend, factor, cur)), (-q, prev)])
-        out[n + 1] = nxt
-        prev, cur = cur, nxt
-    return {n: vec for n, vec in out.items() if n <= max_n}
+    factors = (_adjoint(backend, h1), h1)
+    out, prev, cur = {}, {}, {backend.identity_key(): 1}
+    for n in range(max_n):
+        step = _convolve(backend, factors[n % 2], cur)
+        prev, cur = cur, _scaled_sum([(1, step), (-_step(gen, n)[1], prev)])
+        out[n + 1] = cur
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -222,21 +222,20 @@ def bounds_table(
     mv: MomentVector,
     jc: JacobiCoefficients,
     order: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
 ) -> list[NormBoundsRow]:
     """Rows of norm lower bounds for n = 1..order, invariant-checked."""
     order = jc.top if order is None else order
     if order > jc.top or order > mv.top:
         raise UsageError("order exceeds available coefficients")
     rows = []
-    slack = mpmath.mpf(tol) * 8
+    slack = mpmath.mpf(DEFAULT_TOL) * 8
     schur = jc.schur_bounds
     with mpmath.workprec(jc.precision_bits):
         prev_lambda = None
         for n in range(1, order + 1):
             root_moment = mpmath.root(mpmath.mpf(mv.m[n]), 2 * n)
             ratio_root = mpmath.sqrt(mpmath.mpf(mv.m[n]) / mpmath.mpf(mv.m[n - 1]))
-            lam = lambda_max(jc, n, tol=tol, lower=ratio_root)
+            lam = lambda_max(jc, n, lower=ratio_root)
             pair = jc.pair_sum(n) if n >= 2 else None
             if not root_moment <= ratio_root <= lam + slack:
                 raise VerificationError(

@@ -336,17 +336,21 @@ def dump_entries(vec: dict[bytes, int]) -> bytes:
 
 def load_entries(body, count: int) -> dict[bytes, int]:
     """The dict that a checkpoint body of `count` entries holds; a short or
-    overlong body raises ValueError."""
+    overlong body, or keys out of strictly increasing order, raise
+    ValueError."""
     entries: dict[bytes, int] = {}
     offset = 0
+    key = None
     try:
         for _ in range(count):
             (key_len,) = struct.unpack_from("<H", body, offset)
             offset += 2
-            key = bytes(body[offset : offset + key_len])
+            last, key = key, bytes(body[offset : offset + key_len])
             offset += key_len
             sign, mag_len = struct.unpack_from("<BI", body, offset)
             offset += 5
+            if last is not None and key <= last:
+                raise ValueError("checkpoint keys are not in strictly increasing order")
             mag = int.from_bytes(body[offset : offset + mag_len], "big")
             offset += mag_len
             entries[key] = -mag if sign else mag

@@ -24,6 +24,7 @@ from tgf import formats, treepair
 from tgf.errors import ResourceError, UsageError, VerificationError
 from tgf.polynomials import poly_add, poly_shift_scale
 from tgf.sequences import (
+    BRUTE_BUDGET,
     SequenceTable,
     brute_force_ladder_element,
     xi_from_h2norm,
@@ -123,13 +124,13 @@ def naive_free_reduce(letters):
     return word
 
 
-def full_length_brute_force(gen, max_n: int, budget: int = 10**8) -> SequenceTable:
+def full_length_brute_force(gen, max_n: int) -> SequenceTable:
     """m, eta, zeta by evaluating every alternating word of length up to
     2 max_n; h2norm as in `brute_force_sequences`."""
     size = len(gen.elements)
-    if size ** (2 * max_n) > budget:
+    if size ** (2 * max_n) > BRUTE_BUDGET:
         raise ResourceError(
-            f"enumeration of {size}^{2 * max_n} products exceeds budget {budget}"
+            f"enumeration of {size}^{2 * max_n} products exceeds budget {BRUTE_BUDGET}"
         )
     backend = gen.backend
     e = backend.identity_key()

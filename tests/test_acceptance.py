@@ -31,7 +31,6 @@ from tgf.ladder import build_ladder, case1, case2, free_set, lattice_set
 from tgf.sequences import (
     SequenceTable,
     brute_force_sequences,
-    m_free,
     moebius_verify,
     table_from_ladder,
 )

@@ -117,12 +117,45 @@ def _restamp_crc(data):
     data[end - 4 : end] = struct.pack("<I", zlib.crc32(data[end:]))
 
 
-def _overwrite_first_key(path):
-    # under a valid CRC, so that the key check refuses the file
+def _body_entries(data):
+    """(key offset, key length, magnitude offset, magnitude length) of each
+    entry in checkpoint bytes."""
+    at, entries = CHECKPOINT_HEADER.size, []
+    while at < len(data):
+        key_len = int.from_bytes(data[at : at + 2], "little")
+        mag_at = at + 7 + key_len
+        mag_len = int.from_bytes(data[mag_at - 4 : mag_at], "little")
+        entries.append((at + 2, key_len, mag_at, mag_len))
+        at = mag_at + mag_len
+    return entries
+
+
+def _overwrite_last_key(path):
+    # all 0xff still sorts last, and the CRC is valid, so that the key
+    # check refuses the file
     data = bytearray(path.read_bytes())
-    at = CHECKPOINT_HEADER.size
-    key_len = int.from_bytes(data[at : at + 2], "little")
-    data[at + 2 : at + 2 + key_len] = b"\xff" * key_len
+    key_at, key_len, _, _ = _body_entries(data)[-1]
+    data[key_at : key_at + key_len] = b"\xff" * key_len
+    _restamp_crc(data)
+    path.write_bytes(bytes(data))
+
+
+def _repeat_first_entry(path):
+    # one more entry in the header's count, under a valid CRC
+    data = bytearray(path.read_bytes())
+    _, _, mag_at, mag_len = _body_entries(data)[0]
+    fields = list(CHECKPOINT_HEADER.unpack_from(data))
+    fields[4] += 1
+    size = CHECKPOINT_HEADER.size
+    data = bytearray(CHECKPOINT_HEADER.pack(*fields)) + data[size : mag_at + mag_len] + data[size:]
+    _restamp_crc(data)
+    path.write_bytes(bytes(data))
+
+
+def _raise_first_count_by_2(path):
+    data = bytearray(path.read_bytes())
+    _, _, mag_at, mag_len = _body_entries(data)[0]
+    data[mag_at + mag_len - 1] += 2
     _restamp_crc(data)
     path.write_bytes(bytes(data))
 
@@ -138,8 +171,8 @@ def _free_group_level(path):
 
 
 @pytest.mark.parametrize("level, corrupt", [
-    (4, _overwrite_first_key), (4, _truncate), (4, _free_group_level),
-    (3, _overwrite_first_key),
+    (4, _overwrite_last_key), (4, _truncate), (4, _free_group_level),
+    (3, _overwrite_last_key),
 ], ids=["key-bytes-ff", "truncated", "free-group-keys", "lower-key-bytes-ff"])
 def test_corrupt_checkpoint_exits_1(capsys, tmp_path, level, corrupt):
     # levels 1..4 are stored, and a resume to n = 6 starts from the pair
@@ -173,14 +206,20 @@ def _downgrade_to_version_1(path):
     (["--case=custom", "--words=A,a,B"], None, 5, "another generator set"),
     (["--case=1"], _flip_body_byte, 6, "CRC32"),
     (["--case=1"], _downgrade_to_version_1, 6, "version 1"),
-], ids=["other-generators", "bad-crc", "version-1"])
+    (["--case=1"], _repeat_first_entry, 6, "strictly increasing order"),
+    (["--case=1"], _repeat_first_entry, 3, "strictly increasing order"),
+    (["--case=1"], _raise_first_count_by_2, 6, "coefficient sum"),
+    (["--case=1"], _raise_first_count_by_2, 3, "coefficient sum"),
+], ids=["other-generators", "bad-crc", "version-1", "repeated-key", "lower-repeated-key",
+        "count-off", "lower-count-off"])
 def test_refused_checkpoint_exits_1(capsys, tmp_path, case, corrupt, level, says):
     # case 1 to n = 7 stores levels 1..6, and a run to n = 9 resumes from
-    # the pair (5, 6); {A, a, B} has the same q = 2 as case 1
+    # the pair (5, 6) and reads levels 1..4 for their rows; {A, a, B} has
+    # the same q = 2 as case 1
     ckdir = tmp_path / "ck"
     assert run_cli(capsys, "tables", "--case=1", "--max-n=7", f"--checkpoint-dir={ckdir}")[0] == 0
     if corrupt is not None:
-        corrupt(ckdir / "level_0006.tgfl")
+        corrupt(ckdir / f"level_{level:04d}.tgfl")
     code, out, err = run_cli(capsys, "tables", *case, "--max-n=9",
                              f"--checkpoint-dir={ckdir}")
     assert (code, out) == (1, "")
@@ -189,15 +228,16 @@ def test_refused_checkpoint_exits_1(capsys, tmp_path, case, corrupt, level, says
 
 
 def test_refused_lattice_key_exits_1(capsys, tmp_path):
-    # the first key of level 4 loses its last varint byte to a continuation
-    # bit, under a valid CRC; the resume to n = 6 reads the pair (3, 4)
+    # the last key of level 4 loses its last varint byte to a continuation
+    # bit, under a valid CRC and still sorting last; the resume to n = 6
+    # reads the pair (3, 4)
     ckdir = tmp_path / "ck"
     assert run_cli(capsys, "tables", "--case=lattice", "--max-n=5",
                    f"--checkpoint-dir={ckdir}")[0] == 0
     path = ckdir / "level_0004.tgfl"
     data = bytearray(path.read_bytes())
-    at = CHECKPOINT_HEADER.size
-    data[at + 1 + int.from_bytes(data[at : at + 2], "little")] |= 0x80
+    key_at, key_len, _, _ = _body_entries(data)[-1]
+    data[key_at + key_len - 1] |= 0x80
     _restamp_crc(data)
     path.write_bytes(bytes(data))
     code, out, err = run_cli(capsys, "tables", "--case=lattice", "--max-n=6",
@@ -208,16 +248,16 @@ def test_refused_lattice_key_exits_1(capsys, tmp_path):
 
 
 def test_refused_free_key_exits_1(capsys, tmp_path):
-    # the first key of level 4 gets the letter 0x7f (index 63 of a rank-2
-    # group) as its last byte, under a valid CRC; the resume to n = 6 reads
-    # the pair (3, 4)
+    # the last key of level 4 gets the letter 0x7f (index 63 of a rank-2
+    # group) as its last byte, under a valid CRC and still sorting last;
+    # the resume to n = 6 reads the pair (3, 4)
     ckdir = tmp_path / "ck"
     assert run_cli(capsys, "tables", "--case=free", "--q=2", "--max-n=5",
                    f"--checkpoint-dir={ckdir}")[0] == 0
     path = ckdir / "level_0004.tgfl"
     data = bytearray(path.read_bytes())
-    at = CHECKPOINT_HEADER.size
-    data[at + 1 + int.from_bytes(data[at : at + 2], "little")] = 0x7F
+    key_at, key_len, _, _ = _body_entries(data)[-1]
+    data[key_at + key_len - 1] = 0x7F
     _restamp_crc(data)
     path.write_bytes(bytes(data))
     code, out, err = run_cli(capsys, "tables", "--case=free", "--q=2", "--max-n=6",

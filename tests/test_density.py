@@ -11,7 +11,6 @@ from tgf.density import (
     evaluate_curve,
     expansion_moment,
     free_density,
-    free_density_curve,
     free_moment_vector,
     project_density,
     tail_average,

@@ -5,7 +5,7 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import parse_bounds_csv, write_table_csv
@@ -164,6 +164,7 @@ TABLE_ROW = st.lists(NUMBER, max_size=8).map(",".join)
         lambda rows: "\n".join(["n,h2norm,xi,eta,zeta,m", *rows])),
     st.lists(st.text(alphabet=',"\n\r\x00 n1', max_size=12), max_size=4).map("\n".join),
 ))
+@example("n,h2norm,xi,eta,zeta,m\n26018516958,0,0,0,0,0")
 def test_fuzz_parse_table_csv(text):
     _parses_or_tgf_error(formats.parse_table_csv, text)
 

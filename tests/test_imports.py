@@ -6,6 +6,7 @@ source tree (the pure kernel, compiled from source) and once on the package
 that `setup.py build` makes (bytecode and, with a C compiler, the compiled
 kernel).
 """
+import ast
 import importlib
 import os
 import subprocess
@@ -18,6 +19,7 @@ import tgf
 from tgf import cli, formats, spectral
 
 SOURCE = Path(tgf.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 
 # argv[1] is the file that gets tgf.__file__ and the sorted module names,
 # the CLI's arguments follow
@@ -141,3 +143,45 @@ def test_precision_default_matches_spectral():
     assert cli.DEFAULT_PRECISION_BITS == spectral.DEFAULT_PRECISION_BITS
     args = cli.build_parser().parse_args(["norm"])
     assert args.precision_bits == spectral.DEFAULT_PRECISION_BITS
+
+
+def unused_imports(path: Path) -> list[str]:
+    """`line: name` for each name that a module imports and never uses.  A
+    use is any Name node, the root of an attribute chain included; an
+    import line marked `# noqa` is left alone."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", [
+    *sorted((SOURCE / "tgf").glob("*.py")), *sorted(TESTS.glob("*.py")),
+], ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_imports_sees_names_roots_and_noqa(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from json import (\n"
+        "    dumps,\n"
+        "    loads,  # noqa: F401\n"
+        ")\n"
+        "system.exit(os.sep)\n"
+    )
+    assert unused_imports(module) == ["5: dumps"]

@@ -4,12 +4,13 @@ import dataclasses
 
 import pytest
 
-from tgf import formats, treepair
+from tgf import formats, ladder, treepair
 from tgf.cli import main
 from tgf.errors import CorruptionError, UsageError
 from tgf.groups import ThompsonF
 from tgf.ladder import (
     GeneratorSet,
+    LadderSummary,
     MultiplicityVector,
     _subtract_scaled,
     build_ladder,
@@ -167,36 +168,41 @@ class CompiledF(ThompsonF):
 
 
 def _assert_lookahead_matches_ladder(gen, max_n):
-    norms = []
+    # the lookahead from every level N >= 0, h_0 = e included, gives row
+    # N+1 as the built level h_{N+1} has it
+    e = gen.backend.identity_key()
+    top, rows = MultiplicityVector(0, {e: 1}), []
     for vec in ladder_levels(gen, max_n):
-        norms.append(vec.squared_two_norm())
-        if vec.n > 3:
-            assert lookahead == norms[-1], (gen.label, vec.n)
-        if 3 <= vec.n < max_n:
-            lookahead = lookahead_h2norm(gen, vec, norms)
-    assert build_ladder(gen, max_n).h2norms() == norms
+        ahead = lookahead_h2norm(gen, top, rows)
+        rows.append(LadderSummary(vec.n, vec.squared_two_norm(), vec.entries.get(e, 0)))
+        assert ahead == rows[-1], (gen.label, vec.n)
+        top = vec
+    assert build_ladder(gen, max_n).summaries == rows
 
 
-@pytest.mark.parametrize("gen, max_n", [
-    (case1(), 12), (case2(), 8), (free_set(2), 8), (free_set(3), 8),
-    (lattice_set(2), 8),
-], ids=["case1", "case2", "free2", "free3", "lattice2"])
-def test_lookahead_equals_materialised_level(gen, max_n):
-    _assert_lookahead_matches_ladder(gen, max_n)
+BUILDS = {"pure": None, "plain": "compiled", "ubsan": "compiled_ubsan"}
 
 
-@pytest.mark.parametrize("gen, max_n", [(case1(), 16), (case2(), 12)],
-                         ids=["case1", "case2"])
-def test_lookahead_equals_materialised_level_compiled(compiled, gen, max_n):
+@pytest.mark.parametrize("build", list(BUILDS))
+@pytest.mark.parametrize("gen, pure_n, compiled_n", [
+    (case1(), 12, 16), (case2(), 8, 12), (custom_f_set(["Ab", "bA", "AB"]), 10, 14),
+    (custom_f_set(["A", "", "B"]), 10, 14),
+], ids=["case1", "case2", "custom-Ab,bA,AB", "custom-A,e,B"])
+def test_lookahead_equals_materialised_level(request, build, gen, pure_n, compiled_n):
+    # custom A,e,B is case 1 with the identity not listed first
+    if build == "pure":
+        module, max_n = treepair, pure_n
+    else:
+        module, max_n = request.getfixturevalue(BUILDS[build]), compiled_n
     _assert_lookahead_matches_ladder(
-        dataclasses.replace(gen, backend=CompiledF(compiled)), max_n)
+        dataclasses.replace(gen, backend=CompiledF(module)), max_n)
 
 
-@pytest.mark.parametrize("gen, max_n", [(case1(), 16), (case2(), 12)],
-                         ids=["case1", "case2"])
-def test_lookahead_equals_materialised_level_ubsan(compiled_ubsan, gen, max_n):
-    _assert_lookahead_matches_ladder(
-        dataclasses.replace(gen, backend=CompiledF(compiled_ubsan)), max_n)
+@pytest.mark.parametrize("gen", [
+    free_set(1), free_set(2), free_set(3), lattice_set(1), lattice_set(2),
+], ids=["free1", "free2", "free3", "lattice1", "lattice2"])
+def test_lookahead_equals_materialised_level_off_f(gen):
+    _assert_lookahead_matches_ladder(gen, 8)
 
 
 @pytest.mark.parametrize("gen", [
@@ -208,33 +214,53 @@ def test_lookahead_identity_equals_materialised_level(kernel, gen):
         gen = dataclasses.replace(gen, backend=CompiledF(kernel))
     e = gen.backend.identity_key()
     identities = [vec.entries.get(e, 0) for vec in ladder_levels(gen, 11)]
-    for max_n in range(4, 12):
+    for max_n in range(1, 12):
         run = build_ladder(gen, max_n)
         assert [s.identity for s in run.summaries] == identities[:max_n], max_n
 
 
-def _levels_and_norms(gen, max_n):
-    levels = list(ladder_levels(gen, max_n))
-    return levels, [vec.squared_two_norm() for vec in levels]
+@pytest.mark.parametrize("max_n", [1, 2, 3])
+def test_short_runs_take_the_last_row_from_the_lookahead(
+        tmp_path, gen_case2, table2, monkeypatch, max_n):
+    calls = []
+    real = ladder.lookahead_h2norm
+
+    def counting(gen, top, rows):
+        calls.append(top.n)
+        return real(gen, top, rows)
+
+    monkeypatch.setattr(ladder, "lookahead_h2norm", counting)
+    run = build_ladder(gen_case2, max_n, checkpoint_dir=tmp_path)
+    assert calls == [max_n - 1]
+    assert sorted(p.name for p in tmp_path.glob("*.tgfl")) == [
+        f"level_{n:04d}.tgfl" for n in range(1, max_n)]
+    assert run.h2norms() == table2.h2norm[:max_n]
+
+
+def _levels_and_rows(gen, max_n):
+    return list(ladder_levels(gen, max_n)), build_ladder(gen, max_n).summaries
 
 
 def test_lookahead_rejects_a_pass_outside_its_range(gen_case1, monkeypatch):
-    levels, norms = _levels_and_norms(gen_case1, 6)
+    levels, rows = _levels_and_rows(gen_case1, 6)
     real = ThompsonF.inner
     # each pass lies in [0, ||h_N||^2]; one past the top is corrupt
     monkeypatch.setattr(ThompsonF, "inner", lambda self, words, vec: [
-        norms[5] + 1, *real(self, words, vec)[1:]])
+        rows[5].h2norm + 1, *real(self, words, vec)[1:]])
     with pytest.raises(CorruptionError, match="pass"):
-        lookahead_h2norm(gen_case1, levels[5], norms)
+        lookahead_h2norm(gen_case1, levels[5], rows)
 
 
 def test_lookahead_rejects_a_row_of_the_wrong_parity(gen_case2):
-    levels, norms = _levels_and_norms(gen_case2, 5)
-    assert lookahead_h2norm(gen_case2, levels[4], norms) == 1076
+    levels, rows = _levels_and_rows(gen_case2, 5)
+    assert lookahead_h2norm(gen_case2, levels[4], rows).h2norm == 1076
+    # the rows up to N are needed
+    with pytest.raises(UsageError, match="rows up to N"):
+        lookahead_h2norm(gen_case2, levels[4], rows[:4])
     # q = 3, so ||h_{N-1}||^2 enters with the odd weight q^2
-    norms[3] += 1
+    rows[3] = dataclasses.replace(rows[3], h2norm=rows[3].h2norm + 1)
     with pytest.raises(CorruptionError, match="parity"):
-        lookahead_h2norm(gen_case2, levels[4], norms)
+        lookahead_h2norm(gen_case2, levels[4], rows)
 
 
 def test_lookahead_pass_off_by_one_exits_2(capsys, monkeypatch):

@@ -223,7 +223,11 @@ def test_long_keys_round_trip(kernel):
     (b"\x01\x00a\x01\x01\x00\x00\x00\x05", 1, "range"),
     (b"\x01\x00a\x00\x01\x00\x00\x00\x00", 1, "range"),
     (b"\x01\x00a\x00\x05\x00\x00\x00\x01\x00\x00\x00\x00", 1, "range"),
-], ids=["short", "short-magnitude", "trailing", "negative", "zero", "2**32"])
+    (b"\x01\x00a\x00\x01\x00\x00\x00\x05" * 2, 2, "increasing"),
+    (b"\x01\x00b\x00\x01\x00\x00\x00\x05\x01\x00a\x00\x01\x00\x00\x00\x05", 2, "increasing"),
+    (b"\x02\x00ab\x00\x01\x00\x00\x00\x05\x01\x00a\x00\x01\x00\x00\x00\x05", 2, "increasing"),
+], ids=["short", "short-magnitude", "trailing", "negative", "zero", "2**32", "repeated-key",
+        "descending-keys", "extension-first"])
 def test_load_entries_rejects_what_the_store_cannot_hold(kernel, body, count, says):
     with pytest.raises(ValueError, match=says):
         kernel.load_entries(body, count)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tgf import treepair as tp
 from tgf.ladder import case1, case2, custom_f_set, ladder_levels
-from oracles import PL_IDENTITY, key_to_map, pl_compose, pl_word
+from oracles import PL_IDENTITY, key_to_map, pl_word
 
 
 U32 = 2**32 - 1

@@ -33,9 +33,9 @@ def test_suite_takes_the_last_row_from_the_lookahead(gen_case1, monkeypatch):
     calls = []
     real = ladder.lookahead_h2norm
 
-    def counting(gen, top, h2norms):
+    def counting(gen, top, rows):
         calls.append(top.n)
-        return real(gen, top, h2norms)
+        return real(gen, top, rows)
 
     monkeypatch.setattr(ladder, "lookahead_h2norm", counting)
     report = run_suite(gen_case1, max_n=8, brute_max_n=3)
