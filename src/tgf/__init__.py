@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "groups": (
         "CanonicalElement", "FreeGroup", "GeneratorLetter", "GroupBackend", "Lattice",
-        "ThompsonF", "TreePair", "Word", "reduce_tree_pair",
+        "ThompsonF", "Word",
     ),
     "ladder": (
         "GeneratorSet", "LadderRun", "MultiplicityVector", "build_ladder", "case1",

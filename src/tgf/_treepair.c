@@ -605,7 +605,10 @@ count_overflow(void)
 }
 
 /* Adds c >= 1 to the count of key k[0:n]; a new key goes after all
- * others, as in a dict. */
+ * others, as in a dict.  Only a Level still being built is put to (the
+ * output of apply_left, and the new Level of as_level and of load_entries),
+ * and records die only in subtract_scaled, so an occupied slot always
+ * indexes a live record. */
 static int
 level_put(Level *lv, const unsigned char *k, size_t n, uint64_t c)
 {
@@ -617,17 +620,9 @@ level_put(Level *lv, const unsigned char *k, size_t n, uint64_t c)
         if (*slot) {
             unsigned char *cp = slot_record(lv, *slot).count;
             uint64_t old = get_count(cp);
-            if (old) {
-                if (c > COUNT_MAX - old)
-                    return count_overflow();
-                set_count(cp, (uint32_t)(old + c));
-                return 0;
-            }
-            /* a dead record of this key: index a new one in its place */
-            uint64_t at = append(lv, k, n, (uint32_t)c);
-            if (at == 0)
-                return -1;
-            *slot = (h >> OFFSET_BITS) << OFFSET_BITS | at;
+            if (c > COUNT_MAX - old)
+                return count_overflow();
+            set_count(cp, (uint32_t)(old + c));
             return 0;
         }
     }

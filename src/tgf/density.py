@@ -64,24 +64,6 @@ def project_density(mv: MomentVector, order: int) -> LegendreExpansion:
     return LegendreExpansion(mv.q, order, tuple(cores))
 
 
-def expansion_moment(exp: LegendreExpansion, k: int) -> Fraction:
-    """Exact integral of t^(2k) against the density estimate over J."""
-    width = Fraction(exp.q + 1)
-    total = Fraction(0)
-    for n in range(0, 2 * exp.order + 1, 2):
-        core = exp.cores[n]
-        if not core:
-            continue
-        weight = core * Fraction(2 * n + 1, 2 * (exp.q + 1))
-        # integral of t^{2k} P_n(t/(q+1)) over J, exactly
-        inner = Fraction(0)
-        for j, coeff in enumerate(legendre_p(n)):
-            if coeff and (j + 2 * k) % 2 == 0:
-                inner += coeff * Fraction(2, j + 2 * k + 1)
-        total += weight * inner * width ** (2 * k + 1)
-    return total
-
-
 def evaluate(exp: LegendreExpansion, points) -> list[float]:
     """Evaluate via the Legendre three-term recurrence (no monomial blowup)."""
     weights = [

@@ -248,23 +248,20 @@ def read_checkpoint(path, gen: GeneratorSet) -> MultiplicityVector:
     return MultiplicityVector(n, entries)
 
 
-def latest_checkpoint_pair(
-    directory: Path, gen: GeneratorSet, max_n: int
-) -> Optional[tuple[MultiplicityVector, MultiplicityVector]]:
-    """Newest consecutive pair of levels <= max_n usable as a ladder seed;
-    a file of that pair from another generator set raises UsageError."""
-    directory = Path(directory)
-    levels = {}
-    for path in directory.glob("level_*.tgfl"):
+def latest_checkpoint_pair(directory: Path, max_n: int) -> Optional[tuple[int, int]]:
+    """The newest consecutive pair of levels (n-1, n), n <= max_n, whose
+    checkpoint files are both in directory, as their file names give them."""
+    levels = set()
+    for path in Path(directory).glob("level_*.tgfl"):
         try:
             level = int(path.stem.split("_")[1])
         except (IndexError, ValueError):
             continue
         if level <= max_n:
-            levels[level] = path
+            levels.add(level)
     for n in sorted(levels, reverse=True):
         if n - 1 in levels:
-            return read_checkpoint(levels[n - 1], gen), read_checkpoint(levels[n], gen)
+            return n - 1, n
     return None
 
 

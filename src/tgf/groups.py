@@ -32,9 +32,6 @@ class GeneratorLetter:
     index: int
     inverted: bool = False
 
-    def inverse(self) -> "GeneratorLetter":
-        return GeneratorLetter(self.index, not self.inverted)
-
 
 @dataclass(frozen=True)
 class Word:
@@ -55,43 +52,13 @@ class Word:
             letters.append(GeneratorLetter(_UPPER.index(up), ch.islower()))
         return cls(tuple(letters))
 
-    def inverse(self) -> "Word":
-        return Word(tuple(l.inverse() for l in reversed(self.letters)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def __str__(self) -> str:
-        return "".join(
-            _UPPER[l.index].lower() if l.inverted else _UPPER[l.index]
-            for l in self.letters
-        )
-
 
 @dataclass(frozen=True)
 class CanonicalElement:
-    """A group element in backend-specific canonical form.
-
-    Only the canonical key is stored; the payload (tree pair, reduced word,
-    coordinate vector) is decoded on demand.
-    """
+    """A group element: its backend and its canonical key."""
 
     backend: "GroupBackend"
     key: bytes
-
-    @property
-    def tag(self) -> int:
-        return self.key[0]
-
-    @property
-    def payload(self):
-        return self.backend.decode_payload(self.key)
-
-    def __mul__(self, other: "CanonicalElement") -> "CanonicalElement":
-        return self.backend.multiply(self, other)
-
-    def inverse(self) -> "CanonicalElement":
-        return self.backend.invert(self)
 
     def __repr__(self):
         return f"<{self.backend.name} element {self.key.hex()}>"
@@ -115,11 +82,10 @@ class GroupBackend(abc.ABC):
     @abc.abstractmethod
     def invert_key(self, a: bytes) -> bytes: ...
 
-    @abc.abstractmethod
-    def decode_payload(self, key: bytes): ...
-
-    # the ladder's batched loops and level store; the defaults are the pure
-    # loops over dicts
+    # the ladder's batched loops and level store: apply_left and
+    # load_entries return a Level (tgf.treepair's, or for F the compiled
+    # kernel's).  The defaults are the pure loops, composing with
+    # multiply_keys
 
     def apply_left(self, factors: list[bytes], vec: Mapping[bytes, int]) -> Mapping[bytes, int]:
         """Multiset product (sum of factors) . vec, multiplying on the left."""
@@ -135,19 +101,6 @@ class GroupBackend(abc.ABC):
         """The level that a checkpoint body of `count` entries holds."""
         return treepair.load_entries(body, count)
 
-    # element-level wrappers
-
-    def identity(self) -> CanonicalElement:
-        return CanonicalElement(self, self.identity_key())
-
-    def multiply(self, a: CanonicalElement, b: CanonicalElement) -> CanonicalElement:
-        if a.backend is not self or b.backend is not self:
-            raise UsageError("elements belong to a different backend")
-        return CanonicalElement(self, self.multiply_keys(a.key, b.key))
-
-    def invert(self, a: CanonicalElement) -> CanonicalElement:
-        return CanonicalElement(self, self.invert_key(a.key))
-
     def element_from_word(self, word: Word) -> CanonicalElement:
         key = self.identity_key()
         for letter in word.letters:
@@ -161,30 +114,6 @@ class GroupBackend(abc.ABC):
 
 
 # -- Thompson's group F ------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreePair:
-    """Tree pair (domain, range) as preorder token strings."""
-
-    domain: bytes
-    range_: bytes
-
-    def __post_init__(self):
-        treepair.validate_tree(self.domain)
-        treepair.validate_tree(self.range_)
-        if treepair.leaf_count(self.domain) != treepair.leaf_count(self.range_):
-            raise treepair.TreePairError("leaf counts differ")
-
-    @property
-    def leaves(self) -> int:
-        return treepair.leaf_count(self.domain)
-
-
-def reduce_tree_pair(pair: TreePair) -> TreePair:
-    """Fully reduced pair representing the same element; idempotent."""
-    d, r = treepair.reduce_pair(pair.domain, pair.range_)
-    return TreePair(d, r)
-
 
 # Generator A maps [0,1/2]->[0,1/4], [1/2,3/4]->[1/4,1/2], [3/4,1]->[1/2,1];
 # B is the identity on [0,1/2] and a half-scale copy of A on [1/2,1].
@@ -226,10 +155,6 @@ class ThompsonF(GroupBackend):
 
     def load_entries(self, body, count: int) -> Mapping[bytes, int]:
         return kernel.load_entries(body, count)
-
-    def decode_payload(self, key: bytes) -> TreePair:
-        d, r = treepair.unpack_key(key)
-        return TreePair(d, r)
 
 
 # -- free groups -------------------------------------------------------------
@@ -282,11 +207,6 @@ class FreeGroup(GroupBackend):
 
     def invert_key(self, a: bytes) -> bytes:
         return bytes([_FREE_TAG]) + bytes(letter ^ 1 for letter in reversed(self._letters(a)))
-
-    def decode_payload(self, key: bytes) -> tuple[GeneratorLetter, ...]:
-        return tuple(
-            GeneratorLetter(letter >> 1, bool(letter & 1)) for letter in self._letters(key)
-        )
 
 
 # -- lattices Z^d ------------------------------------------------------------

@@ -12,19 +12,19 @@ src/tgf/_treepair.c); falls back to the pure-Python reference
                                       (the last-row lookahead's passes)
   load_entries(body, count)           a level from a checkpoint body
 
-The compiled apply_left and load_entries return a Level, the C kernel's
-compact store of one ladder level: a read-only mapping of keys to counts
-in 1..2**32-1 in insertion order, about 24-37 bytes per key against about
-79-101 for a dict of bytes.  Its methods subtract_scaled,
-squared_two_norm, coefficient_sum and dump_entries are the per-level
-passes, whose dict twins are the functions of the same names in
-tgf.treepair.  The pure kernel returns dicts.  Both kernels take a dict
-or their own level as vec.  The compiled kernel reads a dict vec (or a
-dict sub of subtract_scaled) into a Level first, so its apply_left, inner
-and subtract_scaled take counts in 1..2**32-1 only (subtract_scaled also
-skips a 0) and raise OverflowError on any other, as apply_left does on a
-sum past 2**32-1; the pure ones take any int.  A Level has no
-constructor: it comes from apply_left or load_entries.
+Both kernels' apply_left and load_entries return a Level, the store of
+one ladder level: a mapping of keys to counts in insertion order whose
+methods subtract_scaled, squared_two_norm, coefficient_sum and
+dump_entries are the per-level passes.  The pure Level is a dict with
+those methods (tgf.treepair.Level, the reference).  The compiled one is
+read-only and compact, with counts in 1..2**32-1, about 24-37 bytes per
+key against about 79-101 for a dict of bytes, and has no constructor.
+Both kernels take a dict, or a Level of either kind, as vec.  The
+compiled kernel reads a dict vec (or a dict sub of subtract_scaled) into
+its own Level first, so its apply_left, inner and subtract_scaled take
+counts in 1..2**32-1 only (subtract_scaled also skips a 0) and raise
+OverflowError on any other, as apply_left does on a sum past 2**32-1;
+the pure ones take any int.
 
 Set TGF_PURE_PY=1 to force the fallback, e.g. for benchmarking one against
 the other.  FALLBACK_REASON says why the pure kernel runs (None when the

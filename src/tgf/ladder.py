@@ -14,14 +14,15 @@ arithmetic is corrupt and aborts the run.  Three levels are live while a
 step runs: h_{n-1} and h_n, and h_{n+1} as it accumulates; no other level
 is kept.  Optional per-level checkpoints allow long runs to resume.
 
-A level's entries are whatever the backend's apply_left returns.  For F
-with the compiled kernel that is a Level, the C kernel's compact store
-(about 24-37 bytes per key where a dict of bytes takes about 79-101; see
-tgf._treepair): a read-only mapping whose per-level passes (subtracting
-the previous level, the coefficient sum, the 2-norm, the checkpoint dump)
-are its own C methods.  On a dict, the pure loops of the same names in
-tgf.treepair run instead.  A count past 2**32 - 1 cannot be stored, and
-aborts the run as corrupt.
+A level's entries are a Level, as the backend's apply_left and
+load_entries return it, and its per-level passes (subtracting the previous
+level, the coefficient sum, the 2-norm, the checkpoint dump) are its own
+methods.  There are two implementations of that one interface:
+tgf.treepair.Level, a dict with the passes as Python loops (free groups,
+Z^d, and F on the pure kernel), and the compiled kernel's Level for F, a
+read-only compact store (about 24-37 bytes per key where a dict of bytes
+takes about 79-101; see tgf._treepair) that runs them in C.  A count past
+2**32 - 1 cannot be stored there, and aborts the run as corrupt.
 
 The last row needs no last level (the norm lookahead).  For N >= 0, since
 g_N* = g_{N-1} and g_{N-1} . h_{N-1} = h_N + s_{N-1} h_{N-2},
@@ -54,28 +55,20 @@ from typing import Iterator, Optional
 
 from . import treepair
 from .errors import CorruptionError, UsageError
-from .groups import (
-    CanonicalElement,
-    FreeGroup,
-    GeneratorLetter,
-    GroupBackend,
-    Lattice,
-    ThompsonF,
-    Word,
-)
+from .groups import FreeGroup, GeneratorLetter, GroupBackend, Lattice, ThompsonF, Word
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The set Y whose element sum h drives the ladder."""
+    """The set Y whose element sum h drives the ladder: the canonical keys
+    of its elements in `backend`."""
 
     backend: GroupBackend
-    elements: tuple[CanonicalElement, ...]
+    elements: tuple[bytes, ...]
     label: str = "custom"
 
     def __post_init__(self):
-        keys = [el.key for el in self.elements]
-        if len(set(keys)) != len(keys):
+        if len(set(self.elements)) != len(self.elements):
             raise UsageError("generator set contains repeated elements")
         if self.q < 1:
             raise UsageError("generator set needs at least two elements")
@@ -85,77 +78,68 @@ class GeneratorSet:
         return len(self.elements) - 1
 
     def keys(self) -> list[bytes]:
-        return [el.key for el in self.elements]
+        return list(self.elements)
 
     def inverse_keys(self) -> list[bytes]:
-        return [self.backend.invert_key(el.key) for el in self.elements]
+        return [self.backend.invert_key(key) for key in self.elements]
+
+
+def _word_set(words, label: str) -> GeneratorSet:
+    """The generator set in F of words over A,a,B,b (lowercase = inverse)."""
+    f = ThompsonF()
+    keys = tuple(f.element_from_word(Word.parse(w)).key for w in words)
+    return GeneratorSet(f, keys, label=label)
+
+
+def _letter_set(backend: GroupBackend, q: int, label: str) -> GeneratorSet:
+    """{e, g_1, ..., g_q} for the first q generators of backend."""
+    keys = [backend.identity_key()]
+    keys += [backend.generator_key(GeneratorLetter(i)) for i in range(q)]
+    return GeneratorSet(backend, tuple(keys), label=label)
 
 
 def case1() -> GeneratorSet:
     """Y = {I, A, B} in Thompson's group F (q = 2)."""
-    f = ThompsonF()
-    els = (f.identity(), f.element_from_word(Word.parse("A")),
-           f.element_from_word(Word.parse("B")))
-    return GeneratorSet(f, els, label="case1")
+    return _word_set(("", "A", "B"), "case1")
 
 
 def case2() -> GeneratorSet:
     """Y = {A, A^-1, B, B^-1} in Thompson's group F (q = 3)."""
-    f = ThompsonF()
-    els = tuple(f.element_from_word(Word.parse(w)) for w in ("A", "a", "B", "b"))
-    return GeneratorSet(f, els, label="case2")
+    return _word_set(("A", "a", "B", "b"), "case2")
 
 
 def free_set(q: int) -> GeneratorSet:
     """Y = {e, a_1, ..., a_q} in the free group F_q; a Leinert set."""
-    fg = FreeGroup(q)
-    els = [fg.identity()]
-    for i in range(q):
-        els.append(fg.element_from_word(Word((GeneratorLetter(i),))))
-    return GeneratorSet(fg, tuple(els), label=f"free{q}")
+    return _letter_set(FreeGroup(q), q, f"free{q}")
 
 
 def lattice_set(d: int) -> GeneratorSet:
     """Y = {0, e_1, ..., e_d} in Z^d (amenable; q = d)."""
-    zd = Lattice(d)
-    els = [zd.identity()]
-    for i in range(d):
-        els.append(zd.element_from_word(Word((GeneratorLetter(i),))))
-    return GeneratorSet(zd, tuple(els), label=f"lattice{d}")
+    return _letter_set(Lattice(d), d, f"lattice{d}")
 
 
 def custom_f_set(words: list[str]) -> GeneratorSet:
     """Generator set in F from words over A,a,B,b (lowercase = inverse)."""
-    f = ThompsonF()
-    els = tuple(f.element_from_word(Word.parse(w)) for w in words)
-    return GeneratorSet(f, els, label="custom")
-
-
-def _level_pass(entries: Mapping[bytes, int], name: str, *args):
-    """A per-level pass: the level store's own C method, or on a dict the
-    pure loop of the same name in tgf.treepair."""
-    if isinstance(entries, dict):
-        return getattr(treepair, name)(entries, *args)
-    return getattr(entries, name)(*args)
+    return _word_set(words, "custom")
 
 
 @dataclass
 class MultiplicityVector:
     """A group-ring element with integer coefficients, keyed canonically;
-    entries is a dict or the compiled kernel's Level (module docstring)."""
+    entries is a Level (module docstring)."""
 
     n: int
     entries: Mapping[bytes, int]
 
     def coefficient_sum(self) -> int:
-        return _level_pass(self.entries, "coefficient_sum")
+        return self.entries.coefficient_sum()
 
     def squared_two_norm(self) -> int:
-        return _level_pass(self.entries, "squared_two_norm")
+        return self.entries.squared_two_norm()
 
     def dump_entries(self) -> bytes:
         """The checkpoint body: the entries sorted by key (see formats)."""
-        return _level_pass(self.entries, "dump_entries")
+        return self.entries.dump_entries()
 
 
 @dataclass(frozen=True)
@@ -177,7 +161,7 @@ class LadderRun:
 
 def _subtract_scaled(acc: Mapping[bytes, int], sub: Mapping[bytes, int], factor: int, n: int):
     try:
-        _level_pass(acc, "subtract_scaled", sub, factor)
+        acc.subtract_scaled(sub, factor)
     except ValueError:
         raise CorruptionError(
             f"negative coefficient at level {n}: subtraction did not cancel"
@@ -193,7 +177,8 @@ def _step(gen: GeneratorSet, n: int) -> tuple[list[bytes], int]:
 
 def _origin(gen: GeneratorSet) -> tuple[MultiplicityVector, MultiplicityVector]:
     """h_{-1} = 0 and h_0 = e, where every ladder starts."""
-    return MultiplicityVector(-1, {}), MultiplicityVector(0, {gen.backend.identity_key(): 1})
+    return (MultiplicityVector(-1, treepair.Level()),
+            MultiplicityVector(0, treepair.Level({gen.backend.identity_key(): 1})))
 
 
 def ladder_levels(
@@ -317,15 +302,17 @@ def _resume(
     from . import formats
 
     ckdir.mkdir(parents=True, exist_ok=True)
-    seed = formats.latest_checkpoint_pair(ckdir, gen, top)
-    if seed is None:
+    pair = formats.latest_checkpoint_pair(ckdir, top)
+    if pair is None:
         return ladder_levels(gen, top), 1
-    for vec in seed:
-        _check_read(gen, ckdir, vec)
+    paths = [formats.checkpoint_path(ckdir, n) for n in pair]
+    seed = tuple(formats.read_checkpoint(path, gen) for path in paths)
+    for n, path, vec in zip(pair, paths, seed):
+        _check_read(gen, path, n, vec)
     # summaries for the levels below the seed come off disk, so a resumed
     # run still reports the whole ladder
-    levels = chain(_disk_levels(gen, ckdir, seed[0].n), seed, ladder_levels(gen, top, seed=seed))
-    return levels, seed[1].n + 1
+    levels = chain(_disk_levels(gen, ckdir, pair[0]), seed, ladder_levels(gen, top, seed=seed))
+    return levels, pair[1] + 1
 
 
 def _disk_levels(gen: GeneratorSet, ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
@@ -339,20 +326,23 @@ def _disk_levels(gen: GeneratorSet, ckdir: Path, below: int) -> Iterator[Multipl
                 f"checkpoint level {n} missing from {ckdir}; "
                 "delete the directory to restart from scratch"
             )
-        yield _check_read(gen, ckdir, formats.read_checkpoint(path, gen))
+        yield _check_read(gen, path, n, formats.read_checkpoint(path, gen))
 
 
-def _check_read(gen: GeneratorSet, ckdir: Path, vec: MultiplicityVector) -> MultiplicityVector:
-    """vec as read from ckdir, refused with its file named unless the
-    backend takes every key, even where the run composes none of them
-    (TreePairError is a ValueError, as is a backend's refusal of a key),
-    and its coefficients sum to (q+1)q^(n-1)."""
-    from . import formats
-
+def _check_read(
+    gen: GeneratorSet, path: Path, n: int, vec: MultiplicityVector
+) -> MultiplicityVector:
+    """vec as read from path, the checkpoint file of level n, refused with
+    the file named unless it holds level n, the backend takes every key,
+    even where the run composes none of them (TreePairError is a
+    ValueError, as is a backend's refusal of a key), and its coefficients
+    sum to (q+1)q^(n-1)."""
+    if vec.n != n:
+        raise UsageError(f"{path}: checkpoint holds level {vec.n}, not {n}")
     try:
         for key in vec.entries:
             gen.backend.invert_key(key)
         _check_sum(vec, gen.q)
     except (ValueError, CorruptionError) as exc:
-        raise UsageError(f"{formats.checkpoint_path(ckdir, vec.n)}: {exc}") from None
+        raise UsageError(f"{path}: {exc}") from None
     return vec

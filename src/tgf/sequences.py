@@ -194,7 +194,7 @@ def brute_force_sequences(gen: GeneratorSet, max_n: int) -> SequenceTable:
     BRUTE_BUDGET still bounds the size^(2n) words this stands for."""
     if max_n < 1:
         raise UsageError(f"brute-force max_n must be >= 1, got {max_n}")
-    size = len(gen.elements)
+    size = gen.q + 1
     if size ** (2 * max_n) > BRUTE_BUDGET:
         raise ResourceError(
             f"enumeration of {size}^{2 * max_n} words exceeds budget {BRUTE_BUDGET}"
@@ -259,13 +259,14 @@ def _joined_half_words(reduced: dict[tuple, int]) -> tuple[int, int]:
 def brute_force_ladder_element(gen: GeneratorSet, n: int) -> MultiplicityVector:
     """h_n materialized term by term from its defining sum over E_n."""
     from .ladder import MultiplicityVector
+    from .treepair import Level
 
     backend = gen.backend
     mul = backend.multiply_keys
     y = gen.keys()
     y_inv = gen.inverse_keys()
     size = len(y)
-    entries: dict[bytes, int] = {}
+    entries = Level()
 
     # position i (1-based) enters inverted exactly when n - i is odd
     def rec(depth: int, prod: bytes, last: int):

@@ -19,15 +19,16 @@ relations of F; see tests/test_groups.py.
 This module is the reference implementation.  tgf._treepair is a
 hand-written C extension with identical semantics (same keys, same errors,
 same insertion order from apply_left, same sums from inner), selected at
-import by tgf.kernel.  Where this module holds a ladder level in a dict,
-the C kernel holds it in its compact Level store; the level passes at the
-end of this module (subtract_scaled, squared_two_norm, coefficient_sum,
-dump_entries, load_entries) are the dict twins of that store's methods.
-The store bounds one thing: the C kernel reads a dict vec or sub into a
-Level first, so its apply_left, inner and subtract_scaled take counts in
+import by tgf.kernel.  Both kernels hold a ladder level in a Level: a
+mapping of keys to counts in insertion order whose methods
+subtract_scaled, squared_two_norm, coefficient_sum and dump_entries are
+the per-level passes.  The Level here is a dict with those methods; the C
+kernel's is a compact store.  The store bounds one thing: the C kernel
+reads a dict vec or sub (this module's Level too) into its own Level
+first, so its apply_left, inner and subtract_scaled take counts in
 1..2**32-1 only (OverflowError otherwise; subtract_scaled also skips a 0),
-and its apply_left makes no count past 2**32-1, where the functions here
-take any int.
+and its apply_left makes no count past 2**32-1, where the code here takes
+any int.
 """
 from __future__ import annotations
 
@@ -248,8 +249,9 @@ def apply_left(
     *,
     compose=compose_keys,
     identity: bytes = IDENTITY_KEY,
-) -> dict[bytes, int]:
-    """Multiset product (sum of factors) . vec, multiplying on the left.
+) -> Level:
+    """Multiset product (sum of factors) . vec, multiplying on the left, as
+    a new Level.
 
     For each key of vec in order, the identity factors' contribution is
     added first, then the products with the other factors in their order;
@@ -259,7 +261,7 @@ def apply_left(
     """
     plain = [g for g in factors if g != identity]
     n_identity = len(factors) - len(plain)
-    out: dict[bytes, int] = {}
+    out = Level()
     get = out.get
     for key, c in vec.items():
         if not plain:
@@ -291,54 +293,55 @@ def inner(
     return sums
 
 
-# -- level passes -------------------------------------------------------------
+# -- level store --------------------------------------------------------------
 #
-# The dict versions of the compiled Level store's methods, and its
-# checkpoint body: per entry in key order, key length u16, key bytes,
-# sign u8 (0 positive), magnitude length u32 (all little endian), then the
-# magnitude big endian.
+# The checkpoint body of a level: per entry in key order, key length u16,
+# key bytes, sign u8 (0 positive), magnitude length u32 (all little endian),
+# then the magnitude big endian.
 
-def subtract_scaled(acc: dict[bytes, int], sub, factor: int) -> None:
-    """acc -= factor * sub, dropping keys that reach 0; a coefficient that
-    would go negative raises ValueError (the ladder's cancellation check)."""
-    get = acc.get
-    for key, c in sub.items():
-        left = get(key, 0) - factor * c
-        if left < 0:
-            raise ValueError("negative coefficient: subtraction did not cancel")
-        if left:
-            acc[key] = left
-        else:
-            acc.pop(key, None)
+class Level(dict):
+    """One ladder level: a dict of keys to counts whose methods are the
+    per-level passes, the reference for those of the compiled Level."""
+
+    def subtract_scaled(self, sub, factor: int) -> None:
+        """self -= factor * sub, dropping keys that reach 0; a coefficient
+        that would go negative raises ValueError (the ladder's cancellation
+        check)."""
+        get = self.get
+        for key, c in sub.items():
+            left = get(key, 0) - factor * c
+            if left < 0:
+                raise ValueError("negative coefficient: subtraction did not cancel")
+            if left:
+                self[key] = left
+            else:
+                self.pop(key, None)
+
+    def squared_two_norm(self) -> int:
+        return sum(c * c for c in self.values())
+
+    def coefficient_sum(self) -> int:
+        return sum(self.values())
+
+    def dump_entries(self) -> bytes:
+        """The checkpoint body of the level, sorted by key."""
+        buf = bytearray()
+        for key in sorted(self):
+            coeff = self[key]
+            mag = abs(coeff)
+            mag_bytes = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
+            buf += struct.pack("<H", len(key))
+            buf += key
+            buf += struct.pack("<BI", coeff < 0, len(mag_bytes))
+            buf += mag_bytes
+        return bytes(buf)
 
 
-def squared_two_norm(vec: dict[bytes, int]) -> int:
-    return sum(c * c for c in vec.values())
-
-
-def coefficient_sum(vec: dict[bytes, int]) -> int:
-    return sum(vec.values())
-
-
-def dump_entries(vec: dict[bytes, int]) -> bytes:
-    """The checkpoint body of vec, sorted by key."""
-    buf = bytearray()
-    for key in sorted(vec):
-        coeff = vec[key]
-        mag = abs(coeff)
-        mag_bytes = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
-        buf += struct.pack("<H", len(key))
-        buf += key
-        buf += struct.pack("<BI", coeff < 0, len(mag_bytes))
-        buf += mag_bytes
-    return bytes(buf)
-
-
-def load_entries(body, count: int) -> dict[bytes, int]:
-    """The dict that a checkpoint body of `count` entries holds; a short or
+def load_entries(body, count: int) -> Level:
+    """The Level that a checkpoint body of `count` entries holds; a short or
     overlong body, or keys out of strictly increasing order, raise
     ValueError."""
-    entries: dict[bytes, int] = {}
+    entries = Level()
     offset = 0
     key = None
     try:

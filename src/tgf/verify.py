@@ -51,7 +51,7 @@ SPECTRAL_ORDER = 12
 
 def default_brute_depth(gen: GeneratorSet) -> int:
     n = 0
-    size = len(gen.elements)
+    size = gen.q + 1
     while size ** (2 * (n + 1)) <= BRUTE_WORDS:
         n += 1
     return max(n, 1)

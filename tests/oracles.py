@@ -3,17 +3,21 @@
 Exact piecewise-linear dyadic maps over Fractions serve as an off-line
 oracle for Thompson-group arithmetic: a tree pair is converted to its
 breakpoint list and composition/inversion happen on the maps themselves,
-with no shared code with the library's tree-pair kernel.  A quadratic-scan
-word reducer plays the same role for the free-group backend.  The Chebyshev
-polynomials T_n and U_n give closed forms for the ladder polynomials.
-Sturm-count bisection in P-bit mpmath floats is the oracle for the
-fixed-point eigenvalue bisection of `tgf.spectral.lambda_max`.  The helpers
-at the end (polynomial evaluation, the fitted model, the identity test, a
-report's failures as an exception, the table CSV as a file, the bounds
-CSV parser and the packaged bounds tables) are used by the tests only.
+with no shared code with the library's tree-pair kernel; `TreePair` wraps
+a validated pair of preorder trees for the reduction tests.  A
+quadratic-scan word reducer plays the same role for the free-group
+backend.  The Chebyshev polynomials T_n and U_n give closed forms for the
+ladder polynomials.  Sturm-count bisection in P-bit mpmath floats is the
+oracle for the fixed-point eigenvalue bisection of
+`tgf.spectral.lambda_max`.  The helpers at the end (polynomial evaluation,
+the fitted model, the identity test, the exact moments of a density
+estimate, a report's failures as an exception, the table CSV as a file,
+the bounds CSV parser and the packaged bounds tables) are used by the
+tests only.
 """
 import csv
 import io
+from dataclasses import dataclass
 from fractions import Fraction as Fr
 from functools import lru_cache
 from pathlib import Path
@@ -22,7 +26,7 @@ import mpmath
 
 from tgf import formats, treepair
 from tgf.errors import ResourceError, UsageError, VerificationError
-from tgf.polynomials import poly_add, poly_shift_scale
+from tgf.polynomials import legendre_p, poly_add, poly_shift_scale
 from tgf.sequences import (
     BRUTE_BUDGET,
     SequenceTable,
@@ -109,6 +113,30 @@ def pl_word(word: str):
     return acc
 
 
+@dataclass(frozen=True)
+class TreePair:
+    """Tree pair (domain, range) as preorder token strings."""
+
+    domain: bytes
+    range_: bytes
+
+    def __post_init__(self):
+        treepair.validate_tree(self.domain)
+        treepair.validate_tree(self.range_)
+        if treepair.leaf_count(self.domain) != treepair.leaf_count(self.range_):
+            raise treepair.TreePairError("leaf counts differ")
+
+    @property
+    def leaves(self) -> int:
+        return treepair.leaf_count(self.domain)
+
+
+def reduce_tree_pair(pair: TreePair) -> TreePair:
+    """Fully reduced pair representing the same element; idempotent."""
+    d, r = treepair.reduce_pair(pair.domain, pair.range_)
+    return TreePair(d, r)
+
+
 def naive_free_reduce(letters):
     """Quadratic rescan reduction of a free word (index, inverted) list."""
     word = list(letters)
@@ -127,7 +155,7 @@ def naive_free_reduce(letters):
 def full_length_brute_force(gen, max_n: int) -> SequenceTable:
     """m, eta, zeta by evaluating every alternating word of length up to
     2 max_n; h2norm as in `brute_force_sequences`."""
-    size = len(gen.elements)
+    size = gen.q + 1
     if size ** (2 * max_n) > BRUTE_BUDGET:
         raise ResourceError(
             f"enumeration of {size}^{2 * max_n} products exceeds budget {BRUTE_BUDGET}"
@@ -257,6 +285,25 @@ def fit_predict(fit, n: float) -> float:
 def is_identity(element) -> bool:
     """Whether a `CanonicalElement` is its backend's identity."""
     return element.key == element.backend.identity_key()
+
+
+def expansion_moment(exp, k: int) -> Fr:
+    """Exact integral of t^(2k) against the density estimate of a
+    `LegendreExpansion` over J = [-(q+1), q+1]."""
+    width = Fr(exp.q + 1)
+    total = Fr(0)
+    for n in range(0, 2 * exp.order + 1, 2):
+        core = exp.cores[n]
+        if not core:
+            continue
+        weight = core * Fr(2 * n + 1, 2 * (exp.q + 1))
+        # integral of t^{2k} P_n(t/(q+1)) over J, exactly
+        inner = Fr(0)
+        for j, coeff in enumerate(legendre_p(n)):
+            if coeff and (j + 2 * k) % 2 == 0:
+                inner += coeff * Fr(2, j + 2 * k + 1)
+        total += weight * inner * width ** (2 * k + 1)
+    return total
 
 
 def raise_if_failed(report) -> None:

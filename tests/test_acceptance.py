@@ -16,12 +16,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from oracles import raise_if_failed
+from oracles import expansion_moment, raise_if_failed
 from tgf import formats
 from tgf.cli import main
 from tgf.density import (
     evaluate,
-    expansion_moment,
     free_density,
     free_moment_vector,
     project_density,

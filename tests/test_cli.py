@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, deterministic output bytes."""
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -40,14 +41,18 @@ def test_tables_free_zeta_column_zero(capsys):
     assert all(row[4] == "0" for row in rows)
 
 
-def test_tables_resume_matches_fresh_run(capsys, tmp_path):
+@pytest.mark.parametrize("case", [
+    ["--case=2"], ["--case=free", "--q=2"], ["--case=lattice", "--d=2"],
+    ["--case=custom", "--words=A,B,ab"],
+], ids=["case2", "free2", "lattice2", "custom"])
+def test_tables_resume_matches_fresh_run(capsys, tmp_path, case):
     ckdir = tmp_path / "ck"
     fresh = tmp_path / "fresh.csv"
     resumed = tmp_path / "resumed.csv"
-    assert main(["tables", "--case=2", "--max-n=5", f"--checkpoint-dir={ckdir}"]) == 0
-    assert main(["tables", "--case=2", "--max-n=7", f"--checkpoint-dir={ckdir}",
+    assert main(["tables", *case, "--max-n=5", f"--checkpoint-dir={ckdir}"]) == 0
+    assert main(["tables", *case, "--max-n=7", f"--checkpoint-dir={ckdir}",
                  f"--out={resumed}"]) == 0
-    assert main(["tables", "--case=2", "--max-n=7", f"--out={fresh}"]) == 0
+    assert main(["tables", *case, "--max-n=7", f"--out={fresh}"]) == 0
     assert resumed.read_bytes() == fresh.read_bytes()
     # row 7 comes from the lookahead over level 6, which is not stored
     assert sorted(p.name for p in ckdir.glob("*.tgfl")) == [
@@ -202,6 +207,14 @@ def _downgrade_to_version_1(path):
     path.write_bytes(head + data[CHECKPOINT_HEADER.size:])
 
 
+def _copy_of_level(n):
+    """Overwrites a checkpoint with that of level n, a valid file that holds
+    another level than its name gives."""
+    def corrupt(path):
+        shutil.copyfile(path.with_name(f"level_{n:04d}.tgfl"), path)
+    return corrupt
+
+
 @pytest.mark.parametrize("case, corrupt, level, says", [
     (["--case=custom", "--words=A,a,B"], None, 5, "another generator set"),
     (["--case=1"], _flip_body_byte, 6, "CRC32"),
@@ -210,8 +223,10 @@ def _downgrade_to_version_1(path):
     (["--case=1"], _repeat_first_entry, 3, "strictly increasing order"),
     (["--case=1"], _raise_first_count_by_2, 6, "coefficient sum"),
     (["--case=1"], _raise_first_count_by_2, 3, "coefficient sum"),
+    (["--case=1"], _copy_of_level(4), 5, "holds level 4, not 5"),
+    (["--case=1"], _copy_of_level(1), 2, "holds level 1, not 2"),
 ], ids=["other-generators", "bad-crc", "version-1", "repeated-key", "lower-repeated-key",
-        "count-off", "lower-count-off"])
+        "count-off", "lower-count-off", "other-level", "lower-other-level"])
 def test_refused_checkpoint_exits_1(capsys, tmp_path, case, corrupt, level, says):
     # case 1 to n = 7 stores levels 1..6, and a run to n = 9 resumes from
     # the pair (5, 6) and reads levels 1..4 for their rows; {A, a, B} has

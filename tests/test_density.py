@@ -9,14 +9,13 @@ from tgf.density import (
     DensityCurve,
     evaluate,
     evaluate_curve,
-    expansion_moment,
     free_density,
     free_moment_vector,
     project_density,
     tail_average,
 )
 from tgf.errors import UsageError
-from oracles import poly_eval
+from oracles import expansion_moment, poly_eval
 from tgf.polynomials import legendre_p
 from tgf.sequences import m_free
 from tgf.spectral import MomentVector

@@ -169,19 +169,20 @@ def test_fuzz_parse_table_csv(text):
     _parses_or_tgf_error(formats.parse_table_csv, text)
 
 
-class DictLoadF(ThompsonF):
-    """F that loads checkpoint bodies into dicts, with the pure loader."""
+class PureLoadF(ThompsonF):
+    """F that loads checkpoint bodies with the pure loader, into a
+    tgf.treepair.Level."""
 
     def load_entries(self, body, count):
         return treepair.load_entries(body, count)
 
 
 FINGERPRINT = formats.generator_fingerprint(case1())
-# a body that only a dict holds (a key the loaders do not check, a negative
-# and a wide count), and one that the level store holds too
+# a body that only the pure Level holds (a key the loaders do not check, a
+# negative and a wide count), and one that the compiled Level holds too
 GENUINE = [
-    {b"F\x00\x01\x00": 3, b"ab": -(2**70)},
-    {treepair.IDENTITY_KEY: 1, word_key("A"): 2**32 - 1, word_key("aB"): 300},
+    treepair.Level({b"F\x00\x01\x00": 3, b"ab": -(2**70)}),
+    treepair.Level({treepair.IDENTITY_KEY: 1, word_key("A"): 2**32 - 1, word_key("aB"): 300}),
 ]
 # v2 headers whose version, q and fingerprint are often those of case 1
 HEADER = st.tuples(
@@ -232,7 +233,7 @@ def _fuzz_read_checkpoint(tmp_dir, gen, data):
             raw[at:at] = bytes([byte])
         elif how == "append":
             raw.append(byte)
-        elif which == 1 or isinstance(gen.backend, DictLoadF):
+        elif which == 1 or isinstance(gen.backend, PureLoadF):
             # unchanged, and a body that gen's loader holds
             expected = entries
     if restamp:
@@ -251,7 +252,7 @@ def _fuzz_read_checkpoint(tmp_dir, gen, data):
 @settings(max_examples=300, deadline=None)
 @given(data=CHECKPOINTS)
 def test_fuzz_read_checkpoint(tmp_path_factory, data):
-    gen = dataclasses.replace(case1(), backend=DictLoadF())
+    gen = dataclasses.replace(case1(), backend=PureLoadF())
     _fuzz_read_checkpoint(tmp_path_factory.mktemp("ckpt"), gen, data)
 
 

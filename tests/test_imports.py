@@ -10,6 +10,7 @@ import ast
 import importlib
 import os
 import subprocess
+import re
 import sys
 from pathlib import Path
 
@@ -32,7 +33,8 @@ MODULES_OF = (
     "sys.exit(code)\n"
 )
 
-# every name that tgf/__init__.py imported eagerly before it became lazy
+# every name that tgf/__init__.py imported eagerly before it became lazy,
+# less TreePair and reduce_tree_pair, which only the tests use (oracles.py)
 OLD_EXPORTS = {
     "density": ["DensityCurve", "LegendreExpansion", "evaluate_curve", "free_density",
                 "free_density_curve", "free_moment_vector", "project_density",
@@ -40,7 +42,7 @@ OLD_EXPORTS = {
     "errors": ["CorruptionError", "NumericError", "ResourceError", "UsageError",
                "VerificationError"],
     "groups": ["CanonicalElement", "FreeGroup", "GeneratorLetter", "GroupBackend",
-               "Lattice", "ThompsonF", "TreePair", "Word", "reduce_tree_pair"],
+               "Lattice", "ThompsonF", "Word"],
     "ladder": ["GeneratorSet", "LadderRun", "MultiplicityVector", "build_ladder", "case1",
                "case2", "custom_f_set", "free_set", "ladder_levels",
                "lattice_set"],
@@ -134,7 +136,8 @@ def test_old_exports_resolve_to_their_module_objects():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         tgf.no_such_name
-    assert not hasattr(tgf, "raise_if_failed")
+    for name in ("raise_if_failed", "TreePair", "reduce_tree_pair"):
+        assert not hasattr(tgf, name), name
     with pytest.raises(ImportError):
         from tgf import no_such_name  # noqa: F401
 
@@ -185,3 +188,62 @@ def test_unused_imports_sees_names_roots_and_noqa(tmp_path):
         "system.exit(os.sep)\n"
     )
     assert unused_imports(module) == ["5: dumps"]
+
+
+def unreferenced_definitions(package: Path, pyproject: Path) -> list[str]:
+    """`module.name` for each public module-level function or class of the
+    package's modules that no module of the package names outside its own
+    definition (as a name, an attribute or an imported name), unless
+    `_EXPORTS` in its __init__.py or an entry point in pyproject lists it."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    listed = set()
+    for node in ast.walk(trees["__init__"]):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            listed |= {name for names in ast.literal_eval(node.value).values() for name in names}
+    # an entry point is a "module:attribute" string
+    listed |= set(re.findall(r'"[\w.]+:(\w+)"', pyproject.read_text()))
+
+    def names_in(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.asname or sub.name
+
+    statements = [(module, stmt) for module, tree in trees.items() for stmt in tree.body]
+    uses = [(stmt, set(names_in(stmt))) for _, stmt in statements]
+    dead = []
+    for module, stmt in statements:
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_") and stmt.name not in listed
+                and not any(stmt.name in names for other, names in uses if other is not stmt)):
+            dead.append(f"{module}.{stmt.name}")
+    return dead
+
+
+def test_every_public_definition_is_used():
+    assert unreferenced_definitions(SOURCE / "tgf", SOURCE.parent / "pyproject.toml") == []
+
+
+def test_unreferenced_definitions_sees_uses_exports_and_entry_points(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text('_EXPORTS = {"a": ("Exported",)}\n')
+    (package / "a.py").write_text(
+        "class Exported:\n    pass\n"
+        "def main():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def called():\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    (package / "b.py").write_text(
+        "from .a import called\nfrom . import a\n"
+        "def used_by_attribute():\n    called()\n"
+        "VALUE = a.used_by_attribute\n"
+    )
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text('[project.scripts]\npkg = "pkg.a:main"\n')
+    assert unreferenced_definitions(package, pyproject) == ["a.recursive"]

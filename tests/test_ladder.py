@@ -78,15 +78,16 @@ def test_keys_stay_canonical(gen_case1):
 
 def test_subtraction_guard():
     with pytest.raises(CorruptionError):
-        _subtract_scaled({b"x": 1}, {b"x": 1}, 2, n=5)
+        _subtract_scaled(treepair.Level({b"x": 1}), {b"x": 1}, 2, n=5)
 
 
 def test_generator_set_validation(gen_case1):
     backend = gen_case1.backend
+    e = backend.identity_key()
     with pytest.raises(UsageError):
-        GeneratorSet(backend, (backend.identity(), backend.identity()))
+        GeneratorSet(backend, (e, e))
     with pytest.raises(UsageError):
-        GeneratorSet(backend, (backend.identity(),))
+        GeneratorSet(backend, (e,))
 
 
 def test_checkpoint_roundtrip(tmp_path, gen_case1):
@@ -137,7 +138,7 @@ def test_checkpoint_resume_incomplete_dir(tmp_path, gen_case1):
 
 
 def test_checkpoint_sign_encoding(tmp_path):
-    vec = MultiplicityVector(3, {b"a": 5, b"b": -7, b"c": 1 << 80})
+    vec = MultiplicityVector(3, treepair.Level({b"a": 5, b"b": -7, b"c": 1 << 80}))
     formats.write_checkpoint(tmp_path, free_set(9), vec)
     back = formats.read_checkpoint(formats.checkpoint_path(tmp_path, 3), free_set(9))
     assert back.n == 3 and back.entries == vec.entries
@@ -196,6 +197,29 @@ def test_lookahead_equals_materialised_level(request, build, gen, pure_n, compil
         module, max_n = request.getfixturevalue(BUILDS[build]), compiled_n
     _assert_lookahead_matches_ladder(
         dataclasses.replace(gen, backend=CompiledF(module)), max_n)
+
+
+@pytest.mark.parametrize("gen, build", [
+    (case1(), "pure"), (case2(), "plain"), (free_set(2), None), (lattice_set(2), None),
+], ids=["case1-pure", "case2-plain", "free2", "lattice2"])
+def test_every_level_has_the_level_passes(request, gen, build):
+    # one Level interface on every backend: the pure kernel's for free
+    # groups, Z^d and F on the pure kernel, the compiled one's for F
+    module = treepair
+    if build is not None:
+        if build != "pure":
+            module = request.getfixturevalue(BUILDS[build])
+        gen = dataclasses.replace(gen, backend=CompiledF(module))
+    for vec in ladder_levels(gen, 6):
+        body = vec.dump_entries()
+        loaded = gen.backend.load_entries(body, len(vec.entries))
+        assert type(vec.entries) is type(loaded) is module.Level
+        assert list(loaded.items()) == sorted(vec.entries.items())
+        assert loaded.dump_entries() == body
+        assert loaded.squared_two_norm() == vec.squared_two_norm()
+        assert loaded.coefficient_sum() == vec.coefficient_sum()
+        loaded.subtract_scaled(vec.entries, 1)
+        assert len(loaded) == 0
 
 
 @pytest.mark.parametrize("gen", [

@@ -1,10 +1,12 @@
-"""The compiled kernel's Level store against the pure dict path.
+"""The compiled kernel's Level store against the pure Level.
 
 Every test runs on two builds of the compiled kernel: the plain one and one
-under the undefined-behaviour sanitizer (conftest).  The dict path is the
-ladder of tgf.treepair's loops over dicts, composing with the same kernel,
-so only the store differs: items and their order, inner sums, norms, sums,
-checkpoint bodies and failed subtractions must all agree."""
+under the undefined-behaviour sanitizer (conftest).  The two Levels are two
+implementations of one interface; the reference is tgf.treepair.Level, a
+dict whose methods are Python loops.  The dict path is the ladder of
+tgf.treepair's apply_left, composing with the same kernel, so only the
+store differs: items and their order, inner sums, norms, sums, checkpoint
+bodies and failed subtractions must all agree."""
 import dataclasses
 import sys
 import tracemalloc
@@ -30,9 +32,9 @@ E = tp.IDENTITY_KEY
 U32 = 2**32 - 1
 
 
-class DictF(CompiledF):
-    """F composing in a compiled kernel but accumulating in dicts with the
-    pure loops, so that its ladder levels are dicts."""
+class PureF(CompiledF):
+    """F composing in a compiled kernel but accumulating with the pure
+    apply_left, so that its ladder levels are pure Levels."""
 
     def apply_left(self, factors, vec):
         return tp.apply_left(factors, vec, compose=self.module.compose_keys)
@@ -52,15 +54,13 @@ def _words(gen, n):
 
 def _assert_same_level(kernel, gen, level, ref):
     store, entries = level.entries, ref.entries
-    assert isinstance(entries, dict)
-    if level.n > 1:
-        assert type(store) is kernel.Level
+    assert type(entries) is tp.Level and type(store) is kernel.Level
     assert list(store.items()) == list(entries.items())
     assert store == entries and len(store) == len(entries)
-    assert level.squared_two_norm() == tp.squared_two_norm(entries)
-    assert level.coefficient_sum() == tp.coefficient_sum(entries)
+    assert level.squared_two_norm() == ref.squared_two_norm()
+    assert level.coefficient_sum() == ref.coefficient_sum()
     body = level.dump_entries()
-    assert body == tp.dump_entries(entries)
+    assert body == ref.dump_entries()
     loaded = kernel.load_entries(body, len(entries))
     assert list(loaded.items()) == sorted(entries.items())
     words = _words(gen, level.n)
@@ -70,10 +70,10 @@ def _assert_same_level(kernel, gen, level, ref):
         assert sums == tp.inner(words, entries, compose=kernel.compose_keys)
     # a subtraction that goes negative fails alike on both stores, and one
     # that cancels exactly empties both
-    for copy in (_level(kernel, store), dict(entries)):
+    for copy in (_level(kernel, store), tp.Level(entries)):
         with pytest.raises(CorruptionError, match=f"negative coefficient at level {level.n}:"):
             _subtract_scaled(copy, store, 2, level.n)
-    for copy in (_level(kernel, store), dict(entries)):
+    for copy in (_level(kernel, store), tp.Level(entries)):
         _subtract_scaled(copy, entries, 1, level.n)
         assert len(copy) == 0 and copy == {}
 
@@ -83,8 +83,8 @@ def _assert_same_level(kernel, gen, level, ref):
 ], ids=["case1", "case2", "custom"])
 def test_ladder_levels_match_the_dict_path(kernel, gen, max_n):
     in_levels = dataclasses.replace(gen, backend=CompiledF(kernel))
-    in_dicts = dataclasses.replace(gen, backend=DictF(kernel))
-    pairs = zip(ladder_levels(in_levels, max_n), ladder_levels(in_dicts, max_n))
+    in_pure = dataclasses.replace(gen, backend=PureF(kernel))
+    pairs = zip(ladder_levels(in_levels, max_n), ladder_levels(in_pure, max_n))
     for level, ref in pairs:
         _assert_same_level(kernel, gen, level, ref)
     assert level.n == max_n
@@ -110,9 +110,9 @@ def test_random_levels_match_the_dict_path(kernel, vec, factors, sub, factor):
         assert list(store.items()) == list(ref.items())
     words = [E, *factors]
     assert kernel.inner(words, store) == tp.inner(words, ref, compose=kernel.compose_keys)
-    assert store.squared_two_norm() == tp.squared_two_norm(ref)
-    assert store.coefficient_sum() == tp.coefficient_sum(ref)
-    assert store.dump_entries() == tp.dump_entries(ref)
+    assert store.squared_two_norm() == ref.squared_two_norm()
+    assert store.coefficient_sum() == ref.coefficient_sum()
+    assert store.dump_entries() == ref.dump_entries()
     outcomes = []
     for acc, other in ((store, _level(kernel, sub)), (ref, sub)):
         try:
@@ -203,7 +203,7 @@ def test_long_keys_round_trip(kernel):
     # three bytes.  load_entries checks no key, so these need not be tree
     # pairs; in key order they are in insertion order
     entries = {b"k" * n: n + 1 for n in (0, 1, 254, 255, 300, 65535)}
-    body = tp.dump_entries(entries)
+    body = tp.Level(entries).dump_entries()
     level = kernel.load_entries(body, len(entries))
     assert list(level.items()) == list(entries.items())
     assert level.dump_entries() == body
