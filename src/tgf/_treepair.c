@@ -14,15 +14,14 @@
  * dict loop in tgf.treepair: subtract_scaled, squared_two_norm,
  * coefficient_sum and dump_entries (the sorted checkpoint body);
  * load_entries(body, count) reads such a body back into a Level, refusing
- * keys out of strictly increasing order.  A Level
- * comes only from apply_left or load_entries; it has no constructor.  Sums
- * are exact (128-bit), and a count past 2**32 - 1 raises OverflowError.
+ * keys out of strictly increasing order and counts the store cannot hold.
+ * A Level comes only from apply_left or load_entries; it has no
+ * constructor.  Sums are exact (128-bit), and an apply_left count past
+ * 2**32 - 1 raises OverflowError.
  *
  * apply_left(factors, vec), inner(words, vec) and subtract_scaled(sub,
- * factor) walk only Levels: a dict vec or sub is first read into a new
- * Level in its order (as_level), so its counts must lie in 1..2**32-1 (a
- * sub's may also be 0, which is skipped) and any other raises
- * OverflowError, where the pure kernel takes any int.
+ * factor) walk only Levels of this module: any other vec or sub raises
+ * TypeError.
  *
  * apply_left and inner run one batch driver.  It unpacks each factor once
  * per call, walks vec once, checks, unpacks and indexes each key once for
@@ -562,7 +561,8 @@ rebuild(Level *lv, size_t nslots)
 
 /* Appends the record (k[0:n], c); returns its offset + 1, or 0 on failure.
  * n <= 0xFFFF: a key comes from a checkpoint body, which gives its length in
- * a u16, or has been checked, and so has at most MAX_LEAVES leaves. */
+ * a u16, or from another Level, or has been checked or packed, and so has
+ * at most MAX_LEAVES leaves. */
 static uint64_t
 append(Level *lv, const unsigned char *k, size_t n, uint32_t c)
 {
@@ -606,15 +606,15 @@ count_overflow(void)
 
 /* Adds c >= 1 to the count of key k[0:n]; a new key goes after all
  * others, as in a dict.  Only a Level still being built is put to (the
- * output of apply_left, and the new Level of as_level and of load_entries),
- * and records die only in subtract_scaled, so an occupied slot always
- * indexes a live record. */
+ * output of apply_left, and the new Level of load_entries), and records die
+ * only in subtract_scaled, so an occupied slot always indexes a live
+ * record. */
 static int
 level_put(Level *lv, const unsigned char *k, size_t n, uint64_t c)
 {
     uint64_t h = hash_key(k, n), *slot = NULL;
-    if (c == 0 || c > COUNT_MAX)
-        return c ? count_overflow() : 0;
+    if (c > COUNT_MAX)
+        return count_overflow();
     if (lv->slots != NULL) {
         slot = lv->slots + find_slot(lv, k, n, h);
         if (*slot) {
@@ -684,55 +684,16 @@ is_level(PyObject *o)
     return Py_IS_TYPE(o, &LevelType);
 }
 
-/* A Python int as a count in lo..2**32-1 (lo is 0 or 1). */
-static int
-as_count(PyObject *v, uint64_t lo, uint64_t *c)
-{
-    if (!PyLong_Check(v)) {
-        PyErr_Format(PyExc_TypeError, "level counts are ints, not %.100s",
-                     Py_TYPE(v)->tp_name);
-        return -1;
-    }
-    int overflow;
-    long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
-    if (x == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow || x < (long long)lo || (unsigned long long)x > COUNT_MAX) {
-        PyErr_Format(PyExc_OverflowError, "level counts lie in %d..2**32-1", (int)lo);
-        return -1;
-    }
-    *c = (uint64_t)x;
-    return 0;
-}
-
-/* vec as a Level: a Level itself (a new reference), or a dict read into a
- * new Level in its order, with counts in lo..2**32-1 (a 0 is skipped).  A
- * dict key is checked only for its type and for fitting a record; whoever
- * walks the Level checks the rest.  No Python code runs meanwhile. */
+/* vec as a Level of this module (a new reference), or NULL with TypeError
+ * naming the function. */
 static Level *
-as_level(const char *name, PyObject *vec, uint64_t lo)
+as_level(const char *name, PyObject *vec)
 {
     if (is_level(vec))
         return (Level *)Py_NewRef(vec);
-    if (!PyDict_Check(vec)) {
-        PyErr_Format(PyExc_TypeError, "%s needs a dict or a Level, not %.100s", name,
-                     Py_TYPE(vec)->tp_name);
-        return NULL;
-    }
-    Level *lv = level_alloc();
-    Py_ssize_t pos = 0;
-    PyObject *key, *value;
-    while (lv != NULL && PyDict_Next(vec, &pos, &key, &value)) {
-        const unsigned char *s;
-        Py_ssize_t n;
-        uint64_t c;
-        /* a key past 0xFFFF bytes is too long for any leaf count, so
-         * key_leaves refuses it as unpack would */
-        if (key_bytes(key, &s, &n) < 0 || (n > 0xFFFF && key_leaves(s, n) < 0)
-            || as_count(value, lo, &c) < 0 || level_put(lv, s, n, c) < 0)
-            Py_CLEAR(lv);
-    }
-    return lv;
+    PyErr_Format(PyExc_TypeError, "%s needs a Level, not %.100s", name,
+                 Py_TYPE(vec)->tp_name);
+    return NULL;
 }
 
 static PyObject *
@@ -831,32 +792,17 @@ level_get_method(Level *lv, PyObject *const *args, Py_ssize_t nargs)
     return Py_NewRef(nargs == 2 ? args[1] : Py_None);
 }
 
-/* Mapping equality with a dict or a Level. */
+/* Mapping equality with another Level. */
 static PyObject *
 level_richcompare(Level *lv, PyObject *other, int op)
 {
-    if ((op != Py_EQ && op != Py_NE) || !(is_level(other) || PyDict_Check(other)))
+    if ((op != Py_EQ && op != Py_NE) || !is_level(other))
         Py_RETURN_NOTIMPLEMENTED;
-    int equal = PyObject_Length(other) == lv->live;
+    int equal = ((Level *)other)->live == lv->live;
     size_t off = 0;
     Rec r;
-    while (equal && next_live(lv, &off, &r)) {
-        uint32_t c = get_count(r.count);
-        if (is_level(other)) {
-            equal = level_get((Level *)other, r.key, r.len) == c;
-            continue;
-        }
-        PyObject *key = PyBytes_FromStringAndSize((const char *)r.key, r.len);
-        if (key == NULL)
-            return NULL;
-        PyObject *v = PyDict_GetItemWithError(other, key);
-        Py_DECREF(key);
-        if (v == NULL && PyErr_Occurred())
-            return NULL;
-        int overflow = 0;
-        equal = v != NULL && PyLong_Check(v)
-                && PyLong_AsLongLongAndOverflow(v, &overflow) == c && !overflow;
-    }
+    while (equal && next_live(lv, &off, &r))
+        equal = level_get((Level *)other, r.key, r.len) == get_count(r.count);
     return PyBool_FromLong(equal == (op == Py_EQ));
 }
 
@@ -980,7 +926,7 @@ level_subtract_scaled(Level *lv, PyObject *const *args, Py_ssize_t nargs)
     unsigned long long factor = PyLong_AsUnsignedLongLong(args[1]);
     if (factor == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
-    Level *sub = as_level("subtract_scaled", args[0], 0);
+    Level *sub = as_level("subtract_scaled", args[0]);
     if (sub == NULL)
         return NULL;
     lv->version++;
@@ -1161,8 +1107,8 @@ static PyMethodDef level_methods[] = {
     {"items", (PyCFunction)level_items, METH_NOARGS, "Iterator over (key, count) pairs."},
     {"subtract_scaled", (PyCFunction)(void (*)(void))level_subtract_scaled, METH_FASTCALL,
      "subtract_scaled(sub, factor)\n--\n\n"
-     "self -= factor * sub for a Level sub, or a dict sub read into one; a "
-     "count that would go negative raises ValueError."},
+     "self -= factor * sub for a Level sub; a count that would go negative "
+     "raises ValueError."},
     {"squared_two_norm", (PyCFunction)level_squared_two_norm, METH_NOARGS,
      "The sum of the squared counts."},
     {"coefficient_sum", (PyCFunction)level_coefficient_sum, METH_NOARGS,
@@ -1262,7 +1208,7 @@ is_identity(const unsigned char *s, Py_ssize_t len)
 /* One pass of vec against a list of factors, shared by apply_left and
  * inner. */
 typedef struct {
-    Level *vec;                  /* vec, a dict one read into a new Level */
+    Level *vec;                  /* the Level walked */
     Level *out;                  /* apply_left's new level; NULL for inner */
     uint64_t n_identity;         /* apply_left's identity factors, only counted */
     unsigned __int128 *wide;     /* inner's sums, one per word */
@@ -1328,7 +1274,7 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
     if (check_nargs(name, nargs, 2) < 0)
         return NULL;
     Batch bt = {0};
-    if ((bt.vec = as_level(name, args[1], 1)) == NULL)
+    if ((bt.vec = as_level(name, args[1])) == NULL)
         return NULL;
     PyObject *factors = PySequence_Tuple(args[0]);
     if (factors == NULL) {

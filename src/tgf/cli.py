@@ -144,6 +144,8 @@ def _load_moments(args) -> tuple[int, list[int]]:
 def cmd_norm(args) -> int:
     from . import formats, spectral
 
+    if args.order is not None and args.order < 1:
+        raise UsageError("--order must be >= 1")
     q, moments = _load_moments(args)
     order = args.order if args.order is not None else len(moments) - 1
     if order > len(moments) - 1:
@@ -153,6 +155,14 @@ def cmd_norm(args) -> int:
     truncated = hl.degenerate_at is not None
     jc = spectral.jacobi_coefficients(hl, args.precision_bits)
     rows = spectral.bounds_table(mv, jc, jc.top)
+    # a bad window exits before anything is written
+    fit = None
+    if args.fit_window:
+        lo, hi = _parse_window(args.fit_window)
+        fit = spectral.fit_extrapolation(
+            [(row.n, float(row.lambda_max)) for row in rows], lo, hi
+        )
+        gamma_fit = spectral.gamma_cogrowth(min(fit.a, q + 1), q)
     if args.out:
         companion = formats.write_bounds_csv(args.out, rows)
         sys.stdout.write(f"wrote {args.out} and {companion}\n")
@@ -171,12 +181,7 @@ def cmd_norm(args) -> int:
             f"# gamma undefined: bound {float(best):.5f} still below 2 sqrt(q) "
             f"= {2 * q ** 0.5:.5f}\n"
         )
-    if args.fit_window:
-        lo, hi = _parse_window(args.fit_window)
-        fit = spectral.fit_extrapolation(
-            [(row.n, float(row.lambda_max)) for row in rows], lo, hi
-        )
-        gamma_fit = spectral.gamma_cogrowth(min(fit.a, q + 1), q)
+    if fit is not None:
         sys.stdout.write(
             f"# fit f(n)=a-b(n-c)^-d on [{lo},{hi}]: a={fit.a:.3f} b={fit.b:.3f} "
             f"c={fit.c:.3f} d={fit.d:.3f} residual={fit.residual:.3e}\n"
@@ -342,6 +347,12 @@ def main(argv=None) -> int:
     except (VerificationError, CorruptionError) as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return EXIT_VERIFY
+    except OSError as exc:
+        # a path that cannot be written or read names itself; a closed
+        # stdout (BrokenPipeError) has no name
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        sys.stderr.write(f"error: {where}{exc.strerror or exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

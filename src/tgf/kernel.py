@@ -17,14 +17,14 @@ one ladder level: a mapping of keys to counts in insertion order whose
 methods subtract_scaled, squared_two_norm, coefficient_sum and
 dump_entries are the per-level passes.  The pure Level is a dict with
 those methods (tgf.treepair.Level, the reference).  The compiled one is
-read-only and compact, with counts in 1..2**32-1, about 24-37 bytes per
-key against about 79-101 for a dict of bytes, and has no constructor.
-Both kernels take a dict, or a Level of either kind, as vec.  The
-compiled kernel reads a dict vec (or a dict sub of subtract_scaled) into
-its own Level first, so its apply_left, inner and subtract_scaled take
-counts in 1..2**32-1 only (subtract_scaled also skips a 0) and raise
-OverflowError on any other, as apply_left does on a sum past 2**32-1;
-the pure ones take any int.
+read-only and compact, about 24-37 bytes per key against about 79-101
+for a dict of bytes, and has no constructor.  Each kernel's apply_left,
+inner and subtract_scaled walk its own Level: the pure ones take any
+mapping of keys to ints, as the reference oracle should, and the compiled
+ones raise TypeError on anything but a compiled Level.  The compiled
+store holds counts in 1..2**32-1, a bound reached only through an
+apply_left sum (OverflowError past it) and load_entries (ValueError
+outside it).
 
 Set TGF_PURE_PY=1 to force the fallback, e.g. for benchmarking one against
 the other.  FALLBACK_REASON says why the pure kernel runs (None when the

@@ -21,8 +21,9 @@ methods.  There are two implementations of that one interface:
 tgf.treepair.Level, a dict with the passes as Python loops (free groups,
 Z^d, and F on the pure kernel), and the compiled kernel's Level for F, a
 read-only compact store (about 24-37 bytes per key where a dict of bytes
-takes about 79-101; see tgf._treepair) that runs them in C.  A count past
-2**32 - 1 cannot be stored there, and aborts the run as corrupt.
+takes about 79-101; see tgf._treepair) that runs them in C.  Every level,
+h_{-1} and h_0 included, is the backend's own Level (see _origin).  A sum
+past the compiled store's bound (tgf.kernel) aborts the run as corrupt.
 
 The last row needs no last level (the norm lookahead).  For N >= 0, since
 g_N* = g_{N-1} and g_{N-1} . h_{N-1} = h_N + s_{N-1} h_{N-2},
@@ -176,9 +177,11 @@ def _step(gen: GeneratorSet, n: int) -> tuple[list[bytes], int]:
 
 
 def _origin(gen: GeneratorSet) -> tuple[MultiplicityVector, MultiplicityVector]:
-    """h_{-1} = 0 and h_0 = e, where every ladder starts."""
-    return (MultiplicityVector(-1, treepair.Level()),
-            MultiplicityVector(0, treepair.Level({gen.backend.identity_key(): 1})))
+    """h_{-1} = 0 and h_0 = e, where every ladder starts, read from
+    checkpoint bodies so that they are the backend's own Levels."""
+    load, e = gen.backend.load_entries, gen.backend.identity_key()
+    return (MultiplicityVector(-1, load(b"", 0)),
+            MultiplicityVector(0, load(treepair.Level({e: 1}).dump_entries(), 1)))
 
 
 def ladder_levels(

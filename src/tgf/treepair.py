@@ -22,13 +22,9 @@ same insertion order from apply_left, same sums from inner), selected at
 import by tgf.kernel.  Both kernels hold a ladder level in a Level: a
 mapping of keys to counts in insertion order whose methods
 subtract_scaled, squared_two_norm, coefficient_sum and dump_entries are
-the per-level passes.  The Level here is a dict with those methods; the C
-kernel's is a compact store.  The store bounds one thing: the C kernel
-reads a dict vec or sub (this module's Level too) into its own Level
-first, so its apply_left, inner and subtract_scaled take counts in
-1..2**32-1 only (OverflowError otherwise; subtract_scaled also skips a 0),
-and its apply_left makes no count past 2**32-1, where the code here takes
-any int.
+the per-level passes.  The Level here is a dict with those methods, and
+the loops here take any mapping of keys to ints.  The C kernel's is a
+compact store, and its loops walk only that store (tgf.kernel).
 """
 from __future__ import annotations
 

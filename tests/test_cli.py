@@ -87,9 +87,15 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert run_cli(capsys, "tables", "--case=custom")[0] == 1
     assert run_cli(capsys, "norm")[0] == 1
     assert run_cli(capsys, "density", "--case=1", "--order=40")[0] == 1
-    for window in ("0:30", "12:60"):
-        code, _, err = run_cli(capsys, "norm", "--case=1", f"--fit-window={window}")
-        assert code == 1 and "n = 1..37" in err
+    for source in (["--case=1"], ["--free", "--q=2"]):
+        for order in ("0", "-1"):
+            assert run_cli(capsys, "norm", *source, f"--order={order}") == (
+                1, "", "error: --order must be >= 1\n")
+    # a bad window exits before any of the bounds is written
+    for window, says in [("0:30", "n = 1..37"), ("12:60", "n = 1..37"), ("a:b", "lo:hi"),
+                         ("20:12", "7 levels"), ("1:1", "7 levels")]:
+        code, out, err = run_cli(capsys, "norm", "--case=1", f"--fit-window={window}")
+        assert code == 1 and out == "" and says in err
     for path, says in [(header_only, "no rows"), (bad_moment, "line 2"),
                        (missing, "No such file"), (no_newline, "no rows")]:
         code, _, err = run_cli(capsys, "norm", f"--moments={path}")
@@ -98,6 +104,40 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["tables", "--threads=2"])  # unknown option
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["tables", "--case=1", "--max-n=3", "--out={tmp}/missing/t.csv"], "{tmp}/missing/t.csv"),
+    (["norm", "--case=1", "--out={tmp}/missing/b.csv"], "{tmp}/missing/b.csv"),
+    (["density", "--case=1", "--order=4", "--out={tmp}/missing/d"], "{tmp}/missing/d-rho4.csv"),
+    (["tables", "--case=1", "--max-n=3", "--checkpoint-dir={tmp}/file"], "{tmp}/file"),
+    (["tables", "--case=2", "--max-n=6", "--checkpoint-dir={tmp}/ck"],
+     "{tmp}/ck/level_0003.tgfl"),
+], ids=["tables-out", "norm-out", "density-out", "checkpoint-dir-is-a-file",
+        "checkpoint-is-a-directory"])
+def test_file_system_errors_exit_1(capsys, tmp_path, argv, culprit):
+    # a path that cannot be written or read names itself, without a traceback
+    (tmp_path / "file").write_text("")
+    ckdir = tmp_path / "ck"
+    assert main(["tables", "--case=2", "--max-n=4", f"--checkpoint-dir={ckdir}"]) == 0
+    (ckdir / "level_0003.tgfl").unlink()
+    (ckdir / "level_0003.tgfl").mkdir()
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith(f"error: {culprit.format(tmp=tmp_path)}: ")
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_1(capsys, monkeypatch):
+    # `tgf norm | head -1` closes the pipe while the bounds are written
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["norm", "--case=1"]) == 1
+    assert capsys.readouterr().err == "error: Broken pipe\n"
 
 
 def test_threads_env_default(capsys, monkeypatch):

@@ -246,7 +246,7 @@ def _fuzz_read_checkpoint(tmp_dir, gen, data):
         assert expected is None
         return
     if expected is not None:
-        assert vec.n == 3 and vec.entries == expected
+        assert vec.n == 3 and dict(vec.entries) == expected
 
 
 @settings(max_examples=300, deadline=None)

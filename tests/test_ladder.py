@@ -1,6 +1,7 @@
 """Ladder recursion: fixture agreement, invariants, checkpoints, and the
 norm lookahead on both kernels."""
 import dataclasses
+from itertools import chain
 
 import pytest
 
@@ -172,7 +173,7 @@ def _assert_lookahead_matches_ladder(gen, max_n):
     # the lookahead from every level N >= 0, h_0 = e included, gives row
     # N+1 as the built level h_{N+1} has it
     e = gen.backend.identity_key()
-    top, rows = MultiplicityVector(0, {e: 1}), []
+    (_, top), rows = ladder._origin(gen), []
     for vec in ladder_levels(gen, max_n):
         ahead = lookahead_h2norm(gen, top, rows)
         rows.append(LadderSummary(vec.n, vec.squared_two_norm(), vec.entries.get(e, 0)))
@@ -204,13 +205,17 @@ def test_lookahead_equals_materialised_level(request, build, gen, pure_n, compil
 ], ids=["case1-pure", "case2-plain", "free2", "lattice2"])
 def test_every_level_has_the_level_passes(request, gen, build):
     # one Level interface on every backend: the pure kernel's for free
-    # groups, Z^d and F on the pure kernel, the compiled one's for F
+    # groups, Z^d and F on the pure kernel, the compiled one's for F.  The
+    # origin h_{-1} = 0, h_0 = e is the backend's Level too
     module = treepair
     if build is not None:
         if build != "pure":
             module = request.getfixturevalue(BUILDS[build])
         gen = dataclasses.replace(gen, backend=CompiledF(module))
-    for vec in ladder_levels(gen, 6):
+    origin = ladder._origin(gen)
+    assert [(vec.n, dict(vec.entries)) for vec in origin] == [
+        (-1, {}), (0, {gen.backend.identity_key(): 1})]
+    for vec in chain(origin, ladder_levels(gen, 6)):
         body = vec.dump_entries()
         loaded = gen.backend.load_entries(body, len(vec.entries))
         assert type(vec.entries) is type(loaded) is module.Level

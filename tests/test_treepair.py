@@ -1,7 +1,10 @@
 """Tree-pair kernel: packing, reduction, composition vs the exact PL oracle,
 agreement between the pure and compiled implementations (the cross-checks
 run on both compiled builds, plain and under the undefined-behaviour
-sanitizer; see conftest), and malformed keys failing closed."""
+sanitizer; see conftest), and malformed keys failing closed.  The
+compiled loops walk only their own build's Level, so their inputs are read
+from checkpoint bodies (as_level)."""
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from tgf import treepair as tp
 from tgf.ladder import case1, case2, custom_f_set, ladder_levels
 from oracles import PL_IDENTITY, key_to_map, pl_word
+from test_ladder import CompiledF
 
 
 U32 = 2**32 - 1
@@ -18,6 +22,21 @@ U32 = 2**32 - 1
 
 def random_word(rng, length):
     return "".join(rng.choice("AaBb") for _ in range(length))
+
+
+def as_level(impl, mapping):
+    """mapping as a Level of the kernel impl, pure or compiled, read from its
+    checkpoint body and so in key order."""
+    return impl.load_entries(tp.Level(mapping).dump_entries(), len(mapping))
+
+
+def _outcome(fn, *args):
+    """("ok", result), a Level as its items in order, or the TreePairError."""
+    try:
+        result = fn(*args)
+    except tp.TreePairError:
+        return "TreePairError", None
+    return "ok", list(result.items()) if hasattr(result, "items") else result
 
 
 def word_key(word, impl=tp):
@@ -122,13 +141,15 @@ def test_compiled_identity_constant(compiled):
     (custom_f_set(["", "AB", "ba", "aa"]), 7),
 ], ids=["case1", "case2", "custom"])
 def test_compiled_apply_left_matches_pure(builds, gen, max_n):
-    # same dict, same insertion order, on every level of a real ladder and
-    # for both factor lists the ladder uses
+    # same items, same insertion order, on every level of a real ladder run
+    # in each build and for both factor lists the ladder uses; the pure loop
+    # walks the compiled Level
     factor_lists = (gen.keys(), gen.inverse_keys())
-    for level in ladder_levels(gen, max_n):
-        for factors in factor_lists:
-            pure = tp.apply_left(factors, level.entries)
-            for compiled in builds:
+    for compiled in builds:
+        in_build = dataclasses.replace(gen, backend=CompiledF(compiled))
+        for level in ladder_levels(in_build, max_n):
+            for factors in factor_lists:
+                pure = tp.apply_left(factors, level.entries)
                 fast = compiled.apply_left(factors, level.entries)
                 assert list(fast.items()) == list(pure.items())
 
@@ -147,13 +168,13 @@ def test_compiled_inner_matches_pure(builds, gen, max_n):
         by_word = dict(zip(words, sums))
         assert all(by_word[tp.invert_key(w)] == v for w, v in by_word.items())
         for compiled in builds:
-            assert compiled.inner(words, level.entries) == sums
+            assert compiled.inner(words, as_level(compiled, level.entries)) == sums
 
 
 def test_inner_sums_exactly(builds):
     # the pure inner sums any ints exactly, negative ones and ones past 64
-    # bits; the compiled one takes counts in 1..2**32-1 only, and its sums
-    # stay exact past 64 bits
+    # bits; the compiled Level holds counts in 1..2**32-1 only, and the
+    # compiled inner's sums stay exact past 64 bits
     e, a, aa = tp.IDENTITY_KEY, word_key("A"), word_key("AA")
     words = [a, e, word_key("a")]
     wide = {e: 3**50, a: -(2**40), aa: 7}
@@ -163,12 +184,12 @@ def test_inner_sums_exactly(builds):
     want = [U32**2 + U32 * (U32 - 1), 2 * U32**2 + (U32 - 1) ** 2, U32**2 + U32 * (U32 - 1)]
     assert min(want) > 2**64
     for impl in (tp, *builds):
-        assert impl.inner(words, vec) == want
-        assert impl.inner([], vec) == []
-        assert impl.inner([a], {}) == [0]
+        assert impl.inner(words, as_level(impl, vec)) == want
+        assert impl.inner([], as_level(impl, vec)) == []
+        assert impl.inner([a], as_level(impl, {})) == [0]
     for compiled in builds:
-        with pytest.raises(OverflowError):
-            compiled.inner(words, wide)
+        with pytest.raises(ValueError, match="range"):
+            as_level(compiled, wide)
 
 
 def test_apply_left_identity_first_then_factors_in_order(builds):
@@ -181,33 +202,48 @@ def test_apply_left_identity_first_then_factors_in_order(builds):
         (tp.compose_keys(b, a), 5), (word_key("AA"), 5),
     ]
     for impl in (tp, *builds):
-        assert list(impl.apply_left(factors, vec).items()) == want
-        assert impl.apply_left([], vec) == {}
-        assert impl.apply_left(factors, {}) == {}
+        level = as_level(impl, vec)
+        assert list(level) == [tp.IDENTITY_KEY, a]
+        assert list(impl.apply_left(factors, level).items()) == want
+        assert dict(impl.apply_left([], level)) == {}
+        assert dict(impl.apply_left(factors, as_level(impl, {}))) == {}
 
 
 @pytest.mark.parametrize("name", ["apply_left", "inner"])
 def test_compiled_batch_argument_errors(builds, name):
     e = tp.IDENTITY_KEY
     for compiled in builds:
-        fn = getattr(compiled, name)
-        for args in [(), ([e],), ([e], {e: 1}, {}), ([e], [(e, 1)]), ([e], None)]:
+        fn, level = getattr(compiled, name), as_level(compiled, {e: 1})
+        for args in [(), ([e],), ([e], level, level), ([e], [(e, 1)]), ([e], None)]:
             with pytest.raises(TypeError, match=name):
                 fn(*args)
-        for args in [([word_key("A"), 1], {e: 1}), ([e], {e: 1, "A": 1})]:
-            with pytest.raises(TypeError, match="must be bytes"):
-                fn(*args)
+        with pytest.raises(TypeError, match="must be bytes"):
+            fn([word_key("A"), 1], level)
 
 
 def test_compiled_subtract_scaled_argument_errors(builds):
     e = tp.IDENTITY_KEY
     for compiled in builds:
-        fn = compiled.apply_left([e], {e: 1}).subtract_scaled
-        for args in [(), ({e: 1},), ({e: 1}, 1, 2), ([(e, 1)], 1), (None, 1)]:
+        level = as_level(compiled, {e: 1})
+        for args in [(), (level,), (level, 1, 2), ([(e, 1)], 1), (None, 1)]:
             with pytest.raises(TypeError, match="subtract_scaled"):
-                fn(*args)
-        with pytest.raises(TypeError, match="must be bytes"):
-            fn({e: 1, "A": 1}, 1)
+                level.subtract_scaled(*args)
+
+
+def test_compiled_loops_take_only_their_own_level(builds):
+    # a dict, the pure Level, None, or a Level of the other build (another
+    # type object) is refused before anything is walked
+    e = tp.IDENTITY_KEY
+    for compiled, other in (builds, builds[::-1]):
+        level = as_level(compiled, {e: 1})
+        calls = {"apply_left": lambda v: compiled.apply_left([e], v),
+                 "inner": lambda v: compiled.inner([e], v),
+                 "subtract_scaled": lambda v: level.subtract_scaled(v, 1)}
+        for vec in ({e: 1}, tp.Level({e: 1}), None, as_level(other, {e: 1})):
+            for name, call in calls.items():
+                with pytest.raises(TypeError, match=f"^{name} needs a Level, not "):
+                    call(vec)
+        assert dict(level) == {e: 1}
 
 
 # -- malformed keys -----------------------------------------------------------
@@ -235,7 +271,7 @@ def test_apply_left_checks_keys_whatever_the_factors(kernel_impl):
     # no product is formed, yet a bad key fails as it does in inner
     for factors in ([tp.IDENTITY_KEY], [tp.IDENTITY_KEY] * 2, []):
         with pytest.raises(tp.TreePairError):
-            kernel_impl.apply_left(factors, {word_key("A"): 1, b"junk": 1})
+            kernel_impl.apply_left(factors, as_level(kernel_impl, {word_key("A"): 1, b"junk": 1}))
 
 
 @pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
@@ -247,22 +283,15 @@ def test_malformed_keys_raise_tree_pair_error(kernel_impl, bad):
         lambda: kernel_impl.compose_keys(tp.IDENTITY_KEY, bad),
         lambda: kernel_impl.compose_keys(bad, tp.IDENTITY_KEY),
         lambda: kernel_impl.invert_key(bad),
-        lambda: kernel_impl.apply_left([bad], {good: 1}),
-        lambda: kernel_impl.apply_left([good], {bad: 1}),
-        lambda: kernel_impl.inner([bad], {good: 1}),
-        lambda: kernel_impl.inner([good], {bad: 1}),
-        lambda: kernel_impl.inner([tp.IDENTITY_KEY], {bad: 1}),
+        lambda: kernel_impl.apply_left([bad], as_level(kernel_impl, {good: 1})),
+        lambda: kernel_impl.apply_left([good], as_level(kernel_impl, {bad: 1})),
+        lambda: kernel_impl.inner([bad], as_level(kernel_impl, {good: 1})),
+        lambda: kernel_impl.inner([good], as_level(kernel_impl, {bad: 1})),
+        lambda: kernel_impl.inner([tp.IDENTITY_KEY], as_level(kernel_impl, {bad: 1})),
     ]
     for call in calls:
         with pytest.raises(tp.TreePairError):
             call()
-
-
-def _outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except tp.TreePairError:
-        return "TreePairError", None
 
 
 def _body_size(leaves, off):
@@ -294,9 +323,9 @@ def test_random_bytes_only_raise_tree_pair_error(compiled, key, other):
             _outcome(impl.compose_keys, key, other),
             _outcome(impl.compose_keys, other, key),
             _outcome(impl.invert_key, key),
-            _outcome(impl.apply_left, [key], {other: 1}),
-            _outcome(impl.apply_left, [other], {key: 3}),
-            _outcome(impl.inner, [key], {other: 2}),
-            _outcome(impl.inner, [other, tp.IDENTITY_KEY], {key: 3, other: 5}),
+            _outcome(impl.apply_left, [key], as_level(impl, {other: 1})),
+            _outcome(impl.apply_left, [other], as_level(impl, {key: 3})),
+            _outcome(impl.inner, [key], as_level(impl, {other: 2})),
+            _outcome(impl.inner, [other, tp.IDENTITY_KEY], as_level(impl, {key: 3, other: 5})),
         ])
     assert results[0] == results[1]
