@@ -207,6 +207,8 @@ def cmd_density(args) -> int:
     written = []
     if args.free:
         q = args.q
+        if q < 1:
+            raise UsageError("--q must be >= 1")
         lo, hi = _parse_range(args.range) if args.range else (-2 * q**0.5, 2 * q**0.5)
         curve = density_mod.free_density_curve(
             q, lo, hi, args.step, label=args.label or f"free density q={q}"

@@ -86,6 +86,8 @@ def evaluate(exp: LegendreExpansion, points) -> list[float]:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError("need finite lo, hi and step")
     if step <= 0 or hi <= lo:
         raise UsageError("need step > 0 and hi > lo")
     count = round((hi - lo) / step)

@@ -29,7 +29,7 @@ import io
 import struct
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .errors import UsageError
 from .sequences import SequenceTable
@@ -210,7 +210,7 @@ def generator_fingerprint(gen: GeneratorSet) -> int:
 
 def write_checkpoint(directory: Path, gen: GeneratorSet, vec: MultiplicityVector) -> Path:
     path = checkpoint_path(directory, vec.n)
-    body = vec.dump_entries()
+    body = vec.entries.dump_entries()
     header = CHECKPOINT_HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, vec.n, gen.q, len(vec.entries),
         generator_fingerprint(gen), zlib.crc32(body))
@@ -246,23 +246,6 @@ def read_checkpoint(path, gen: GeneratorSet) -> MultiplicityVector:
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
     return MultiplicityVector(n, entries)
-
-
-def latest_checkpoint_pair(directory: Path, max_n: int) -> Optional[tuple[int, int]]:
-    """The newest consecutive pair of levels (n-1, n), n <= max_n, whose
-    checkpoint files are both in directory, as their file names give them."""
-    levels = set()
-    for path in Path(directory).glob("level_*.tgfl"):
-        try:
-            level = int(path.stem.split("_")[1])
-        except (IndexError, ValueError):
-            continue
-        if level <= max_n:
-            levels.add(level)
-    for n in sorted(levels, reverse=True):
-        if n - 1 in levels:
-            return n - 1, n
-    return None
 
 
 # -- packaged fixtures -------------------------------------------------------

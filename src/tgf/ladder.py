@@ -12,7 +12,12 @@ integer multiplicities whose coefficient sum is (q+1) q^(n-1).  The
 subtraction steps must cancel exactly; a negative coefficient means the
 arithmetic is corrupt and aborts the run.  Three levels are live while a
 step runs: h_{n-1} and h_n, and h_{n+1} as it accumulates; no other level
-is kept.  Optional per-level checkpoints allow long runs to resume.
+is kept.
+
+With a checkpoint directory a run reads levels 1, 2, ... (up to
+max_n - 1) in order while their files exist, then builds on from the last
+two and writes each level it builds (_levels); it never overwrites a file
+it has not read.
 
 A level's entries are a Level, as the backend's apply_left and
 load_entries return it, and its per-level passes (subtracting the previous
@@ -50,7 +55,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -132,16 +136,6 @@ class MultiplicityVector:
     n: int
     entries: Mapping[bytes, int]
 
-    def coefficient_sum(self) -> int:
-        return self.entries.coefficient_sum()
-
-    def squared_two_norm(self) -> int:
-        return self.entries.squared_two_norm()
-
-    def dump_entries(self) -> bytes:
-        """The checkpoint body: the entries sorted by key (see formats)."""
-        return self.entries.dump_entries()
-
 
 @dataclass(frozen=True)
 class LadderSummary:
@@ -190,8 +184,10 @@ def ladder_levels(
     seed: Optional[tuple[MultiplicityVector, MultiplicityVector]] = None,
 ) -> Iterator[MultiplicityVector]:
     """Yield h_1 .. h_max_n from h_0 = e, or the levels after a
-    checkpointed pair `seed` up to h_max_n."""
+    consecutive pair `seed` up to h_max_n.  The seed is not kept: each of
+    its levels is dropped once the two after it are built."""
     prev, cur = seed or _origin(gen)
+    del seed
     if cur.n != prev.n + 1:
         raise UsageError("seed levels must be consecutive")
     while cur.n < max_n:
@@ -209,7 +205,7 @@ def ladder_levels(
 
 def _check_sum(vec: MultiplicityVector, q: int):
     expect = (q + 1) * q ** (vec.n - 1)
-    got = vec.coefficient_sum()
+    got = vec.entries.coefficient_sum()
     if got != expect:
         raise CorruptionError(
             f"level {vec.n}: coefficient sum {got} != (q+1)q^(n-1) = {expect}"
@@ -221,34 +217,52 @@ def build_ladder(
     max_n: int,
     checkpoint_dir: Optional[str] = None,
 ) -> LadderRun:
-    """Run the ladder, returning per-level summaries.
-
-    No level is kept: each is dropped once the two after it are built.
-    Levels 1 .. max_n - 1 are built and row max_n comes from the norm
-    lookahead.  With `checkpoint_dir`, each built level is dumped after it
-    is computed and an interrupted run restarts from the newest
-    consecutive pair on disk.
-    """
-    from . import formats
-
+    """Run the ladder, returning per-level summaries: rows 1 .. max_n - 1
+    from the levels of _levels, none of which is kept, and row max_n from
+    the norm lookahead over the last of them (h_0 = e when max_n = 1)."""
     if max_n < 1:
         raise UsageError("max_n must be >= 1")
     e = gen.backend.identity_key()
     run = LadderRun()
-    if checkpoint_dir is None:
-        levels, fresh_from = ladder_levels(gen, max_n - 1), 1
-    else:
-        ckdir = Path(checkpoint_dir)
-        levels, fresh_from = _resume(gen, max_n - 1, ckdir)
-
-    _, top = _origin(gen)  # the lookahead's level when max_n = 1
+    levels = _levels(gen, max_n - 1, checkpoint_dir)
+    top = next(levels)  # h_0
     for top in levels:
         run.summaries.append(
-            LadderSummary(top.n, top.squared_two_norm(), top.entries.get(e, 0)))
-        if checkpoint_dir is not None and top.n >= fresh_from:
-            formats.write_checkpoint(ckdir, gen, top)
+            LadderSummary(top.n, top.entries.squared_two_norm(), top.entries.get(e, 0)))
     run.summaries.append(lookahead_h2norm(gen, top, run.summaries))
     return run
+
+
+def _levels(
+    gen: GeneratorSet, top: int, checkpoint_dir: Optional[str]
+) -> Iterator[MultiplicityVector]:
+    """h_0, then h_1 .. h_top: read from checkpoint_dir in order while their
+    files exist, then built from the last two and written there.  A missing
+    level below a file of level <= top refuses the run before any read."""
+    from . import formats
+
+    ckdir = None if checkpoint_dir is None else Path(checkpoint_dir)
+    on_disk = 0
+    if ckdir is not None:
+        ckdir.mkdir(parents=True, exist_ok=True)
+        while on_disk < top and formats.checkpoint_path(ckdir, on_disk + 1).exists():
+            on_disk += 1
+        if any(formats.checkpoint_path(ckdir, n).exists() for n in range(on_disk + 2, top + 1)):
+            raise UsageError(
+                f"checkpoint level {on_disk + 1} missing from {ckdir}; "
+                "delete the directory to restart from scratch"
+            )
+    prev, cur = _origin(gen)
+    yield cur
+    for n in range(1, on_disk + 1):
+        prev, cur = cur, _check_read(gen, ckdir, n)
+        yield cur
+    levels = ladder_levels(gen, top, seed=(prev, cur))
+    del prev, cur
+    for cur in levels:
+        if ckdir is not None:
+            formats.write_checkpoint(ckdir, gen, cur)
+        yield cur
 
 
 def lookahead_h2norm(
@@ -297,49 +311,16 @@ def lookahead_h2norm(
     return LadderSummary(n + 1, row, identity)
 
 
-def _resume(
-    gen: GeneratorSet, top: int, ckdir: Path
-) -> tuple[Iterator[MultiplicityVector], int]:
-    """Levels 1 .. top continued from the newest checkpointed pair in ckdir,
-    and the first level that is computed rather than read."""
+def _check_read(gen: GeneratorSet, ckdir: Path, n: int) -> MultiplicityVector:
+    """Level n as read from its checkpoint file in ckdir, refused with the
+    file named unless it holds level n, the backend takes every key, even
+    where the run composes none of them (TreePairError is a ValueError, as
+    is a backend's refusal of a key), and its coefficients sum to
+    (q+1)q^(n-1)."""
     from . import formats
 
-    ckdir.mkdir(parents=True, exist_ok=True)
-    pair = formats.latest_checkpoint_pair(ckdir, top)
-    if pair is None:
-        return ladder_levels(gen, top), 1
-    paths = [formats.checkpoint_path(ckdir, n) for n in pair]
-    seed = tuple(formats.read_checkpoint(path, gen) for path in paths)
-    for n, path, vec in zip(pair, paths, seed):
-        _check_read(gen, path, n, vec)
-    # summaries for the levels below the seed come off disk, so a resumed
-    # run still reports the whole ladder
-    levels = chain(_disk_levels(gen, ckdir, pair[0]), seed, ladder_levels(gen, top, seed=seed))
-    return levels, pair[1] + 1
-
-
-def _disk_levels(gen: GeneratorSet, ckdir: Path, below: int) -> Iterator[MultiplicityVector]:
-    """Checkpointed levels 1 .. below-1, read and checked one at a time."""
-    from . import formats
-
-    for n in range(1, below):
-        path = formats.checkpoint_path(ckdir, n)
-        if not path.exists():
-            raise UsageError(
-                f"checkpoint level {n} missing from {ckdir}; "
-                "delete the directory to restart from scratch"
-            )
-        yield _check_read(gen, path, n, formats.read_checkpoint(path, gen))
-
-
-def _check_read(
-    gen: GeneratorSet, path: Path, n: int, vec: MultiplicityVector
-) -> MultiplicityVector:
-    """vec as read from path, the checkpoint file of level n, refused with
-    the file named unless it holds level n, the backend takes every key,
-    even where the run composes none of them (TreePairError is a
-    ValueError, as is a backend's refusal of a key), and its coefficients
-    sum to (q+1)q^(n-1)."""
+    path = formats.checkpoint_path(ckdir, n)
+    vec = formats.read_checkpoint(path, gen)
     if vec.n != n:
         raise UsageError(f"{path}: checkpoint holds level {vec.n}, not {n}")
     try:

@@ -231,7 +231,7 @@ def brute_force_sequences(gen: GeneratorSet, max_n: int) -> SequenceTable:
         etas.append(eta)
         zetas.append(zeta)
 
-    h2norms = [brute_force_ladder_element(gen, n).squared_two_norm()
+    h2norms = [brute_force_ladder_element(gen, n).entries.squared_two_norm()
                for n in range(1, max_n + 1)]
     xis = xi_from_h2norm(gen.q, h2norms)
     return SequenceTable(gen.q, h2norms, xis, etas, zetas, ms)
@@ -376,7 +376,7 @@ def group_ring_check(gen: GeneratorSet, m: int) -> None:
 
     for n, k_n in _companion_ladder(gen, 2 * m).items():
         knorm = sum(c * c for c in k_n.values())
-        if knorm != levels[n].squared_two_norm():
+        if knorm != levels[n].entries.squared_two_norm():
             raise VerificationError(f"companion ladder 2-norm differs at n={n}")
 
 

@@ -196,7 +196,7 @@ def full_length_brute_force(gen, max_n: int) -> SequenceTable:
     alternating(0, e)
     alternating_reduced(0, e, 0, 0)
 
-    h2norms = [brute_force_ladder_element(gen, n).squared_two_norm()
+    h2norms = [brute_force_ladder_element(gen, n).entries.squared_two_norm()
                for n in range(1, max_n + 1)]
     xis = xi_from_h2norm(gen.q, h2norms)
     return SequenceTable(gen.q, h2norms, xis, etas, zetas, ms)

@@ -101,6 +101,15 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         code, _, err = run_cli(capsys, "norm", f"--moments={path}")
         assert code == 1
         assert err.startswith(f"error: {path}: ") and says in err
+    # a free rank below 1 and a grid bound or step that is not finite
+    for args, says in [(["--free", "--q=-1"], "--q must be >= 1"),
+                       (["--free", "--q=0"], "--q must be >= 1"),
+                       (["--case=1", "--step=nan"], "need finite lo, hi and step"),
+                       (["--case=1", "--range=nan:1"], "need finite lo, hi and step"),
+                       (["--free", "--range=-inf:1"], "need finite lo, hi and step")]:
+        assert run_cli(capsys, "density", *args, f"--out={tmp_path}/d") == (
+            1, "", f"error: {says}\n")
+    assert not list(tmp_path.glob("d*"))
     with pytest.raises(SystemExit) as info:
         main(["tables", "--threads=2"])  # unknown option
     assert info.value.code == 1
@@ -220,8 +229,8 @@ def _free_group_level(path):
     (3, _overwrite_last_key),
 ], ids=["key-bytes-ff", "truncated", "free-group-keys", "lower-key-bytes-ff"])
 def test_corrupt_checkpoint_exits_1(capsys, tmp_path, level, corrupt):
-    # levels 1..4 are stored, and a resume to n = 6 starts from the pair
-    # (3, 4); level 3 is only subtracted and summed, never composed
+    # levels 1..4 are stored, and a resume to n = 6 reads them in order;
+    # level 3 is only subtracted and summed, never composed
     ckdir = tmp_path / "ck"
     assert main(["tables", "--case=1", "--max-n=5", f"--checkpoint-dir={ckdir}"]) == 0
     corrupt(ckdir / f"level_{level:04d}.tgfl")
@@ -256,7 +265,7 @@ def _copy_of_level(n):
 
 
 @pytest.mark.parametrize("case, corrupt, level, says", [
-    (["--case=custom", "--words=A,a,B"], None, 5, "another generator set"),
+    (["--case=custom", "--words=A,a,B"], None, 1, "another generator set"),
     (["--case=1"], _flip_body_byte, 6, "CRC32"),
     (["--case=1"], _downgrade_to_version_1, 6, "version 1"),
     (["--case=1"], _repeat_first_entry, 6, "strictly increasing order"),
@@ -268,9 +277,9 @@ def _copy_of_level(n):
 ], ids=["other-generators", "bad-crc", "version-1", "repeated-key", "lower-repeated-key",
         "count-off", "lower-count-off", "other-level", "lower-other-level"])
 def test_refused_checkpoint_exits_1(capsys, tmp_path, case, corrupt, level, says):
-    # case 1 to n = 7 stores levels 1..6, and a run to n = 9 resumes from
-    # the pair (5, 6) and reads levels 1..4 for their rows; {A, a, B} has
-    # the same q = 2 as case 1
+    # case 1 to n = 7 stores levels 1..6, and a run to n = 9 reads them in
+    # order, so level 1 is the first that {A, a, B}, with the same q = 2
+    # as case 1, refuses
     ckdir = tmp_path / "ck"
     assert run_cli(capsys, "tables", "--case=1", "--max-n=7", f"--checkpoint-dir={ckdir}")[0] == 0
     if corrupt is not None:
@@ -282,10 +291,33 @@ def test_refused_checkpoint_exits_1(capsys, tmp_path, case, corrupt, level, says
     assert says in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kept, says", [
+    ([1, 2, 3, 4, 5, 7], "error: checkpoint level 6 missing from {ckdir}; "),
+    ([1], "error: {ckdir}/level_0001.tgfl: "),
+], ids=["gap-below-truncated-level", "lone-truncated-level-1"])
+def test_unread_checkpoint_is_never_overwritten(capsys, tmp_path, kept, says):
+    # a run to n = 9 reads levels 1, 2, ... while their files exist and
+    # never overwrites a file it has not read: after the gap at level 6 it
+    # would have to build level 7 over the unread file, and a lone level 1
+    # is read, and refused, before anything is built
+    ckdir = tmp_path / "ck"
+    assert run_cli(capsys, "tables", "--case=1", "--max-n=8", f"--checkpoint-dir={ckdir}")[0] == 0
+    for n in range(1, 8):
+        if n not in kept:
+            (ckdir / f"level_{n:04d}.tgfl").unlink()
+    _truncate(ckdir / f"level_{kept[-1]:04d}.tgfl")
+    before = {p.name: p.read_bytes() for p in ckdir.iterdir()}
+    code, out, err = run_cli(capsys, "tables", "--case=1", "--max-n=9",
+                             f"--checkpoint-dir={ckdir}")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith(says.format(ckdir=ckdir))
+    assert {p.name: p.read_bytes() for p in ckdir.iterdir()} == before
+
+
 def test_refused_lattice_key_exits_1(capsys, tmp_path):
     # the last key of level 4 loses its last varint byte to a continuation
     # bit, under a valid CRC and still sorting last; the resume to n = 6
-    # reads the pair (3, 4)
+    # reads levels 1..4
     ckdir = tmp_path / "ck"
     assert run_cli(capsys, "tables", "--case=lattice", "--max-n=5",
                    f"--checkpoint-dir={ckdir}")[0] == 0
@@ -305,7 +337,7 @@ def test_refused_lattice_key_exits_1(capsys, tmp_path):
 def test_refused_free_key_exits_1(capsys, tmp_path):
     # the last key of level 4 gets the letter 0x7f (index 63 of a rank-2
     # group) as its last byte, under a valid CRC and still sorting last;
-    # the resume to n = 6 reads the pair (3, 4)
+    # the resume to n = 6 reads levels 1..4
     ckdir = tmp_path / "ck"
     assert run_cli(capsys, "tables", "--case=free", "--q=2", "--max-n=5",
                    f"--checkpoint-dir={ckdir}")[0] == 0

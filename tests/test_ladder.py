@@ -1,6 +1,7 @@
 """Ladder recursion: fixture agreement, invariants, checkpoints, and the
 norm lookahead on both kernels."""
 import dataclasses
+import weakref
 from itertools import chain
 
 import pytest
@@ -49,7 +50,7 @@ def test_case2_table2_prefix(gen_case2, table2):
 
 def test_coefficient_sum_invariant(gen_case2):
     for vec in ladder_levels(gen_case2, 7):
-        assert vec.coefficient_sum() == 4 * 3 ** (vec.n - 1)
+        assert vec.entries.coefficient_sum() == 4 * 3 ** (vec.n - 1)
         assert all(c > 0 for c in vec.entries.values())
 
 
@@ -98,14 +99,14 @@ def test_checkpoint_roundtrip(tmp_path, gen_case1):
     assert files == [f"level_{n:04d}.tgfl" for n in range(1, 6)]
     vec = formats.read_checkpoint(tmp_path / "level_0005.tgfl", gen_case1)
     assert vec.n == 5
-    assert vec.squared_two_norm() == run.summaries[4].h2norm
+    assert vec.entries.squared_two_norm() == run.summaries[4].h2norm
     assert len(run.summaries) == 6
 
 
 def test_checkpoint_resume(tmp_path, gen_case1):
     build_ladder(gen_case1, 7, checkpoint_dir=tmp_path)
-    # drop the newest level; the run must restart from the (4, 5) pair and
-    # still report summaries for every level, reading 1..3 from disk
+    # drop the newest level; the run reads levels 1..5 in order, builds on
+    # from levels 4 and 5 and still reports summaries for every level
     (tmp_path / "level_0006.tgfl").unlink()
     resumed = build_ladder(gen_case1, 10, checkpoint_dir=tmp_path)
     fresh = build_ladder(gen_case1, 10)
@@ -136,6 +137,64 @@ def test_checkpoint_resume_incomplete_dir(tmp_path, gen_case1):
     (tmp_path / "level_0002.tgfl").unlink()
     with pytest.raises(UsageError):
         build_ladder(gen_case1, 10, checkpoint_dir=tmp_path)
+
+
+def test_resume_reads_each_level_file_once_in_order(tmp_path, gen_case1, monkeypatch):
+    build_ladder(gen_case1, 7, checkpoint_dir=tmp_path)
+    (tmp_path / "level_0006.tgfl").unlink()
+    reads = []
+    real = formats.read_checkpoint
+
+    def counting(path, gen):
+        reads.append(path.name)
+        return real(path, gen)
+
+    monkeypatch.setattr(formats, "read_checkpoint", counting)
+    resumed = build_ladder(gen_case1, 9, checkpoint_dir=tmp_path)
+    assert reads == [f"level_{n:04d}.tgfl" for n in range(1, 6)]
+    assert resumed.summaries == build_ladder(gen_case1, 9).summaries
+
+
+def test_checkpoint_files_above_the_run_are_left_alone(tmp_path, gen_case1):
+    # a run to n = 6 reads and builds levels 1..5 only; the gap below
+    # level 7 is no gap for it
+    build_ladder(gen_case1, 8, checkpoint_dir=tmp_path)
+    for n in (4, 5, 6):
+        (tmp_path / f"level_{n:04d}.tgfl").unlink()
+    stray = (tmp_path / "level_0007.tgfl").read_bytes()
+    assert build_ladder(gen_case1, 6, checkpoint_dir=tmp_path).summaries == (
+        build_ladder(gen_case1, 6).summaries)
+    assert (tmp_path / "level_0007.tgfl").read_bytes() == stray
+    assert not (tmp_path / "level_0006.tgfl").exists()
+
+
+def _pure(gen):
+    """gen on the pure kernel, whose Levels are dicts that take weakrefs."""
+    return dataclasses.replace(gen, backend=CompiledF(treepair))
+
+
+def test_resumed_ladder_keeps_no_seed_level(gen_case2):
+    # resume from (k-1, k) = (3, 4): level 3 is gone once level 5 is built,
+    # and level 4 once level 6 is
+    gen = _pure(gen_case2)
+    *_, prev, cur = ladder_levels(gen, 4)
+    refs = [weakref.ref(prev.entries), weakref.ref(cur.entries)]
+    levels = ladder_levels(gen, 8, seed=(prev, cur))
+    del prev, cur
+    assert next(levels).n == 5 and refs[0]() is None
+    assert next(levels).n == 6 and refs[1]() is None
+
+
+def test_level_stream_keeps_no_read_level(tmp_path, gen_case2):
+    # levels 1..4 are read from disk and levels 5 and 6 built: the stream
+    # drops levels 3 and 4 as the ladder does
+    gen = _pure(gen_case2)
+    build_ladder(gen, 5, checkpoint_dir=tmp_path)
+    stream = ladder._levels(gen, 7, tmp_path)
+    assert [next(stream).n for _ in range(3)] == [0, 1, 2]
+    refs = [weakref.ref(next(stream).entries) for _ in range(2)]
+    assert next(stream).n == 5 and refs[0]() is None
+    assert next(stream).n == 6 and refs[1]() is None
 
 
 def test_checkpoint_sign_encoding(tmp_path):
@@ -176,7 +235,7 @@ def _assert_lookahead_matches_ladder(gen, max_n):
     (_, top), rows = ladder._origin(gen), []
     for vec in ladder_levels(gen, max_n):
         ahead = lookahead_h2norm(gen, top, rows)
-        rows.append(LadderSummary(vec.n, vec.squared_two_norm(), vec.entries.get(e, 0)))
+        rows.append(LadderSummary(vec.n, vec.entries.squared_two_norm(), vec.entries.get(e, 0)))
         assert ahead == rows[-1], (gen.label, vec.n)
         top = vec
     assert build_ladder(gen, max_n).summaries == rows
@@ -216,13 +275,13 @@ def test_every_level_has_the_level_passes(request, gen, build):
     assert [(vec.n, dict(vec.entries)) for vec in origin] == [
         (-1, {}), (0, {gen.backend.identity_key(): 1})]
     for vec in chain(origin, ladder_levels(gen, 6)):
-        body = vec.dump_entries()
+        body = vec.entries.dump_entries()
         loaded = gen.backend.load_entries(body, len(vec.entries))
         assert type(vec.entries) is type(loaded) is module.Level
         assert list(loaded.items()) == sorted(vec.entries.items())
         assert loaded.dump_entries() == body
-        assert loaded.squared_two_norm() == vec.squared_two_norm()
-        assert loaded.coefficient_sum() == vec.coefficient_sum()
+        assert loaded.squared_two_norm() == vec.entries.squared_two_norm()
+        assert loaded.coefficient_sum() == vec.entries.coefficient_sum()
         loaded.subtract_scaled(vec.entries, 1)
         assert len(loaded) == 0
 

@@ -69,10 +69,10 @@ def _assert_same_level(kernel, gen, level, ref):
     assert type(entries) is tp.Level and type(store) is kernel.Level
     assert list(store.items()) == list(entries.items())
     assert dict(store) == entries and len(store) == len(entries)
-    assert level.squared_two_norm() == ref.squared_two_norm()
-    assert level.coefficient_sum() == ref.coefficient_sum()
-    body = level.dump_entries()
-    assert body == ref.dump_entries()
+    assert store.squared_two_norm() == entries.squared_two_norm()
+    assert store.coefficient_sum() == entries.coefficient_sum()
+    body = store.dump_entries()
+    assert body == entries.dump_entries()
     loaded = kernel.load_entries(body, len(entries))
     assert list(loaded.items()) == sorted(entries.items())
     assert loaded == store

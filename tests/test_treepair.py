@@ -164,7 +164,7 @@ def test_compiled_inner_matches_pure(builds, gen, max_n):
         words = [tp.IDENTITY_KEY] + [
             tp.compose_keys(tp.invert_key(t), s) for t in g for s in g if s != t]
         sums = tp.inner(words, level.entries)
-        assert sums[0] == level.squared_two_norm()
+        assert sums[0] == level.entries.squared_two_norm()
         by_word = dict(zip(words, sums))
         assert all(by_word[tp.invert_key(w)] == v for w, v in by_word.items())
         for compiled in builds:
