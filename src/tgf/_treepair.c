@@ -24,13 +24,24 @@
  * TypeError.
  *
  * apply_left and inner run one batch driver.  It unpacks each factor once
- * per call, walks vec once, checks, unpacks and indexes each key once for
- * all factors, and packs each product g*x into a scratch buffer; a product
- * with the identity is the other factor as it is.  Only the step per
- * product differs:
+ * per call, splits a factor that is x0^±1 or x1^±1, or a product of two of
+ * them, into those letters, walks vec once, checks each key once for all
+ * factors, and packs each product g*x into a scratch buffer; a product
+ * with the identity is the other factor as it is.  A factor that is one or
+ * two letters, on a reduced key of up to FAST_TOKENS tokens per tree (26
+ * leaves, more than any ladder key has), takes the fast path: each letter
+ * is a local edit of the packed trees near the range tree's root (see
+ * left_letter), with no unpack, index, full reduction or repack.  That is
+ * every factor of cases 1 and 2 and every lookahead word t^-1 s of theirs.
+ * Every other factor, and any factor on an unreduced or larger key, takes
+ * the general product, as compose_keys does.  An item's products are all
+ * built, and the table slots they need fetched, before the item before it
+ * is used, so the table reads overlap the next item's edits.  Only the
+ * step per product differs:
  *   - apply_left accumulates into a new Level, in the insertion order of
  *     tgf.treepair.apply_left (identity factors first, then the others),
- *     making no Python object per product.
+ *     making no Python object per product.  The new Level holds at least
+ *     as many keys as vec, so its table starts at that size.
  *   - inner adds vec[x] * vec[w*x], looked up by the product's raw bytes,
  *     to the 128-bit sum of word w, giving <w.h, h> for the group-ring
  *     element h that vec holds.  A count is below 2**32 and the arena holds
@@ -85,6 +96,12 @@ typedef struct {
     const unsigned char *dom, *rng;
     int nl;
 } Pair;
+
+/* A factor that is one or two letters (see left_letter), g[0] acting
+ * first; n = 0 for any other factor. */
+typedef struct {
+    int n, g[2];
+} Letters;
 
 /* -- keys ------------------------------------------------------------------- */
 
@@ -382,6 +399,337 @@ product(const Pair *a, const Pair *b, const int *ix, Buf *w, Buf *out)
     return pack_into(od, ntok, out);
 }
 
+/* -- left multiplication by a letter ---------------------------------------
+ *
+ * A letter is x0, x1 or an inverse.  Left-multiplying a reduced pair by
+ * one rotates its range tree at one node N, the root (x0^±1) or the root's
+ * right child (x1^±1): ((A B) C) becomes (A (B C)) for x0^-1 and x1^-1,
+ * and the reverse for x0 and x1.  Where N or its child on the rotated side
+ * is a leaf, a caret is first grown there and at the same leaf of the
+ * domain tree.  The rotation makes one new caret over two leaves possible,
+ * (B C) or (A B); a common caret cancelled there can expose one more at N,
+ * and a pair of two leaves is always e.  No other caret of the product
+ * can be common to both trees, so the product is reduced without a scan.
+ *
+ * The edit works on the tokens of a pair as one 128-bit string, the first
+ * token in the top bit, as in the key.  It serves pairs of up to
+ * FAST_TOKENS tokens per tree: two letters grow at most eight tokens per
+ * tree, and a scan reads a byte past the tokens, so every bit read stays
+ * below bit 128.  That is 26 leaves, more than any key of the ladders
+ * that fit in memory has (keys of case 1 level 23 and case 2 level 14
+ * have at most 15 and 17); a larger pair takes product.  Subtree ends,
+ * leaf positions and common carets are found by table, a byte or two at
+ * a time. */
+
+typedef unsigned __int128 Bits;
+#define ALL_BITS (~(Bits)0)
+#define FAST_TOKENS 52
+
+enum { LETTER_AB = 1, LETTER_RIGHT = 2, N_LETTERS = 4 };
+
+/* Letter g rotates at the root's right child when g & LETTER_RIGHT, else at
+ * the root, and turns ((A B) C) into (A (B C)) when g & LETTER_AB, else
+ * the reverse; g ^ LETTER_AB is its inverse.  Its trees, in preorder: */
+static const char *const LETTER_TREES[N_LETTERS][2] = {
+    {"10100", "11000"},     /* x0 */
+    {"11000", "10100"},     /* x0^-1 */
+    {"1010100", "1011000"}, /* x1 */
+    {"1011000", "1010100"}, /* x1^-1 */
+};
+/* tokens with the 7 spare bytes pack_into needs, and keys padded to 16
+ * bytes for load_be64 */
+static unsigned char LETTER_TOKENS[N_LETTERS][21], LETTER_KEY[N_LETTERS][16];
+static Pair LETTER_PAIR[N_LETTERS];
+static Py_ssize_t LETTER_KEY_LEN[N_LETTERS];
+static Bits LETTER_BITS[N_LETTERS];
+
+/* SUBTREE_END[v][k - 1]: with k subtrees still to finish before byte v,
+ * one past the bit of v that finishes them, or 0; BYTE_DELTA[v]: carets
+ * less leaves in v; LEAF_AT[v][j]: the bit of v that is its leaf j;
+ * LEAVES[v]: its leaves; SIBLINGS[p << 9 | v << 1 | n], for byte v between
+ * bits p and n: bit j set when leaf j of v follows a caret and a leaf
+ * follows it, then the leaf count of v from bit 8 on. */
+static unsigned char SUBTREE_END[256][8], LEAF_AT[256][8], LEAVES[256];
+static signed char BYTE_DELTA[256];
+static uint16_t SIBLINGS[1024];
+
+static void
+init_bit_tables(void)
+{
+    for (int v = 0; v < 256; v++) {
+        for (int k = 1; k <= 8; k++) {
+            int need = k;
+            for (int b = 0; b < 8 && !SUBTREE_END[v][k - 1]; b++)
+                if ((need += BITS[v][b] ? 1 : -1) == 0)
+                    SUBTREE_END[v][k - 1] = (unsigned char)(b + 1);
+        }
+        for (int b = 0; b < 8; b++) {
+            BYTE_DELTA[v] += BITS[v][b] ? 1 : -1;
+            if (!BITS[v][b])
+                LEAF_AT[v][LEAVES[v]++] = (unsigned char)b;
+        }
+    }
+    for (int i = 0; i < 1024; i++) {
+        unsigned char t[10] = {(unsigned char)(i >> 9)};
+        memcpy(t + 1, BITS[i >> 1 & 0xFF], 8);
+        t[9] = i & 1;
+        int flags = 0, leaves = 0;
+        for (int b = 1; b <= 8; b++)
+            if (!t[b])
+                flags |= (t[b - 1] && !t[b + 1]) << leaves++;
+        SIBLINGS[i] = (uint16_t)(flags | leaves << 8);
+    }
+}
+
+static uint64_t
+load_be64(const unsigned char *p)
+{
+    return (uint64_t)p[0] << 56 | (uint64_t)p[1] << 48 | (uint64_t)p[2] << 40
+           | (uint64_t)p[3] << 32 | (uint64_t)p[4] << 24 | (uint64_t)p[5] << 16
+           | (uint64_t)p[6] << 8 | (uint64_t)p[7];
+}
+
+static void
+store_be64(unsigned char *p, uint64_t v)
+{
+    for (int b = 0; b < 8; b++)
+        p[b] = (unsigned char)(v >> (56 - 8 * b));
+}
+
+static int
+bit_at(Bits x, int i)
+{
+    return (int)(x >> (127 - i)) & 1;
+}
+
+/* The eight bits from bit i on. */
+static unsigned
+byte_at(Bits x, int i)
+{
+    return (unsigned)((x << i) >> 120);
+}
+
+/* One past the subtree whose root is bit i, or -1 when the subtree does
+ * not end by bit `limit` (at most 120).  Two bytes are read at a time, so
+ * that most subtrees take one step. */
+static int
+subtree_end(Bits x, int i, int limit)
+{
+    int need = 1;
+    for (; i < limit; i += 16) {
+        unsigned v = byte_at(x, i), w = byte_at(x, i + 8);
+        int mid = need + BYTE_DELTA[v];
+        int end = need <= 8 && SUBTREE_END[v][need - 1]
+                      ? i + SUBTREE_END[v][need - 1]
+                  : mid >= 1 && mid <= 8 && SUBTREE_END[w][mid - 1]
+                      ? i + 8 + SUBTREE_END[w][mid - 1]
+                  : 0;
+        if (end)
+            return end <= limit ? end : -1;
+        need = mid + BYTE_DELTA[w];
+    }
+    return -1;
+}
+
+/* The bit of leaf j of the domain tree, the string's first tree. */
+static int
+leaf_bit(Bits x, int j)
+{
+    for (int i = 0;; i += 8) {
+        unsigned v = byte_at(x, i);
+        if (j < LEAVES[v])
+            return i + LEAF_AT[v][j];
+        j -= LEAVES[v];
+    }
+}
+
+/* x with the k bits of v before bit i, and the bits from i on after them. */
+static Bits
+insert_bits(Bits x, int i, int k, unsigned v)
+{
+    Bits tail = ALL_BITS >> i;
+    return (x & ~tail) | (x & tail) >> k | (Bits)v << (128 - k - i);
+}
+
+/* x without the k bits from bit i on. */
+static Bits
+remove_bits(Bits x, int i, int k)
+{
+    Bits tail = ALL_BITS >> i;
+    return (x & ~tail) | (x << k & tail);
+}
+
+/* x with the caret at bit lo moved after the bits (lo, hi) when `left`,
+ * else the caret at bit hi - 1 moved before the bits [lo, hi - 1). */
+static Bits
+move_caret(Bits x, int lo, int hi, int left)
+{
+    Bits field = ALL_BITS >> lo & ~(ALL_BITS >> hi), top = (Bits)1 << 127;
+    Bits moved = left ? (x & field) << 1 | top >> (hi - 1) : (x & field) >> 1 | top >> lo;
+    return (x & ~field) | (moved & field);
+}
+
+/* Cancels the caret at bit r of the range tree, over two leaves, with the
+ * one over domain leaves j and j + 1 when that one exists; returns whether
+ * it did. */
+static int
+cancel(Bits *x, int r, int j)
+{
+    int d = leaf_bit(*x, j);
+    if (d == 0 || !bit_at(*x, d - 1) || bit_at(*x, d + 1))
+        return 0;
+    *x = remove_bits(remove_bits(*x, r, 2), d - 1, 2);
+    return 1;
+}
+
+/* One past the range tree's left subtree, of the pair of ntok > 1 tokens
+ * per tree in x. */
+static int
+left_end(Bits x, int ntok)
+{
+    return subtree_end(x, ntok + 1, 2 * ntok);
+}
+
+/* Multiplies the reduced pair of ntok > 1 tokens per tree in *x on the left
+ * by letter g; returns the product's token count.  `left` is the pair's
+ * left_end, or 0 to find it here. */
+static int
+left_letter(Bits *x, int ntok, int g, int left)
+{
+    int ab = g & LETTER_AB;
+    /* N, the node rotated, at bit n, with p leaves before it; A, as in
+     * ((A B) C) and (A (B C)), ends before bit a_end */
+    int n = ntok, p = 0, a_end = 0;
+    if ((g & LETTER_RIGHT || !ab) && !left)
+        left = left_end(*x, ntok);
+    if (g & LETTER_RIGHT) {
+        n = left;
+        p = (n - ntok) / 2;
+    }
+    /* grow N and its child on the rotated side where they are leaves: N,
+     * and its right child for x0 and x1, only as the last leaf; its left
+     * child for x0^-1 and x1^-1 as leaf p */
+    int r = -1, d = ntok - 1, k = 2;
+    unsigned v = 2;
+    if (!bit_at(*x, n)) {
+        r = n;
+        v = ab ? 0xC : 0xA;
+        k = 4;
+        a_end = n + 2;
+    }
+    else if (ab) {
+        if (!bit_at(*x, n + 1)) {
+            r = n + 1;
+            d = leaf_bit(*x, p);
+        }
+    }
+    else {
+        a_end = g & LETTER_RIGHT ? subtree_end(*x, n + 1, 2 * ntok) : left;
+        if (!bit_at(*x, a_end))
+            r = a_end;
+    }
+    if (r >= 0) {
+        *x = insert_bits(insert_bits(*x, r, k, v), d, k, v);
+        ntok += k;
+        n += k;
+        a_end += k;
+    }
+    /* rotate, and cancel the caret that it may make common, then N */
+    int c, j;
+    if (ab) {
+        a_end = subtree_end(*x, n + 2, 2 * ntok);
+        *x = move_caret(*x, n + 1, a_end, 1);
+        c = a_end - 1;
+        j = p + (a_end - n - 1) / 2;
+    }
+    else {
+        *x = move_caret(*x, n + 1, a_end + 1, 0);
+        c = n + 1;
+        j = p;
+    }
+    /* a caret over two leaves is 1 0 0 */
+    if (!(*x << (c + 1) >> 126) && cancel(x, c, j)) {
+        ntok -= 2;
+        n -= 2;
+        if (!(*x << (n + 1) >> 126) && cancel(x, n, p))
+            ntok -= 2;
+    }
+    if (ntok > 3)
+        return ntok;
+    /* a pair of two leaves is e */
+    *x = 0;
+    return 1;
+}
+
+/* The tokens of the key s[0:len], of ntok <= FAST_TOKENS tokens per tree. */
+static Bits
+load_bits(const unsigned char *s, Py_ssize_t len)
+{
+    unsigned char b[16] = {0};
+    memcpy(b, s + 3, len - 3);
+    return (Bits)load_be64(b) << 64 | load_be64(b + 8);
+}
+
+/* Checks the padding and the two trees of a key that load_bits loaded, as
+ * unpack_into does. */
+static int
+check_bits(Bits x, int ntok)
+{
+    if (x & ALL_BITS >> 2 * ntok)
+        return fail("tree-pair key has nonzero padding bits");
+    if (subtree_end(x, 0, ntok) != ntok || subtree_end(x, ntok, 2 * ntok) != 2 * ntok)
+        return fail("tree-pair key does not hold two complete trees");
+    return 0;
+}
+
+/* Bit j is set for each leaf j of the tree in bits [start, start + ntok)
+ * of x that follows a caret and is followed by a leaf, as in
+ * sibling_flags. */
+static uint64_t
+sibling_mask(Bits x, int start, int ntok)
+{
+    int end = start + ntok, leaf = 0;
+    unsigned prev = 0;
+    uint64_t mask = 0;
+    for (int i = start; i < end; i += 8) {
+        unsigned v = byte_at(x, i), next = 1;
+        if (end - i > 8)
+            next = bit_at(x, i + 8);
+        else
+            /* the tree's last token is a leaf with no leaf after it */
+            v |= 0xFF >> (end - i);
+        unsigned e = SIBLINGS[prev << 9 | v << 1 | next];
+        mask |= (uint64_t)(e & 0xFF) << leaf;
+        leaf += e >> 8;
+        prev = v & 1;
+    }
+    return mask;
+}
+
+static int
+is_reduced(Bits x, int ntok)
+{
+    return !(sibling_mask(x, 0, ntok) & sibling_mask(x, ntok, ntok));
+}
+
+/* Packs the pair in x, of ntok tokens per tree, into out at byte `at`;
+ * returns the key length or -1. */
+static Py_ssize_t
+pack_bits(Bits x, int ntok, Buf *out, size_t at)
+{
+    int nl = (ntok + 1) / 2;
+    unsigned char *s = reserve(out, at + 19);
+    if (s == NULL)
+        return -1;
+    s += at;
+    s[0] = KEY_TAG;
+    s[1] = (unsigned char)(nl >> 8);
+    s[2] = (unsigned char)(nl & 0xFF);
+    store_be64(s + 3, (uint64_t)(x >> 64));
+    store_be64(s + 11, (uint64_t)x);
+    return packed_size(ntok);
+}
+
 /* -- level store ------------------------------------------------------------ */
 
 /* A slot is 0 when empty, else the top 24 bits of the key's hash over
@@ -450,18 +798,31 @@ slot_record(const Level *lv, uint64_t s)
     return record(lv->arena + (s & OFFSET_MASK) - 1);
 }
 
+/* The bytes k[0:8] as a little-endian number. */
+static uint64_t
+load_le64(const unsigned char *k)
+{
+    return (uint64_t)k[0] | (uint64_t)k[1] << 8 | (uint64_t)k[2] << 16 | (uint64_t)k[3] << 24
+           | (uint64_t)k[4] << 32 | (uint64_t)k[5] << 40 | (uint64_t)k[6] << 48
+           | (uint64_t)k[7] << 56;
+}
+
 static uint64_t
 hash_key(const unsigned char *k, size_t n)
 {
-    uint64_t h = UINT64_C(0x9E3779B97F4A7C15) * (n + 1), w;
-    for (; n >= 8; k += 8, n -= 8) {
-        memcpy(&w, k, 8);
-        h = (h ^ w) * UINT64_C(0xBF58476D1CE4E5B9);
+    uint64_t h = UINT64_C(0x9E3779B97F4A7C15) * (n + 1), w = 0;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        h = (h ^ load_le64(k + i)) * UINT64_C(0xBF58476D1CE4E5B9);
         h ^= h >> 31;
     }
-    w = 0;
-    if (n)
-        memcpy(&w, k, n);
+    /* the last n - i < 8 bytes, read as the top of the last eight when
+     * there are eight */
+    if (i < n && n >= 8)
+        w = load_le64(k + n - 8) >> 8 * (8 - (n - i));
+    else
+        for (size_t j = n; j > i; j--)
+            w = w << 8 | k[j - 1];
     h = (h ^ w) * UINT64_C(0x94D049BB133111EB);
     h ^= h >> 29;
     h *= UINT64_C(0xBF58476D1CE4E5B9);
@@ -489,21 +850,22 @@ find_slot(const Level *lv, const unsigned char *k, size_t n, uint64_t h)
 
 /* The live record of key k[0:n], or NULL. */
 static unsigned char *
-find_count(const Level *lv, const unsigned char *k, size_t n)
+find_count(const Level *lv, const unsigned char *k, size_t n, uint64_t h)
 {
     if (lv->slots == NULL)
         return NULL;
-    uint64_t s = lv->slots[find_slot(lv, k, n, hash_key(k, n))];
+    uint64_t s = lv->slots[find_slot(lv, k, n, h)];
     if (s == 0)
         return NULL;
     unsigned char *c = slot_record(lv, s).count;
     return get_count(c) ? c : NULL;
 }
 
+/* The count of key k[0:n], whose hash_key is h. */
 static uint32_t
-level_get(const Level *lv, const unsigned char *k, size_t n)
+level_get(const Level *lv, const unsigned char *k, size_t n, uint64_t h)
 {
-    unsigned char *c = find_count(lv, k, n);
+    unsigned char *c = find_count(lv, k, n, h);
     return c == NULL ? 0 : get_count(c);
 }
 
@@ -604,15 +966,16 @@ count_overflow(void)
     return -1;
 }
 
-/* Adds c >= 1 to the count of key k[0:n]; a new key goes after all
+/* Adds c >= 1 to the count of key k[0:n], whose hash_key is h; a new key
+ * goes after all
  * others, as in a dict.  Only a Level still being built is put to (the
  * output of apply_left, and the new Level of load_entries), and records die
  * only in subtract_scaled, so an occupied slot always indexes a live
  * record. */
 static int
-level_put(Level *lv, const unsigned char *k, size_t n, uint64_t c)
+level_put(Level *lv, const unsigned char *k, size_t n, uint64_t h, uint64_t c)
 {
-    uint64_t h = hash_key(k, n), *slot = NULL;
+    uint64_t *slot = NULL;
     if (c > COUNT_MAX)
         return count_overflow();
     if (lv->slots != NULL) {
@@ -758,8 +1121,8 @@ lookup(Level *lv, PyObject *key)
 {
     if (!PyBytes_Check(key))
         return 0;
-    return level_get(lv, (const unsigned char *)PyBytes_AS_STRING(key),
-                     PyBytes_GET_SIZE(key));
+    const unsigned char *k = (const unsigned char *)PyBytes_AS_STRING(key);
+    return level_get(lv, k, PyBytes_GET_SIZE(key), hash_key(k, PyBytes_GET_SIZE(key)));
 }
 
 static PyObject *
@@ -802,7 +1165,8 @@ level_richcompare(Level *lv, PyObject *other, int op)
     size_t off = 0;
     Rec r;
     while (equal && next_live(lv, &off, &r))
-        equal = level_get((Level *)other, r.key, r.len) == get_count(r.count);
+        equal = level_get((Level *)other, r.key, r.len, hash_key(r.key, r.len))
+                == get_count(r.count);
     return PyBool_FromLong(equal == (op == Py_EQ));
 }
 
@@ -904,7 +1268,7 @@ take(Level *lv, const unsigned char *k, size_t n, unsigned __int128 d)
 {
     if (d == 0)
         return 0;
-    unsigned char *cp = find_count(lv, k, n);
+    unsigned char *cp = find_count(lv, k, n, hash_key(k, n));
     uint32_t old = cp == NULL ? 0 : get_count(cp);
     if (d > old) {
         PyErr_SetString(PyExc_ValueError, "negative coefficient: subtraction did not cancel");
@@ -1083,7 +1447,7 @@ load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             error = "checkpoint count is not in the level store's range 1..2**32-1";
             break;
         }
-        if (level_put(lv, key, n, c) < 0)
+        if (level_put(lv, key, n, hash_key(key, n), c) < 0)
             goto fail;
     }
     if (error == NULL && p != end)
@@ -1205,6 +1569,25 @@ is_identity(const unsigned char *s, Py_ssize_t len)
            && memcmp(s, PyBytes_AS_STRING(IdentityKey), len) == 0;
 }
 
+/* A product of an item: its key, which is at byte `at` of the item's keys
+ * buffer while `key` is NULL, and the key's hash_key. */
+typedef struct {
+    const unsigned char *key;
+    size_t at;
+    Py_ssize_t len;
+    uint64_t hash;
+} Product;
+
+/* An item of vec, the key key[0:klen] with count c and hash_key hash, and
+ * its products. */
+typedef struct {
+    const unsigned char *key;
+    Py_ssize_t klen;
+    uint64_t c, hash;
+    Product *prods;              /* one per factor */
+    Buf keys;
+} Item;
+
 /* One pass of vec against a list of factors, shared by apply_left and
  * inner. */
 typedef struct {
@@ -1215,55 +1598,208 @@ typedef struct {
     const unsigned char **fkeys; /* the factors composed, borrowed from a tuple */
     Py_ssize_t *flens;
     Pair *pairs;                 /* their unpacked trees */
-    Py_ssize_t n;
+    Letters *words;              /* their letters, for those that are words */
+    Py_ssize_t n, n_words, n_general;
+    Item items[2];               /* one is built while the other is used */
     Buf keybuf, index, work, prod;
 } Batch;
 
-/* The per-product step for product p[0:plen] of an item with count c and
- * factor f: apply_left adds c to out[p]; inner adds c * vec[p] to the sum
- * of f. */
+/* Splits factor f of the batch into letters when it is one or two: g when
+ * g^-1 f = e, g h when g^-1 f = h.  A word of two letters has at most 5
+ * leaves, so only factors of up to 8 are tried, whose products with a
+ * letter cannot fail. */
 static int
-batch_step(Batch *bt, Py_ssize_t f, const unsigned char *p, Py_ssize_t plen, uint64_t c)
+split_word(Batch *bt, Py_ssize_t f)
 {
-    if (bt->out != NULL)
-        return level_put(bt->out, p, plen, c);
-    bt->wide[f] += (unsigned __int128)c * level_get(bt->vec, p, plen);
+    Letters *word = &bt->words[f];
+    word->n = 0;
+    if (bt->pairs[f].nl == 1 || bt->pairs[f].nl > 8)
+        return 0;
+    const int *ix = index_pair(&bt->pairs[f], &bt->index);
+    if (ix == NULL)
+        return -1;
+    for (int g = 0; g < N_LETTERS; g++) {
+        Py_ssize_t n = product(&LETTER_PAIR[g ^ LETTER_AB], &bt->pairs[f], ix,
+                               &bt->work, &bt->prod);
+        if (n < 0)
+            return -1;
+        word->g[1] = g;
+        if (is_identity(bt->prod.p, n)) {
+            word->n = 1;
+            word->g[0] = g;
+            return 0;
+        }
+        for (int h = 0; h < N_LETTERS; h++)
+            if (n == LETTER_KEY_LEN[h] && memcmp(bt->prod.p, LETTER_KEY[h], n) == 0) {
+                word->n = 2;
+                word->g[0] = h;
+                return 0;
+            }
+    }
     return 0;
 }
 
-/* All products of one item of vec, the key k[0:klen] with count c, in the
- * pure loops' order. */
-static int
-batch_item(Batch *bt, const unsigned char *key, Py_ssize_t klen, uint64_t c)
+/* The products g * x of one reduced pair x by letters g, each made once:
+ * bit g of `made` is set once g * x, of ntok[g] tokens per tree, is in
+ * x[g].  `left` is the left_end of x. */
+typedef struct {
+    unsigned made;
+    int left;
+    Bits x[N_LETTERS];
+    int ntok[N_LETTERS];
+} FirstLetters;
+
+/* Packs word * x into out at byte `at`, for the reduced pair x of ntok > 1
+ * tokens per tree, letter by letter, taking its first letter's product
+ * from `first`; returns the key length or -1. */
+static Py_ssize_t
+left_word(Bits x, int ntok, const Letters *word, FirstLetters *first, Buf *out, size_t at)
 {
+    int g = word->g[0];
+    if (!(first->made >> g & 1)) {
+        first->x[g] = x;
+        first->ntok[g] = left_letter(&first->x[g], ntok, g, first->left);
+        first->made |= 1u << g;
+    }
+    x = first->x[g];
+    ntok = first->ntok[g];
+    if (word->n == 2) {
+        g = word->g[1];
+        if (ntok > 1) {
+            ntok = left_letter(&x, ntok, g, 0);
+        }
+        else {
+            x = LETTER_BITS[g];
+            ntok = 2 * LETTER_PAIR[g].nl - 1;
+        }
+    }
+    return pack_bits(x, ntok, out, at);
+}
+
+/* Builds the products of item `it` in the pure loops' order and fetches
+ * the table slots that they need.  A word takes left_word when the key is
+ * reduced; other factors, and words on an unreduced key, take product. */
+static int
+build_item(Batch *bt, Item *it)
+{
+    const unsigned char *key = it->key;
+    Py_ssize_t klen = it->klen;
     Pair k;
     const int *ix = NULL;
+    Bits x = 0;
+    int nl = key_leaves(key, klen), reduced = 0;
+    if (nl < 0)
+        return -1;
+    int ntok = 2 * nl - 1, fits = ntok <= FAST_TOKENS;
+    int unpacked = bt->n_general > 0 || !fits;
     /* every key is checked, whatever the factors */
-    if (unpack(key, klen, &bt->keybuf, &k) < 0)
+    if (unpacked && unpack(key, klen, &bt->keybuf, &k) < 0)
         return -1;
-    if (bt->n_identity && level_put(bt->out, key, klen, bt->n_identity * c) < 0)
-        return -1;
-    if (bt->n && k.nl > 1 && (ix = index_pair(&k, &bt->index)) == NULL)
-        return -1;
+    if (fits) {
+        x = load_bits(key, klen);
+        if (!unpacked && check_bits(x, ntok) < 0)
+            return -1;
+        reduced = bt->n_words && nl > 1 && is_reduced(x, ntok);
+    }
+    if (nl > 1 && (bt->n_general || (bt->n_words && !reduced))) {
+        if (!unpacked && unpack(key, klen, &bt->keybuf, &k) < 0)
+            return -1;
+        if ((ix = index_pair(&k, &bt->index)) == NULL)
+            return -1;
+    }
+    size_t at = 0;
+    FirstLetters first = {.left = reduced ? left_end(x, ntok) : 0};
     for (Py_ssize_t f = 0; f < bt->n; f++) {
         /* as in compose_keys, a product with the identity is the other
          * factor as it is, even when that one is not reduced */
-        const unsigned char *p = key;
-        Py_ssize_t plen = klen;
-        if (bt->pairs[f].nl > 1 && ix == NULL) {
-            p = bt->fkeys[f];
-            plen = bt->flens[f];
+        Product *pr = &it->prods[f];
+        pr->key = key;
+        pr->len = klen;
+        if (bt->pairs[f].nl > 1 && nl == 1) {
+            pr->key = bt->fkeys[f];
+            pr->len = bt->flens[f];
+        }
+        else if (bt->words[f].n && reduced) {
+            if ((pr->len = left_word(x, ntok, &bt->words[f], &first, &it->keys, at)) < 0)
+                return -1;
+            pr->key = NULL;
         }
         else if (bt->pairs[f].nl > 1) {
-            plen = product(&bt->pairs[f], &k, ix, &bt->work, &bt->prod);
-            if (plen < 0)
+            Py_ssize_t n = product(&bt->pairs[f], &k, ix, &bt->work, &bt->prod);
+            if (n < 0 || reserve(&it->keys, at + n) == NULL)
                 return -1;
-            p = bt->prod.p;
+            memcpy(it->keys.p + at, bt->prod.p, n);
+            pr->len = n;
+            pr->key = NULL;
         }
-        if (batch_step(bt, f, p, plen, c) < 0)
+        pr->at = at;
+        at += pr->key == NULL ? pr->len : 0;
+    }
+    Level *lv = bt->out != NULL ? bt->out : bt->vec;
+    if (bt->n_identity) {
+        it->hash = hash_key(key, klen);
+        if (lv->slots != NULL)
+            __builtin_prefetch(lv->slots + (it->hash & lv->mask));
+    }
+    for (Py_ssize_t f = 0; f < bt->n; f++) {
+        Product *pr = &it->prods[f];
+        if (pr->key == NULL)
+            pr->key = it->keys.p + pr->at;
+        pr->hash = hash_key(pr->key, pr->len);
+        if (lv->slots != NULL)
+            __builtin_prefetch(lv->slots + (pr->hash & lv->mask));
+    }
+    return 0;
+}
+
+/* Uses the products of item `it`: apply_left adds c to out[p] for each
+ * product p, after the identity factors' n_identity * c to out[key];
+ * inner adds c * vec[p] to the sum of p's word. */
+static int
+use_item(Batch *bt, const Item *it)
+{
+    if (bt->out == NULL) {
+        for (Py_ssize_t f = 0; f < bt->n; f++) {
+            const Product *pr = &it->prods[f];
+            bt->wide[f] += (unsigned __int128)it->c
+                           * level_get(bt->vec, pr->key, pr->len, pr->hash);
+        }
+        return 0;
+    }
+    if (bt->n_identity
+        && level_put(bt->out, it->key, it->klen, it->hash, bt->n_identity * it->c) < 0)
+        return -1;
+    for (Py_ssize_t f = 0; f < bt->n; f++) {
+        const Product *pr = &it->prods[f];
+        if (level_put(bt->out, pr->key, pr->len, pr->hash, it->c) < 0)
             return -1;
     }
     return 0;
+}
+
+/* After an item failed to build, uses the item before it, whose error, if
+ * it has one, comes first in the pure loops' order and is the one raised. */
+static void
+use_before_error(Batch *bt, const Item *it)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    PyObject *exc = PyErr_GetRaisedException();
+    if (use_item(bt, it) < 0)
+        Py_XDECREF(exc);
+    else
+        PyErr_SetRaisedException(exc);
+#else
+    PyObject *type, *value, *tb;
+    PyErr_Fetch(&type, &value, &tb);
+    if (use_item(bt, it) < 0) {
+        Py_XDECREF(type);
+        Py_XDECREF(value);
+        Py_XDECREF(tb);
+    }
+    else {
+        PyErr_Restore(type, value, tb);
+    }
+#endif
 }
 
 /* The batch driver: apply_left(factors, vec) when inner is 0, else
@@ -1289,8 +1825,12 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
     bt.fkeys = PyMem_Malloc((nf + 1) * sizeof(*bt.fkeys));
     bt.flens = PyMem_Malloc((nf + 1) * sizeof(*bt.flens));
     bt.pairs = PyMem_Malloc((nf + 1) * sizeof(Pair));
+    bt.words = PyMem_Malloc((nf + 1) * sizeof(Letters));
+    bt.items[0].prods = PyMem_Malloc((nf + 1) * sizeof(Product));
+    bt.items[1].prods = PyMem_Malloc((nf + 1) * sizeof(Product));
     bt.wide = PyMem_Calloc(nf + 1, sizeof(*bt.wide));
-    if (bt.fkeys == NULL || bt.flens == NULL || bt.pairs == NULL || bt.wide == NULL) {
+    if (bt.fkeys == NULL || bt.flens == NULL || bt.pairs == NULL || bt.words == NULL
+        || bt.items[0].prods == NULL || bt.items[1].prods == NULL || bt.wide == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1321,13 +1861,43 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
             goto done;
         total += token_room(nl);
     }
-    if (!inner && (bt.out = level_alloc()) == NULL)
+    for (Py_ssize_t f = 0; f < bt.n; f++) {
+        if (split_word(&bt, f) < 0)
+            goto done;
+        if (bt.words[f].n)
+            bt.n_words++;
+        else if (bt.pairs[f].nl > 1)
+            bt.n_general++;
+    }
+    /* left-multiplying by one factor maps distinct elements to distinct
+     * elements, so the new level holds at least as many keys as vec: its
+     * table starts at that size and grows from there */
+    if (!inner && ((bt.out = level_alloc()) == NULL
+                   || (bt.n + bt.n_identity > 0 && bt.vec->live > 0
+                       && rebuild(bt.out, slots_for(bt.vec->live)) < 0)))
         goto done;
+    /* each item is built, and the table slots of its products fetched,
+     * before the item before it is used, so that an item's table reads are
+     * in flight while the next one is built */
     size_t off = 0;
     Rec r;
-    while (next_live(bt.vec, &off, &r))
-        if (batch_item(&bt, r.key, r.len, get_count(r.count)) < 0)
+    Item *next = &bt.items[0], *ready = NULL;
+    while (next_live(bt.vec, &off, &r)) {
+        next->key = r.key;
+        next->klen = r.len;
+        next->c = get_count(r.count);
+        if (build_item(&bt, next) < 0) {
+            if (ready != NULL)
+                use_before_error(&bt, ready);
             goto done;
+        }
+        if (ready != NULL && use_item(&bt, ready) < 0)
+            goto done;
+        ready = next;
+        next = &bt.items[ready == &bt.items[0]];
+    }
+    if (ready != NULL && use_item(&bt, ready) < 0)
+        goto done;
     if (!inner) {
         result = Py_NewRef(bt.out);
         goto done;
@@ -1349,6 +1919,11 @@ done:
     PyMem_Free(bt.fkeys);
     PyMem_Free(bt.flens);
     PyMem_Free(bt.pairs);
+    PyMem_Free(bt.words);
+    for (int i = 0; i < 2; i++) {
+        PyMem_Free(bt.items[i].prods);
+        PyMem_Free(bt.items[i].keys.p);
+    }
     PyMem_Free(bt.wide);
     PyMem_Free(bt.keybuf.p);
     PyMem_Free(bt.index.p);
@@ -1372,6 +1947,31 @@ inner(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* -- module ----------------------------------------------------------------- */
+
+static int
+init_letters(void)
+{
+    Buf key = {0};
+    for (int g = 0; g < N_LETTERS; g++) {
+        int ntok = (int)strlen(LETTER_TREES[g][0]);
+        unsigned char *t = LETTER_TOKENS[g];
+        for (int i = 0; i < ntok; i++) {
+            t[i] = LETTER_TREES[g][0][i] == '1';
+            t[ntok + i] = LETTER_TREES[g][1][i] == '1';
+        }
+        LETTER_PAIR[g] = (Pair){t, t + ntok, (ntok + 1) / 2};
+        Py_ssize_t n = pack_into(t, ntok, &key);
+        if (n < 0) {
+            PyMem_Free(key.p);
+            return -1;
+        }
+        memcpy(LETTER_KEY[g], key.p, n);
+        LETTER_KEY_LEN[g] = n;
+        LETTER_BITS[g] = load_bits(LETTER_KEY[g], n);
+    }
+    PyMem_Free(key.p);
+    return 0;
+}
 
 static PyMethodDef methods[] = {
     {"compose_keys", (PyCFunction)(void (*)(void))compose_keys, METH_FASTCALL,
@@ -1409,6 +2009,9 @@ exec_module(PyObject *module)
         for (int v = 0; v < 256; v++)
             for (int k = 0; k < 8; k++)
                 BITS[v][k] = (v >> (7 - k)) & 1;
+        init_bit_tables();
+        if (init_letters() < 0)
+            return -1;
     }
     if (PyModule_AddObjectRef(module, "Level", (PyObject *)&LevelType) < 0)
         return -1;

@@ -203,6 +203,8 @@ def cmd_density(args) -> int:
     from . import formats
     from .sequences import MomentVector
 
+    if args.order is not None and args.order < 0:
+        raise UsageError("--order must be >= 0")
     prefix = args.out or "density"
     written = []
     if args.free:

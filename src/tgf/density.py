@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import ResourceError, UsageError
 from .polynomials import legendre_p
 from .sequences import MomentVector, m_free
 
@@ -85,11 +85,22 @@ def evaluate(exp: LegendreExpansion, points) -> list[float]:
     return out
 
 
+# the most points a curve grid may have: at the default step of 0.01 a
+# support of width 10**4 fits
+MAX_GRID_POINTS = 10**6
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     if not all(map(math.isfinite, (lo, hi, step))):
         raise UsageError("need finite lo, hi and step")
     if step <= 0 or hi <= lo:
         raise UsageError("need step > 0 and hi > lo")
+    # checked as a float, before anything is allocated: the quotient can
+    # overflow to inf
+    if (hi - lo) / step + 1 > MAX_GRID_POINTS:
+        raise ResourceError(
+            f"a grid from {lo} to {hi} at step {step} has more than "
+            f"{MAX_GRID_POINTS} points; use a larger --step or a narrower --range")
     count = round((hi - lo) / step)
     points = [lo + i * step for i in range(count)]
     points.append(hi)

@@ -12,6 +12,12 @@ src/tgf/_treepair.c); falls back to the pure-Python reference
                                       (the last-row lookahead's passes)
   load_entries(body, count)           a level from a checkpoint body
 
+The compiled apply_left and inner multiply by a factor that is x0^±1 or
+x1^±1, or a product of two of them (every factor of cases 1 and 2 and
+every lookahead word), as a local edit of each reduced key of up to 26
+leaves; every other product is the general one of compose_keys, which
+stays the oracle.
+
 Both kernels' apply_left and load_entries return a Level, the store of
 one ladder level: a mapping of keys to counts in insertion order whose
 methods subtract_scaled, squared_two_norm, coefficient_sum and

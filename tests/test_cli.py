@@ -435,6 +435,31 @@ def test_verify_precision_too_low_exits_1():
     assert "need at least 42 bits" in proc.stderr
 
 
+@pytest.mark.parametrize("order", ["-1", "-2", "-40"])
+def test_density_order_below_0_exits_1(capsys, tmp_path, order):
+    # order 0 is the constant density; below it there is no projection
+    for source in (["--case=1"], ["--case=2", "--tail"], ["--free"]):
+        assert run_cli(capsys, "density", *source, f"--order={order}",
+                       f"--out={tmp_path}/d") == (1, "", "error: --order must be >= 0\n")
+    assert not list(tmp_path.glob("d*"))
+    assert run_cli(capsys, "density", "--case=1", "--order=0", f"--out={tmp_path}/d")[0] == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--free", "--step=1e-9"],
+    ["--case=1", "--step=1e-320"],
+    ["--case=2", "--order=6", "--tail", "--range=0:4", "--step=1e-6"],
+], ids=["free", "step-underflows", "tail"])
+def test_density_grid_past_its_bound_exits_3(tmp_path, args):
+    # refused before the grid is allocated, so the process stays small; in a
+    # fresh interpreter, as a grid that was built would exhaust memory
+    proc = _run_cli_subprocess("density", *args, f"--out={tmp_path}/d")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: a grid from ") and proc.stderr.count("\n") == 1
+    assert "more than 1000000 points" in proc.stderr
+    assert not list(tmp_path.glob("d*"))
+
+
 def test_norm_degenerate_moments_exit_3(capsys, tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("1 1\n2 1\n3 1\n")  # two-point measure: finite support

@@ -1,7 +1,8 @@
 """Tree-pair kernel: packing, reduction, composition vs the exact PL oracle,
 agreement between the pure and compiled implementations (the cross-checks
 run on both compiled builds, plain and under the undefined-behaviour
-sanitizer; see conftest), and malformed keys failing closed.  The
+sanitizer; see conftest), the compiled loops' fast path for factors of one
+or two letters against compose_keys, and malformed keys failing closed.  The
 compiled loops walk only their own build's Level, so their inputs are read
 from checkpoint bodies (as_level)."""
 import dataclasses
@@ -244,6 +245,127 @@ def test_compiled_loops_take_only_their_own_level(builds):
                 with pytest.raises(TypeError, match=f"^{name} needs a Level, not "):
                     call(vec)
         assert dict(level) == {e: 1}
+
+
+# -- left multiplication by a letter ------------------------------------------
+#
+# The compiled batch loops multiply a reduced key by a factor that is x0^±1
+# or x1^±1, or a product of two of them, as a local edit of its packed
+# trees; compose_keys and the pure loops, which form every product in
+# full, are the oracle.
+
+LETTERS = ["A", "a", "B", "b"]
+TWO_LETTER_WORDS = [g + h for g in LETTERS for h in LETTERS if g != h.swapcase()]
+
+
+def _trees(leaves):
+    """Every binary tree with `leaves` leaves, as preorder tokens."""
+    if leaves == 1:
+        return [bytes([tp.LEAF])]
+    return [bytes([tp.CARET]) + left + right
+            for k in range(1, leaves)
+            for left in _trees(k) for right in _trees(leaves - k)]
+
+
+def _pairs(max_leaves, reduced):
+    """Every pair of up to max_leaves leaves that is reduced, or is not."""
+    return [tp.pack_key(d, r)
+            for n in range(1, max_leaves + 1)
+            for d in _trees(n) for r in _trees(n)
+            if (tp.reduce_pair(d, r) == (d, r)) == reduced]
+
+
+def _assert_words_match_compose(kernel, keys, words):
+    # one factor per call; both loops walk the keys in order
+    level = as_level(kernel, dict.fromkeys(keys, 1))
+    pure = as_level(tp, dict.fromkeys(keys, 1))
+    for w in words:
+        got = kernel.apply_left([w], level)
+        assert list(got.items()) == list(tp.apply_left([w], pure).items())
+        assert kernel.inner([w], level) == tp.inner([w], pure)
+
+
+def test_words_on_every_small_pair_match_compose(kernel):
+    keys = _pairs(6, reduced=True)
+    assert len(keys) == 1055 and len(TWO_LETTER_WORDS) == 12
+    words = [word_key(w) for w in LETTERS + TWO_LETTER_WORDS]
+    assert len(set(words)) == 16
+    _assert_words_match_compose(kernel, keys, words)
+
+
+def test_words_on_unreduced_pairs_match_compose(kernel):
+    # the edit keeps a pair reduced; a key that is not takes the full
+    # product, which reduces it
+    keys = _pairs(5, reduced=False)
+    assert len(keys) == 102
+    _assert_words_match_compose(kernel, keys, [word_key(w) for w in LETTERS + TWO_LETTER_WORDS])
+
+
+def _grown_tree(splits):
+    """The tree grown from one leaf by splitting, for each s in splits, leaf
+    s modulo the leaf count."""
+    # a preorder tree is its leaves' runs of carets each ending in the leaf
+    runs = [bytes([tp.LEAF])]
+    for s in splits:
+        i = s % len(runs)
+        runs[i:i + 1] = [bytes([tp.CARET]) + runs[i], bytes([tp.LEAF])]
+    return b"".join(runs)
+
+
+# reduced pairs of up to 48 leaves: up to 95 tokens per tree, past the 52
+# that the compiled edit takes, where the batch loops take the full product
+SPLITS = st.lists(st.integers(0, 2**16), max_size=47)
+BIG_PAIRS = st.tuples(SPLITS, st.lists(st.integers(0, 2**16), max_size=47)).map(
+    lambda t: tp.pack_key(*tp.reduce_pair(
+        _grown_tree(t[0]), _grown_tree((t[1] + t[0])[:len(t[0])]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=st.lists(BIG_PAIRS, min_size=1, max_size=6),
+       inverted=st.lists(st.sampled_from(LETTERS + TWO_LETTER_WORDS), max_size=3))
+# 41 leaves, 81 tokens per tree
+@example(keys=[tp.pack_key(_grown_tree([0] * 40), _grown_tree([1] * 40))], inverted=["aB"])
+def test_words_on_random_pairs_match_compose(kernel, keys, inverted):
+    # the inverse of a word makes a product equal to e
+    keys = keys + [word_key(w.swapcase()[::-1]) for w in inverted]
+    words = [word_key(w) for w in LETTERS + TWO_LETTER_WORDS]
+    _assert_words_match_compose(kernel, keys, words)
+
+
+@pytest.mark.parametrize("words", [
+    ["AB", "bA", "AAB", "", "b"],
+    ["BaB", "aaBB", "AbAb"],
+], ids=["mixed", "general"])
+def test_words_and_other_factors_match_pure(builds, words):
+    # factors of three letters or more take the full product, in one batch
+    # with words or alone; sums and insertion order are the pure loops'
+    gen = custom_f_set(words)
+    for compiled in builds:
+        in_build = dataclasses.replace(gen, backend=CompiledF(compiled))
+        for level in ladder_levels(in_build, 6):
+            # the pure loops walk the compiled Level
+            vec = level.entries
+            for factors in (gen.keys(), gen.inverse_keys()):
+                assert list(compiled.apply_left(factors, vec).items()) == list(
+                    tp.apply_left(factors, vec).items())
+                lookahead = [tp.compose_keys(tp.invert_key(t), s)
+                             for t in factors for s in factors]
+                assert compiled.inner(lookahead, vec) == tp.inner(lookahead, vec)
+
+
+def test_an_items_error_comes_before_the_next_items(builds):
+    # the batch loops build each item's products before they add up the
+    # item before it, yet raise the earlier item's error first, as the pure
+    # loops would: here the first key's count overflows and the second key
+    # is malformed
+    a = word_key("A")
+    for compiled in builds:
+        level = as_level(compiled, {a: 2**31, b"junk": 1})
+        assert list(level) == [a, b"junk"]
+        with pytest.raises(OverflowError):
+            compiled.apply_left([tp.IDENTITY_KEY, tp.IDENTITY_KEY], level)
+        with pytest.raises(tp.TreePairError):
+            compiled.apply_left([tp.IDENTITY_KEY], level)
 
 
 # -- malformed keys -----------------------------------------------------------
