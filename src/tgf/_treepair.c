@@ -6,35 +6,35 @@
  * 0 = leaf) packed MSB-first, with zero padding bits.  compose_keys(a, b)
  * is the reduced pair of a*b with b acting first.
  *
- * Level is a read-only mapping from keys to counts in 1..2**32-1, the
- * compact store of one ladder level: one open-addressing hash table whose
- * 8-byte slots point into an arena of records (key length, key bytes, u32
- * count) kept in insertion order.  Iteration follows that order, as a
- * dict's does.  Its methods are the per-level passes, each the twin of a
- * dict loop in tgf.treepair: subtract_scaled, squared_two_norm,
- * coefficient_sum and dump_entries (the sorted checkpoint body);
- * load_entries(body, count) reads such a body back into a Level, refusing
- * keys out of strictly increasing order and counts the store cannot hold.
- * A Level comes only from apply_left or load_entries; it has no
- * constructor.  Sums are exact (128-bit), and an apply_left count past
- * 2**32 - 1 raises OverflowError.
+ * Level is the compact store of one ladder level, keys to counts in
+ * 1..2**32-1: one open-addressing hash table whose 8-byte slots point into
+ * an arena of records (key length, key bytes, u32 count) kept in insertion
+ * order.  It offers what the library calls: get, len, iteration over the
+ * keys and items() in that order, as a dict's, and the per-level passes,
+ * each the twin of a dict loop in tgf.treepair: subtract_scaled,
+ * squared_two_norm, coefficient_sum and dump_entries (the sorted checkpoint
+ * body).  load_entries(body, count) reads such a body back into a Level,
+ * refusing keys out of strictly increasing order, counts the store cannot
+ * hold and keys that are not canonical.  A Level comes only from apply_left
+ * or load_entries; it has no constructor.  Sums are exact (128-bit), and an
+ * apply_left count past 2**32 - 1 raises OverflowError.
  *
  * apply_left(factors, vec), inner(words, vec) and subtract_scaled(sub,
  * factor) walk only Levels of this module: any other vec or sub raises
  * TypeError.
  *
- * apply_left and inner run one batch driver.  It unpacks each factor once
- * per call, splits a factor that is x0^±1 or x1^±1, or a product of two of
- * them, into those letters, walks vec once, checks each key once for all
- * factors, and packs each product g*x into a scratch buffer; a product
- * with the identity is the other factor as it is.  A factor that is one or
- * two letters, on a reduced key of up to FAST_TOKENS tokens per tree (26
- * leaves, more than any ladder key has), takes the fast path: each letter
- * is a local edit of the packed trees near the range tree's root (see
- * left_letter), with no unpack, index, full reduction or repack.  That is
- * every factor of cases 1 and 2 and every lookahead word t^-1 s of theirs.
- * Every other factor, and any factor on an unreduced or larger key, takes
- * the general product, as compose_keys does.  An item's products are all
+ * apply_left and inner run one batch driver.  It checks and unpacks each
+ * factor once per call, splits a factor that is x0^±1 or x1^±1, or a
+ * product of two of them, into those letters, walks vec once, and packs
+ * each product g*x into a scratch buffer; a product with the identity is
+ * the other factor as it is.  A factor that is one or two letters, on a
+ * key of up to FAST_TOKENS tokens per tree (26 leaves, more than any
+ * ladder key has), takes the fast path: each letter is a local edit of the
+ * packed trees near the range tree's root (see left_letter), with no
+ * unpack, index, full reduction or repack.  That is every factor of cases 1
+ * and 2 and every lookahead word t^-1 s of theirs.  Every other factor,
+ * and any factor on a larger key, takes the general product, as
+ * compose_keys does.  An item's products are all
  * built, and the table slots they need fetched, before the item before it
  * is used, so the table reads overlap the next item's edits.  Only the
  * step per product differs:
@@ -49,8 +49,14 @@
  * compose_keys and invert_key use static scratch buffers instead, so the
  * brute-force walks pay no allocation per call.
  *
- * Every key is checked before use (tag, leaf count, exact length, zero
- * padding, two complete trees); a malformed key raises TreePairError.
+ * A key is checked where it enters (tag, leaf count, exact length, zero
+ * padding, two complete trees), and a malformed one raises TreePairError:
+ * compose_keys and invert_key check their arguments, the batch driver its
+ * factors, and load_entries each key of the body.  The batch driver and
+ * load_entries also refuse a key that is not reduced, so every key of a
+ * Level is canonical (check_key): products of canonical keys are, and so
+ * are the keys of vec that apply_left copies.  The walks of a Level check
+ * no key.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -158,7 +164,7 @@ complete_tree(const unsigned char *t, int ntok)
     return need == 0;
 }
 
-/* Room that unpack_into needs for a key of `nl` leaves. */
+/* Room that unpack_tokens needs for a key of `nl` leaves. */
 static size_t
 token_room(int nl)
 {
@@ -166,32 +172,33 @@ token_room(int nl)
 }
 
 /* Unpacks the key s[0:len] of `nl` leaves (see key_leaves) into tokens at
- * t, which has token_room(nl) bytes, and checks its padding and trees. */
-static int
-unpack_into(const unsigned char *s, Py_ssize_t len, int nl, unsigned char *t, Pair *out)
+ * t, which has token_room(nl) bytes. */
+static void
+unpack_tokens(const unsigned char *s, Py_ssize_t len, int nl, unsigned char *t, Pair *out)
 {
-    Py_ssize_t nbytes = len - 3;
-    for (Py_ssize_t i = 0; i < nbytes; i++)
-        memcpy(t + 8 * i, BITS[s[3 + i]], 8);
-    int ntok = 2 * nl - 1;
-    for (Py_ssize_t k = 2 * ntok; k < 8 * nbytes; k++)
+    for (Py_ssize_t i = 3; i < len; i++)
+        memcpy(t + 8 * (i - 3), BITS[s[i]], 8);
+    out->dom = t;
+    out->rng = t + 2 * nl - 1;
+    out->nl = nl;
+}
+
+/* Unpacks the key s[0:len] into tokens at the start of buf, checking its
+ * tag, leaf count and length (key_leaves), padding and trees. */
+static int
+unpack(const unsigned char *s, Py_ssize_t len, Buf *buf, Pair *out)
+{
+    int nl = key_leaves(s, len), ntok = 2 * nl - 1;
+    if (nl < 0 || reserve(buf, token_room(nl)) == NULL)
+        return -1;
+    unsigned char *t = buf->p;
+    unpack_tokens(s, len, nl, t, out);
+    for (Py_ssize_t k = 2 * ntok; k < 8 * (len - 3); k++)
         if (t[k])
             return fail("tree-pair key has nonzero padding bits");
     if (!complete_tree(t, ntok) || !complete_tree(t + ntok, ntok))
         return fail("tree-pair key does not hold two complete trees");
-    out->dom = t;
-    out->rng = t + ntok;
-    out->nl = nl;
     return 0;
-}
-
-static int
-unpack(const unsigned char *s, Py_ssize_t len, Buf *buf, Pair *out)
-{
-    int nl = key_leaves(s, len);
-    if (nl < 0 || reserve(buf, token_room(nl)) == NULL)
-        return -1;
-    return unpack_into(s, len, nl, buf->p, out);
 }
 
 /* Packs the pair whose domain and range tokens are t[0:ntok] and
@@ -671,7 +678,7 @@ load_bits(const unsigned char *s, Py_ssize_t len)
 }
 
 /* Checks the padding and the two trees of a key that load_bits loaded, as
- * unpack_into does. */
+ * unpack does. */
 static int
 check_bits(Bits x, int ntok)
 {
@@ -710,6 +717,32 @@ static int
 is_reduced(Bits x, int ntok)
 {
     return !(sibling_mask(x, 0, ntok) & sibling_mask(x, ntok, ntok));
+}
+
+/* Checks that the key s[0:len] is canonical: well formed, as unpack checks
+ * it, and reduced.  Returns its leaf count or -1; buf is scratch for a key
+ * of more than FAST_TOKENS tokens per tree. */
+static int
+check_key(const unsigned char *s, Py_ssize_t len, Buf *buf)
+{
+    int nl = key_leaves(s, len), ntok = 2 * nl - 1, reduced;
+    if (nl < 0)
+        return -1;
+    if (ntok <= FAST_TOKENS) {
+        Bits x = load_bits(s, len);
+        if (check_bits(x, ntok) < 0)
+            return -1;
+        reduced = is_reduced(x, ntok);
+    }
+    else {
+        /* reduce cancels a common caret of the pair, if it has one */
+        Pair k;
+        size_t room = token_room(nl);
+        if (reserve(buf, room + 2 * (size_t)nl) == NULL || unpack(s, len, buf, &k) < 0)
+            return -1;
+        reduced = reduce(buf->p, buf->p + ntok, ntok, buf->p + room) == ntok;
+    }
+    return reduced ? nl : fail("tree-pair key is not reduced");
 }
 
 /* Packs the pair in x, of ntok tokens per tree, into out at byte `at`;
@@ -1041,18 +1074,12 @@ level_alloc(void)
     return lv;
 }
 
-static int
-is_level(PyObject *o)
-{
-    return Py_IS_TYPE(o, &LevelType);
-}
-
 /* vec as a Level of this module (a new reference), or NULL with TypeError
  * naming the function. */
 static Level *
 as_level(const char *name, PyObject *vec)
 {
-    if (is_level(vec))
+    if (Py_IS_TYPE(vec, &LevelType))
         return (Level *)Py_NewRef(vec);
     PyErr_Format(PyExc_TypeError, "%s needs a Level, not %.100s", name,
                  Py_TYPE(vec)->tp_name);
@@ -1099,7 +1126,7 @@ next_live(const Level *lv, size_t *off, Rec *r)
     return 0;
 }
 
-/* -- Level: the mapping protocol ------------------------------------------- */
+/* -- Level: lookup, size and repr ------------------------------------------ */
 
 static void
 level_dealloc(Level *lv)
@@ -1115,33 +1142,7 @@ level_len(Level *lv)
     return lv->live;
 }
 
-/* Count of key (0 when absent, or when key is not bytes). */
-static uint32_t
-lookup(Level *lv, PyObject *key)
-{
-    if (!PyBytes_Check(key))
-        return 0;
-    const unsigned char *k = (const unsigned char *)PyBytes_AS_STRING(key);
-    return level_get(lv, k, PyBytes_GET_SIZE(key), hash_key(k, PyBytes_GET_SIZE(key)));
-}
-
-static PyObject *
-level_subscript(Level *lv, PyObject *key)
-{
-    uint32_t c = lookup(lv, key);
-    if (c == 0) {
-        PyErr_SetObject(PyExc_KeyError, key);
-        return NULL;
-    }
-    return PyLong_FromUnsignedLong(c);
-}
-
-static int
-level_contains(Level *lv, PyObject *key)
-{
-    return lookup(lv, key) != 0;
-}
-
+/* The count of a key, or the default when it is absent or not bytes. */
 static PyObject *
 level_get_method(Level *lv, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1149,25 +1150,15 @@ level_get_method(Level *lv, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_TypeError, "get() takes 1 or 2 arguments (%zd given)", nargs);
         return NULL;
     }
-    uint32_t c = lookup(lv, args[0]);
+    uint32_t c = 0;
+    if (PyBytes_Check(args[0])) {
+        const unsigned char *k = (const unsigned char *)PyBytes_AS_STRING(args[0]);
+        Py_ssize_t n = PyBytes_GET_SIZE(args[0]);
+        c = level_get(lv, k, n, hash_key(k, n));
+    }
     if (c)
         return PyLong_FromUnsignedLong(c);
     return Py_NewRef(nargs == 2 ? args[1] : Py_None);
-}
-
-/* Mapping equality with another Level. */
-static PyObject *
-level_richcompare(Level *lv, PyObject *other, int op)
-{
-    if ((op != Py_EQ && op != Py_NE) || !is_level(other))
-        Py_RETURN_NOTIMPLEMENTED;
-    int equal = ((Level *)other)->live == lv->live;
-    size_t off = 0;
-    Rec r;
-    while (equal && next_live(lv, &off, &r))
-        equal = level_get((Level *)other, r.key, r.len, hash_key(r.key, r.len))
-                == get_count(r.count);
-    return PyBool_FromLong(equal == (op == Py_EQ));
 }
 
 static PyObject *
@@ -1185,18 +1176,16 @@ level_sizeof(Level *lv, PyObject *unused)
 
 /* -- Level: iteration ------------------------------------------------------- */
 
-enum { KEYS, VALUES, ITEMS };
-
 typedef struct {
     PyObject_HEAD
     Level *lv;
     size_t pos;
     uint64_t version;
-    int kind;
+    int items;                   /* yield (key, count) pairs, not keys */
 } LevelIter;
 
 static PyObject *
-level_iter_kind(Level *lv, int kind)
+level_iter_kind(Level *lv, int items)
 {
     LevelIter *it = PyObject_New(LevelIter, &LevelIterType);
     if (it == NULL)
@@ -1204,32 +1193,20 @@ level_iter_kind(Level *lv, int kind)
     it->lv = (Level *)Py_NewRef(lv);
     it->pos = 0;
     it->version = lv->version;
-    it->kind = kind;
+    it->items = items;
     return (PyObject *)it;
 }
 
 static PyObject *
 level_iter(Level *lv)
 {
-    return level_iter_kind(lv, KEYS);
-}
-
-static PyObject *
-level_keys(Level *lv, PyObject *unused)
-{
-    return level_iter_kind(lv, KEYS);
-}
-
-static PyObject *
-level_values(Level *lv, PyObject *unused)
-{
-    return level_iter_kind(lv, VALUES);
+    return level_iter_kind(lv, 0);
 }
 
 static PyObject *
 level_items(Level *lv, PyObject *unused)
 {
-    return level_iter_kind(lv, ITEMS);
+    return level_iter_kind(lv, 1);
 }
 
 static void
@@ -1250,13 +1227,10 @@ iter_next(LevelIter *it)
     Rec r;
     if (!next_live(lv, &it->pos, &r))
         return NULL;
-    unsigned long c = get_count(r.count);
-    if (it->kind == VALUES)
-        return PyLong_FromUnsignedLong(c);
     PyObject *key = PyBytes_FromStringAndSize((const char *)r.key, r.len);
-    if (it->kind == KEYS || key == NULL)
+    if (!it->items || key == NULL)
         return key;
-    return Py_BuildValue("(Nk)", key, c);
+    return Py_BuildValue("(Nk)", key, (unsigned long)get_count(r.count));
 }
 
 /* -- Level: the per-level passes -------------------------------------------- */
@@ -1395,7 +1369,8 @@ level_dump_entries(Level *lv, PyObject *unused)
     return body;
 }
 
-/* load_entries(body, count): the Level that a checkpoint body holds. */
+/* load_entries(body, count): the Level that a checkpoint body holds, each
+ * key checked by check_key. */
 static PyObject *
 load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1410,6 +1385,7 @@ load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     const unsigned char *p = view.buf, *end = p + view.len, *last = NULL;
     size_t last_n = 0;
     const char *error = NULL;
+    Buf scratch = {0};
     Level *lv = level_alloc();
     /* an entry takes at least 8 bytes, which bounds a false count */
     if (lv == NULL || rebuild(lv, slots_for(Py_MIN(count, (size_t)view.len / 8))) < 0)
@@ -1429,6 +1405,8 @@ load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             error = "checkpoint keys are not in strictly increasing order";
             break;
         }
+        if (check_key(key, n, &scratch) < 0)
+            goto fail;
         last = key;
         last_n = n;
         p = key + n;
@@ -1452,23 +1430,21 @@ load_entries(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     if (error == NULL && p != end)
         error = "trailing bytes after checkpoint entries";
-    if (error == NULL) {
-        PyBuffer_Release(&view);
-        return (PyObject *)lv;
-    }
-    PyErr_SetString(PyExc_ValueError, error);
+    if (error != NULL)
+        PyErr_SetString(PyExc_ValueError, error);
 fail:
-    Py_XDECREF(lv);
+    if (PyErr_Occurred())
+        Py_CLEAR(lv);
+    PyMem_Free(scratch.p);
     PyBuffer_Release(&view);
-    return NULL;
+    return (PyObject *)lv;
 }
 
 static PyMethodDef level_methods[] = {
     {"get", (PyCFunction)(void (*)(void))level_get_method, METH_FASTCALL,
      "get(key, default=None)\n--\n\nThe count of key, or default."},
-    {"keys", (PyCFunction)level_keys, METH_NOARGS, "Iterator over the keys in insertion order."},
-    {"values", (PyCFunction)level_values, METH_NOARGS, "Iterator over the counts."},
-    {"items", (PyCFunction)level_items, METH_NOARGS, "Iterator over (key, count) pairs."},
+    {"items", (PyCFunction)level_items, METH_NOARGS,
+     "Iterator over (key, count) pairs in insertion order."},
     {"subtract_scaled", (PyCFunction)(void (*)(void))level_subtract_scaled, METH_FASTCALL,
      "subtract_scaled(sub, factor)\n--\n\n"
      "self -= factor * sub for a Level sub; a count that would go negative "
@@ -1485,11 +1461,6 @@ static PyMethodDef level_methods[] = {
 
 static PyMappingMethods level_as_mapping = {
     .mp_length = (lenfunc)level_len,
-    .mp_subscript = (binaryfunc)level_subscript,
-};
-
-static PySequenceMethods level_as_sequence = {
-    .sq_contains = (objobjproc)level_contains,
 };
 
 static PyTypeObject LevelType = {
@@ -1498,12 +1469,10 @@ static PyTypeObject LevelType = {
     .tp_basicsize = sizeof(Level),
     .tp_dealloc = (destructor)level_dealloc,
     .tp_repr = (reprfunc)level_repr,
-    .tp_as_sequence = &level_as_sequence,
     .tp_as_mapping = &level_as_mapping,
     .tp_hash = PyObject_HashNotImplemented,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Read-only mapping of keys to counts in 1..2**32-1, in insertion order.",
-    .tp_richcompare = (richcmpfunc)level_richcompare,
+    .tp_doc = "Keys to counts in 1..2**32-1 in insertion order; iterates over the keys.",
     .tp_iter = (getiterfunc)level_iter,
     .tp_methods = level_methods,
 };
@@ -1677,8 +1646,9 @@ left_word(Bits x, int ntok, const Letters *word, FirstLetters *first, Buf *out, 
 }
 
 /* Builds the products of item `it` in the pure loops' order and fetches
- * the table slots that they need.  A word takes left_word when the key is
- * reduced; other factors, and words on an unreduced key, take product. */
+ * the table slots that they need.  The key is canonical, as every key of
+ * a Level is, so a word takes left_word on every key but e that fits;
+ * other factors, and words on a larger key, take product. */
 static int
 build_item(Batch *bt, Item *it)
 {
@@ -1687,31 +1657,22 @@ build_item(Batch *bt, Item *it)
     Pair k;
     const int *ix = NULL;
     Bits x = 0;
-    int nl = key_leaves(key, klen), reduced = 0;
-    if (nl < 0)
-        return -1;
-    int ntok = 2 * nl - 1, fits = ntok <= FAST_TOKENS;
-    int unpacked = bt->n_general > 0 || !fits;
-    /* every key is checked, whatever the factors */
-    if (unpacked && unpack(key, klen, &bt->keybuf, &k) < 0)
-        return -1;
-    if (fits) {
+    int nl = key[1] << 8 | key[2], ntok = 2 * nl - 1;
+    int fast = bt->n_words && nl > 1 && ntok <= FAST_TOKENS;
+    if (fast)
         x = load_bits(key, klen);
-        if (!unpacked && check_bits(x, ntok) < 0)
+    if (nl > 1 && (bt->n_general || (bt->n_words && !fast))) {
+        if (reserve(&bt->keybuf, token_room(nl)) == NULL)
             return -1;
-        reduced = bt->n_words && nl > 1 && is_reduced(x, ntok);
-    }
-    if (nl > 1 && (bt->n_general || (bt->n_words && !reduced))) {
-        if (!unpacked && unpack(key, klen, &bt->keybuf, &k) < 0)
-            return -1;
+        unpack_tokens(key, klen, nl, bt->keybuf.p, &k);
         if ((ix = index_pair(&k, &bt->index)) == NULL)
             return -1;
     }
     size_t at = 0;
-    FirstLetters first = {.left = reduced ? left_end(x, ntok) : 0};
+    FirstLetters first = {.left = fast ? left_end(x, ntok) : 0};
     for (Py_ssize_t f = 0; f < bt->n; f++) {
         /* as in compose_keys, a product with the identity is the other
-         * factor as it is, even when that one is not reduced */
+         * factor as it is */
         Product *pr = &it->prods[f];
         pr->key = key;
         pr->len = klen;
@@ -1719,7 +1680,7 @@ build_item(Batch *bt, Item *it)
             pr->key = bt->fkeys[f];
             pr->len = bt->flens[f];
         }
-        else if (bt->words[f].n && reduced) {
+        else if (bt->words[f].n && fast) {
             if ((pr->len = left_word(x, ntok, &bt->words[f], &first, &it->keys, at)) < 0)
                 return -1;
             pr->key = NULL;
@@ -1843,7 +1804,9 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
             bt.n_identity++;
             continue;
         }
-        int nl = key_leaves(s, len);
+        /* a factor times e is the factor as it is, and a key of the new
+         * level, so only a canonical one is taken */
+        int nl = check_key(s, len, &bt.keybuf);
         if (nl < 0)
             goto done;
         total += token_room(nl);
@@ -1856,10 +1819,8 @@ batch(const char *name, PyObject *const *args, Py_ssize_t nargs, int inner)
         goto done;
     total = 0;
     for (Py_ssize_t f = 0; f < bt.n; f++) {
-        int nl = bt.pairs[f].nl;
-        if (unpack_into(bt.fkeys[f], bt.flens[f], nl, fbuf.p + total, &bt.pairs[f]) < 0)
-            goto done;
-        total += token_room(nl);
+        unpack_tokens(bt.fkeys[f], bt.flens[f], bt.pairs[f].nl, fbuf.p + total, &bt.pairs[f]);
+        total += token_room(bt.pairs[f].nl);
     }
     for (Py_ssize_t f = 0; f < bt.n; f++) {
         if (split_word(&bt, f) < 0)

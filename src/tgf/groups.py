@@ -85,7 +85,7 @@ class GroupBackend(abc.ABC):
     # the ladder's batched loops and level store: apply_left and
     # load_entries return a Level (tgf.treepair's, or for F the compiled
     # kernel's).  The defaults are the pure loops, composing with
-    # multiply_keys
+    # multiply_keys, and the pure loader, checking each key with invert_key
 
     def apply_left(self, factors: list[bytes], vec: Mapping[bytes, int]) -> Mapping[bytes, int]:
         """Multiset product (sum of factors) . vec, multiplying on the left."""
@@ -98,8 +98,14 @@ class GroupBackend(abc.ABC):
         return treepair.inner(words, vec, compose=self.multiply_keys)
 
     def load_entries(self, body, count: int) -> Mapping[bytes, int]:
-        """The level that a checkpoint body of `count` entries holds."""
-        return treepair.load_entries(body, count)
+        """The level that a checkpoint body of `count` entries holds, refused
+        as treepair.read_entries refuses it or at its first key that
+        invert_key refuses (a ValueError), one that is not canonical."""
+        level = treepair.Level()
+        for key, coeff in treepair.read_entries(body, count):
+            self.invert_key(key)
+            level[key] = coeff
+        return level
 
     def element_from_word(self, word: Word) -> CanonicalElement:
         key = self.identity_key()

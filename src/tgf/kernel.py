@@ -19,18 +19,21 @@ leaves; every other product is the general one of compose_keys, which
 stays the oracle.
 
 Both kernels' apply_left and load_entries return a Level, the store of
-one ladder level: a mapping of keys to counts in insertion order whose
-methods subtract_scaled, squared_two_norm, coefficient_sum and
-dump_entries are the per-level passes.  The pure Level is a dict with
-those methods (tgf.treepair.Level, the reference).  The compiled one is
-read-only and compact, about 24-37 bytes per key against about 79-101
-for a dict of bytes, and has no constructor.  Each kernel's apply_left,
-inner and subtract_scaled walk its own Level: the pure ones take any
-mapping of keys to ints, as the reference oracle should, and the compiled
-ones raise TypeError on anything but a compiled Level.  The compiled
-store holds counts in 1..2**32-1, a bound reached only through an
-apply_left sum (OverflowError past it) and load_entries (ValueError
-outside it).
+one ladder level: keys to counts in insertion order, with get, len,
+iteration over the keys and items(), and the per-level passes
+subtract_scaled, squared_two_norm, coefficient_sum and dump_entries as
+methods.  The pure Level is a dict with those methods (tgf.treepair.Level,
+the reference).  The compiled one is read-only and compact, about 24-37
+bytes per key against about 79-101 for a dict of bytes, and has no
+constructor.  Each kernel's apply_left, inner and subtract_scaled walk its
+own Level: the pure ones take any mapping of keys to ints, as the
+reference oracle should, and the compiled ones raise TypeError on anything
+but a compiled Level.  The compiled store holds counts in 1..2**32-1, a
+bound reached only through an apply_left sum (OverflowError past it) and
+load_entries (ValueError outside it).  Keys are checked where they enter
+a level: both load_entries refuse a key that is malformed or not reduced
+(TreePairError), and the compiled apply_left and inner such a factor, so
+every key of a Level is canonical and the compiled walks check none.
 
 Set TGF_PURE_PY=1 to force the fallback, e.g. for benchmarking one against
 the other.  FALLBACK_REASON says why the pure kernel runs (None when the

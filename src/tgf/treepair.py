@@ -19,17 +19,19 @@ relations of F; see tests/test_groups.py.
 This module is the reference implementation.  tgf._treepair is a
 hand-written C extension with identical semantics (same keys, same errors,
 same insertion order from apply_left, same sums from inner), selected at
-import by tgf.kernel.  Both kernels hold a ladder level in a Level: a
-mapping of keys to counts in insertion order whose methods
-subtract_scaled, squared_two_norm, coefficient_sum and dump_entries are
-the per-level passes.  The Level here is a dict with those methods, and
-the loops here take any mapping of keys to ints.  The C kernel's is a
-compact store, and its loops walk only that store (tgf.kernel).
+import by tgf.kernel.  Both kernels hold a ladder level in a Level: keys
+to counts in insertion order, with get, len, iteration over the keys and
+items(), and the per-level passes subtract_scaled, squared_two_norm,
+coefficient_sum and dump_entries as methods.  The Level here is a dict
+with those methods, and the loops here take any mapping of keys to ints
+and any factors.  The C kernel's is a compact store of canonical keys
+(check_key), and its loops walk only that store (tgf.kernel).
 """
 from __future__ import annotations
 
 import functools
 import struct
+from typing import Iterator
 
 from .errors import TreePairError
 
@@ -223,6 +225,15 @@ def unpack_key(key: bytes) -> tuple[bytes, bytes]:
 IDENTITY_KEY = pack_key(IDENTITY_TREE, IDENTITY_TREE)
 
 
+def check_key(key: bytes) -> bytes:
+    """The key, refused with TreePairError unless it is canonical: a
+    malformed one (unpack_key) or one whose pair is not reduced."""
+    dom, rng = unpack_key(key)
+    if reduce_pair(dom, rng) != (dom, rng):
+        raise TreePairError("tree-pair key is not reduced")
+    return key
+
+
 def compose_keys(a: bytes, b: bytes) -> bytes:
     """Canonical key of the product a*b (right factor acts first)."""
     da, ra = unpack_key(a)
@@ -251,18 +262,14 @@ def apply_left(
 
     For each key of vec in order, the identity factors' contribution is
     added first, then the products with the other factors in their order;
-    the compiled kernel reproduces this insertion order exactly.  Every key
-    of vec is checked, whatever the factors.  Other backends pass their own
-    `compose` and `identity` (GroupBackend).
+    the compiled kernel reproduces this insertion order exactly.  Other
+    backends pass their own `compose` and `identity` (GroupBackend).
     """
     plain = [g for g in factors if g != identity]
     n_identity = len(factors) - len(plain)
     out = Level()
     get = out.get
     for key, c in vec.items():
-        if not plain:
-            # a product checks the key; without one, this does
-            compose(identity, key)
         if n_identity:
             out[key] = get(key, 0) + n_identity * c
         for g in plain:
@@ -333,11 +340,10 @@ class Level(dict):
         return bytes(buf)
 
 
-def load_entries(body, count: int) -> Level:
-    """The Level that a checkpoint body of `count` entries holds; a short or
-    overlong body, or keys out of strictly increasing order, raise
-    ValueError."""
-    entries = Level()
+def read_entries(body, count: int) -> Iterator[tuple[bytes, int]]:
+    """The (key, coefficient) entries of a checkpoint body of `count`
+    entries, in order; a short or overlong body, or keys out of strictly
+    increasing order, raise ValueError."""
     offset = 0
     key = None
     try:
@@ -352,7 +358,7 @@ def load_entries(body, count: int) -> Level:
                 raise ValueError("checkpoint keys are not in strictly increasing order")
             mag = int.from_bytes(body[offset : offset + mag_len], "big")
             offset += mag_len
-            entries[key] = -mag if sign else mag
+            yield key, -mag if sign else mag
     except struct.error:
         raise ValueError("checkpoint is truncated") from None
     # each field advances the offset by its declared length, so a short
@@ -361,4 +367,10 @@ def load_entries(body, count: int) -> Level:
         raise ValueError("checkpoint is truncated")
     if offset < len(body):
         raise ValueError("trailing bytes after checkpoint entries")
-    return entries
+
+
+def load_entries(body, count: int) -> Level:
+    """The Level that a checkpoint body of `count` entries holds, refused
+    as read_entries refuses it or at its first key that check_key refuses
+    (TreePairError, a ValueError)."""
+    return Level((check_key(key), coeff) for key, coeff in read_entries(body, count))

@@ -12,11 +12,12 @@ oracle for the fixed-point eigenvalue bisection of
 `tgf.spectral.lambda_max`.  The helpers at the end (polynomial evaluation,
 the fitted model, the identity test, the exact moments of a density
 estimate, a report's failures as an exception, the table CSV as a file,
-the bounds CSV parser and the packaged bounds tables) are used by the
-tests only.
+the bounds CSV parser, the packaged bounds tables, and a checkpoint that
+stores one element under two keys) are used by the tests only.
 """
 import csv
 import io
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction as Fr
 from functools import lru_cache
@@ -342,3 +343,30 @@ def parse_bounds_csv(text: str) -> list[dict]:
 def load_fixture_bounds(case: int) -> list[dict]:
     """The published 5-decimal norm-bound tables for cases 1 and 2."""
     return parse_bounds_csv(formats.fixture_text(f"bounds{case}.csv"))
+
+
+def unreduced_twin(key: bytes) -> bytes:
+    """A key of the same element of F as `key` that is not reduced: the
+    first leaf of both its trees expanded into a caret."""
+    dom, rng = treepair.unpack_key(key)
+    return treepair.pack_key(*(t.replace(b"\x00", b"\x01\x00\x00", 1) for t in (dom, rng)))
+
+
+def give_one_to_a_twin(path, twin) -> bytes:
+    """Moves 1 from the first of the largest counts in the checkpoint at
+    `path` to twin(key), another key of the same element, as a writer that
+    stored an element under two keys would: the body stays in key order,
+    and its entry count and CRC are restamped.  Returns the twin."""
+    data = Path(path).read_bytes()
+    size = formats.CHECKPOINT_HEADER.size
+    fields = list(formats.CHECKPOINT_HEADER.unpack_from(data))
+    entries = dict(treepair.read_entries(data[size:], fields[4]))
+    key = max(entries, key=entries.get)
+    entries[key] -= 1
+    if not entries[key]:
+        del entries[key]
+    entries[twin(key)] = 1
+    body = treepair.Level(entries).dump_entries()
+    fields[4], fields[6] = len(entries), zlib.crc32(body)
+    Path(path).write_bytes(formats.CHECKPOINT_HEADER.pack(*fields) + body)
+    return twin(key)

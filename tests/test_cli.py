@@ -1,6 +1,8 @@
 """CLI contract: subcommands, exit codes, deterministic output bytes."""
 import json
 import os
+import re
+import resource
 import shutil
 import struct
 import subprocess
@@ -11,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import tgf
+from oracles import give_one_to_a_twin, unreduced_twin
 from tgf.cli import main
-from tgf.formats import CHECKPOINT_HEADER, CHECKPOINT_MAGIC, write_checkpoint
+from tgf.formats import CHECKPOINT_HEADER, CHECKPOINT_MAGIC, parse_table_csv, write_checkpoint
 from tgf.ladder import free_set, ladder_levels
 
 
@@ -352,6 +355,78 @@ def test_refused_free_key_exits_1(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == f"error: {path}: letter index 63 out of range for free_2"
     assert "Traceback" not in err
+
+
+@pytest.fixture(params=["compiled", "pure"])
+def kernel_env(request):
+    """The environment of a CLI child on one kernel: the compiled one, as
+    `setup.py build` makes the package, or the pure one."""
+    if request.param == "pure":
+        return dict(os.environ, PYTHONPATH=str(Path(tgf.__file__).resolve().parents[1]),
+                    TGF_PURE_PY="1")
+    lib = request.getfixturevalue("built_lib")
+    if not list((lib / "tgf").glob("_treepair*")):
+        pytest.skip("setup.py build made no compiled kernel")
+    env = dict(os.environ, PYTHONPATH=str(lib))
+    env.pop("TGF_PURE_PY", None)
+    return env
+
+
+def _run_in(env, *argv, address_space=None):
+    """The CLI in a fresh interpreter with environment env, with its
+    address space limited to `address_space` bytes in the child only."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "tgf.cli", *argv], env=env,
+                          preexec_fn=limit if address_space else None,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_unreduced_twin_in_a_checkpoint_exits_1(tmp_path, kernel_env):
+    # case 2 to n = 7 stores levels 1..6; level 6 then stores an element
+    # under a second, unreduced key, with the same coefficient sum, and a
+    # run to n = 8 builds on from it
+    ckdir = tmp_path / "ck"
+    proc = _run_in(kernel_env, "tables", "--case=2", "--max-n=7", f"--checkpoint-dir={ckdir}")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    path = ckdir / "level_0006.tgfl"
+    give_one_to_a_twin(path, unreduced_twin)
+    proc = _run_in(kernel_env, "tables", "--case=2", "--max-n=8", f"--checkpoint-dir={ckdir}")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {path}: tree-pair key is not reduced\n"
+
+
+def _address_space_in_use(env):
+    """The bytes of address space a CLI child on env has after its imports."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tgf.cli, tgf.formats, tgf.ladder, tgf.sequences\n"
+         "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmPeak')))"],
+        env=env, capture_output=True, text=True, check=True)
+    return int(proc.stdout) * 1024
+
+
+def test_memory_wall_exits_3(tmp_path, kernel_env, table2):
+    # 8 MiB past the child's start-up hold case 2 to about n = 10, on
+    # either kernel: the run stops at the level that does not fit with one
+    # error line, and the levels it wrote before that resume
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc to size the address space")
+    ckdir = tmp_path / "ck"
+    proc = _run_in(kernel_env, "tables", "--case=2", "--max-n=16", f"--checkpoint-dir={ckdir}",
+                   address_space=_address_space_in_use(kernel_env) + (8 << 20))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    said = re.fullmatch(f"error: out of memory at level ([0-9]+); {re.escape(str(ckdir))} holds "
+                        "levels 1..([0-9]+), from which a run with more memory goes on\n",
+                        proc.stderr)
+    assert said, proc.stderr
+    last = int(said[2])
+    assert 3 <= last == int(said[1]) - 1
+    proc = _run_in(kernel_env, "tables", "--case=2", f"--max-n={last + 1}",
+                   f"--checkpoint-dir={ckdir}")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    table = parse_table_csv(proc.stdout)
+    assert [table.row(n) for n in range(1, last + 2)] == [table2.row(n) for n in range(1, last + 2)]
 
 
 def test_norm_case1_fixture(capsys, tmp_path):

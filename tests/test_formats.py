@@ -178,10 +178,10 @@ class PureLoadF(ThompsonF):
 
 
 FINGERPRINT = formats.generator_fingerprint(case1())
-# a body that only the pure Level holds (a key the loaders do not check, a
-# negative and a wide count), and one that the compiled Level holds too
+# a body that only the pure Level holds (a negative and a wide count), and
+# one that the compiled Level holds too
 GENUINE = [
-    treepair.Level({b"F\x00\x01\x00": 3, b"ab": -(2**70)}),
+    treepair.Level({treepair.IDENTITY_KEY: 3, word_key("A"): -(2**70)}),
     treepair.Level({treepair.IDENTITY_KEY: 1, word_key("A"): 2**32 - 1, word_key("aB"): 300}),
 ]
 # v2 headers whose version, q and fingerprint are often those of case 1
@@ -246,7 +246,7 @@ def _fuzz_read_checkpoint(tmp_dir, gen, data):
         assert expected is None
         return
     if expected is not None:
-        assert vec.n == 3 and dict(vec.entries) == expected
+        assert vec.n == 3 and dict(vec.entries.items()) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,14 +1,16 @@
 """Ladder recursion: fixture agreement, invariants, checkpoints, and the
 norm lookahead on both kernels."""
 import dataclasses
+import re
 import weakref
 from itertools import chain
 
 import pytest
+from oracles import give_one_to_a_twin, unreduced_twin
 
 from tgf import formats, ladder, treepair
 from tgf.cli import main
-from tgf.errors import CorruptionError, UsageError
+from tgf.errors import CorruptionError, ResourceError, UsageError
 from tgf.groups import ThompsonF
 from tgf.ladder import (
     GeneratorSet,
@@ -51,7 +53,7 @@ def test_case2_table2_prefix(gen_case2, table2):
 def test_coefficient_sum_invariant(gen_case2):
     for vec in ladder_levels(gen_case2, 7):
         assert vec.entries.coefficient_sum() == 4 * 3 ** (vec.n - 1)
-        assert all(c > 0 for c in vec.entries.values())
+        assert all(c > 0 for _, c in vec.entries.items())
 
 
 def test_eta_direct(gen_case1, table1):
@@ -168,6 +170,76 @@ def test_checkpoint_files_above_the_run_are_left_alone(tmp_path, gen_case1):
     assert not (tmp_path / "level_0006.tgfl").exists()
 
 
+BUILDS = {"pure": None, "plain": "compiled", "ubsan": "compiled_ubsan"}
+
+
+def _in_build(request, gen, build):
+    """gen with its arithmetic in one kernel: the pure one, or a build of
+    the compiled one."""
+    module = treepair if build == "pure" else request.getfixturevalue(BUILDS[build])
+    return dataclasses.replace(gen, backend=CompiledF(module))
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
+@pytest.mark.parametrize("level", [7, 5], ids=["built-on", "row-only"])
+def test_unreduced_twin_in_a_checkpoint_is_refused(request, tmp_path, build, level):
+    # case 2 to n = 8 stores levels 1..7, and a run to n = 9 reads them in
+    # order and builds level 8 from levels 6 and 7, so level 5 is read for
+    # its row only.  A level that stores an element under a second,
+    # unreduced key keeps its coefficient sum, and would give wrong rows
+    gen = _in_build(request, case2(), build)
+    build_ladder(gen, 8, checkpoint_dir=tmp_path)
+    path = formats.checkpoint_path(tmp_path, level)
+    give_one_to_a_twin(path, unreduced_twin)
+    with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: tree-pair key is not reduced$"):
+        build_ladder(gen, 9, checkpoint_dir=tmp_path)
+
+
+def test_free_group_key_that_is_not_freely_reduced_is_refused(tmp_path):
+    # a_1 a_1^-1 appended to a key names the same element
+    gen = free_set(2)
+    build_ladder(gen, 5, checkpoint_dir=tmp_path)
+    path = formats.checkpoint_path(tmp_path, 3)
+    give_one_to_a_twin(path, lambda key: key + b"\x00\x01")
+    with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: free_2 key is not freely reduced$"):
+        build_ladder(gen, 6, checkpoint_dir=tmp_path)
+
+
+@pytest.mark.parametrize("fails, at, holds", [
+    ("read", 3, 5), ("build", 6, 5), ("write", 4, 3), ("lookahead", 7, 6),
+], ids=["read", "build", "write", "lookahead"])
+def test_out_of_memory_is_a_resource_error(tmp_path, monkeypatch, fails, at, holds):
+    # a run to n = 7 reads or writes levels 1..6 and takes row 7 from the
+    # lookahead; "read" resumes from levels 1..5.  Level k of case 1 has
+    # 3 * 2^(k-1) keys.  The error names the level that did not fit and
+    # the levels in the directory
+    gen = _pure(case1())
+    if fails == "read":
+        build_ladder(gen, 6, checkpoint_dir=tmp_path)
+
+    def out_of_memory(real, fits):
+        def call(*args):
+            if not fits(*args):
+                raise MemoryError
+            return real(*args)
+        return call
+
+    if fails in ("read", "write"):
+        name = f"{fails}_checkpoint"
+        level = (lambda path, _: path.name != f"level_{at:04d}.tgfl") if fails == "read" else (
+            lambda _, __, vec: vec.n != at)
+        monkeypatch.setattr(formats, name, out_of_memory(getattr(formats, name), level))
+    else:
+        name = "apply_left" if fails == "build" else "inner"
+        monkeypatch.setattr(gen.backend, name, out_of_memory(
+            getattr(gen.backend, name), lambda _, vec: len(vec) < 3 * 2 ** (at - 2)))
+    with pytest.raises(ResourceError) as info:
+        build_ladder(gen, 7, checkpoint_dir=tmp_path)
+    assert str(info.value) == (f"out of memory at level {at}; {tmp_path} holds levels "
+                               f"1..{holds}, from which a run with more memory goes on")
+    assert info.value.__context__ is None
+
+
 def _pure(gen):
     """gen on the pure kernel, whose Levels are dicts that take weakrefs."""
     return dataclasses.replace(gen, backend=CompiledF(treepair))
@@ -198,7 +270,8 @@ def test_level_stream_keeps_no_read_level(tmp_path, gen_case2):
 
 
 def test_checkpoint_sign_encoding(tmp_path):
-    vec = MultiplicityVector(3, treepair.Level({b"a": 5, b"b": -7, b"c": 1 << 80}))
+    # free-group keys, which its loader takes: a_1, a_1 a_2, a_2
+    vec = MultiplicityVector(3, treepair.Level({b"W\x00": 5, b"W\x00\x02": -7, b"W\x02": 1 << 80}))
     formats.write_checkpoint(tmp_path, free_set(9), vec)
     back = formats.read_checkpoint(formats.checkpoint_path(tmp_path, 3), free_set(9))
     assert back.n == 3 and back.entries == vec.entries
@@ -241,9 +314,6 @@ def _assert_lookahead_matches_ladder(gen, max_n):
     assert build_ladder(gen, max_n).summaries == rows
 
 
-BUILDS = {"pure": None, "plain": "compiled", "ubsan": "compiled_ubsan"}
-
-
 @pytest.mark.parametrize("build", list(BUILDS))
 @pytest.mark.parametrize("gen, pure_n, compiled_n", [
     (case1(), 12, 16), (case2(), 8, 12), (custom_f_set(["Ab", "bA", "AB"]), 10, 14),
@@ -272,8 +342,8 @@ def test_every_level_has_the_level_passes(request, gen, build):
             module = request.getfixturevalue(BUILDS[build])
         gen = dataclasses.replace(gen, backend=CompiledF(module))
     origin = ladder._origin(gen)
-    assert [(vec.n, dict(vec.entries)) for vec in origin] == [
-        (-1, {}), (0, {gen.backend.identity_key(): 1})]
+    assert [(vec.n, list(vec.entries.items())) for vec in origin] == [
+        (-1, []), (0, [(gen.backend.identity_key(), 1)])]
     for vec in chain(origin, ladder_levels(gen, 6)):
         body = vec.entries.dump_entries()
         loaded = gen.backend.load_entries(body, len(vec.entries))

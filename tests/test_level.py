@@ -8,8 +8,11 @@ tgf.treepair's apply_left, composing with the same kernel, so only the
 store differs: items and their order, inner sums, norms, sums, checkpoint
 bodies and failed subtractions must all agree.  The compiled loops walk
 only the compiled Level, so their inputs are read from checkpoint bodies,
-and the pure side reads the same body whenever key order matters."""
+and the pure side reads the same body whenever key order matters.  Keys are
+checked where they enter a Level, so the refusals of keys that are not
+canonical are checked at load."""
 import dataclasses
+import struct
 import sys
 import tracemalloc
 
@@ -27,6 +30,7 @@ from tgf.ladder import (
     custom_f_set,
     ladder_levels,
 )
+from oracles import unreduced_twin
 from test_ladder import CompiledF
 from test_treepair import word_key
 
@@ -49,7 +53,7 @@ def _level(kernel, mapping):
     """A Level of kernel (either one) holding mapping's items in key order,
     read from their checkpoint body (the compiled Level has no
     constructor)."""
-    return kernel.load_entries(tp.Level(mapping).dump_entries(), len(mapping))
+    return kernel.load_entries(tp.Level(mapping.items()).dump_entries(), len(mapping))
 
 
 def _ordered(kernel, items):
@@ -68,14 +72,13 @@ def _assert_same_level(kernel, gen, level, ref):
     store, entries = level.entries, ref.entries
     assert type(entries) is tp.Level and type(store) is kernel.Level
     assert list(store.items()) == list(entries.items())
-    assert dict(store) == entries and len(store) == len(entries)
+    assert dict(store.items()) == entries and len(store) == len(entries)
     assert store.squared_two_norm() == entries.squared_two_norm()
     assert store.coefficient_sum() == entries.coefficient_sum()
     body = store.dump_entries()
     assert body == entries.dump_entries()
     loaded = kernel.load_entries(body, len(entries))
     assert list(loaded.items()) == sorted(entries.items())
-    assert loaded == store
     words = _words(gen, level.n)
     sums = kernel.inner(words, store)
     assert sums == kernel.inner(words, loaded)
@@ -88,7 +91,7 @@ def _assert_same_level(kernel, gen, level, ref):
             _subtract_scaled(copy, store, 2, level.n)
     for copy, sub in ((_level(kernel, store), loaded), (tp.Level(entries), entries)):
         _subtract_scaled(copy, sub, 1, level.n)
-        assert len(copy) == 0 and dict(copy) == {}
+        assert len(copy) == 0 and list(copy.items()) == []
 
 
 @pytest.mark.parametrize("gen, max_n", [
@@ -139,7 +142,7 @@ def test_random_levels_match_the_dict_path(kernel, vec, factors, sub, factor):
 def test_counts_stop_at_2_pow_32(kernel):
     a, b, big_a, big_b = word_key("a"), word_key("b"), word_key("A"), word_key("B")
     top = _level(kernel, {a: U32})
-    assert top[a] == U32 and top.squared_two_norm() == U32**2
+    assert top.get(a) == U32 and top.squared_two_norm() == U32**2
     assert kernel.inner([E], top) == [U32**2]
     # a count outside 1..2**32-1 reaches the store only through a checkpoint
     # body, which load_entries refuses, while the pure loops take any int
@@ -152,7 +155,7 @@ def test_counts_stop_at_2_pow_32(kernel):
     with pytest.raises(OverflowError):
         kernel.apply_left([E, E], _level(kernel, {a: 2**31}))
     # A.a and B.b are both the identity
-    assert kernel.apply_left([big_a, big_b], _level(kernel, {a: 2**31, b: 2**31 - 1}))[E] == U32
+    assert kernel.apply_left([big_a, big_b], _level(kernel, {a: 2**31, b: 2**31 - 1})).get(E) == U32
     with pytest.raises(OverflowError):
         kernel.apply_left([big_a, big_b], _level(kernel, {a: 2**31, b: 2**31}))
     # in the ladder the overflow is corruption: h_3 = h . h_2 - 2 h_1 for
@@ -165,22 +168,21 @@ def test_counts_stop_at_2_pow_32(kernel):
 
 
 def test_level_is_a_read_only_mapping(kernel):
+    # the interface the library calls: get, len, iteration over the keys
+    # and items(), in insertion order, besides the passes
     a, b = word_key("A"), word_key("B")
     level = _ordered(kernel, [(b, 2), (a, 5)])
-    assert len(level) == 2 and level[a] == 5 and level.get(b) == 2
-    assert level.get(E) is None and level.get(E, 0) == 0
-    assert a in level and E not in level and "x" not in level
-    assert list(level) == list(level.keys()) == [b, a]
-    assert list(level.values()) == [2, 5]
-    # equality is of mappings, whatever the order, and with Levels only
-    assert dict(level) == {b: 2, a: 5} and level == _level(kernel, {a: 5, b: 2})
-    assert list(_level(kernel, {a: 5, b: 2})) == [a, b]
-    assert level != _level(kernel, {a: 5}) and level != _level(kernel, {a: 5, b: 3})
-    assert level != {b: 2, a: 5} and level != [a, b]
-    with pytest.raises(KeyError):
-        level[E]
-    with pytest.raises(KeyError):
-        level[1]
+    assert len(level) == 2 and level.get(a) == 5 and level.get(b) == 2
+    assert level.get(E) is None and level.get(E, 0) == 0 and level.get(1, 0) == 0
+    assert list(level) == [b, a] and list(level.items()) == [(b, 2), (a, 5)]
+    assert list(_level(kernel, {a: 5, b: 2}).items()) == [(a, 5), (b, 2)]
+    # and nothing else: levels compare as dict(level.items())
+    for name in ("__getitem__", "__contains__", "keys", "values"):
+        assert not hasattr(level, name)
+    assert level != _level(kernel, {b: 2, a: 5})
+    assert dict(level.items()) == dict(_level(kernel, {b: 2, a: 5}).items())
+    with pytest.raises(TypeError):
+        level[a]
     with pytest.raises(TypeError):
         level[a] = 1
     with pytest.raises(TypeError):
@@ -207,28 +209,46 @@ def test_level_iteration_and_changes(kernel):
         level.subtract_scaled(_level(kernel, {keys[1]: 1}), 1)
 
 
+def _comb_pair(leaves):
+    """The reduced pair of a left and a right comb, of 3 leaves or more:
+    only leaves 0, 1 are siblings in the one, and only the last two in the
+    other."""
+    return tp.pack_key(b"\x01" * (leaves - 1) + b"\x00" * leaves,
+                       b"\x01\x00" * (leaves - 1) + b"\x00")
+
+
 def test_long_keys_round_trip(kernel):
-    # a record holds keys of up to 65535 bytes; past 254 its length takes
-    # three bytes.  load_entries checks no key, so these need not be tree
-    # pairs; in key order they are in insertion order
-    entries = {b"k" * n: n + 1 for n in (0, 1, 254, 255, 300, 65535)}
+    # a record's key length takes one byte up to 254 and three past it; a
+    # key of 65535 leaves, the most the key format holds, is 32771 bytes.
+    # In key order, by leaf count, the keys are in insertion order
+    entries = {_comb_pair(n): n + 1 for n in (3, 501, 503, 900, 65535)}
+    assert [len(k) for k in entries] == [5, 254, 255, 453, 32771]
     body = tp.Level(entries).dump_entries()
     level = kernel.load_entries(body, len(entries))
     assert list(level.items()) == list(entries.items())
     assert level.dump_entries() == body
-    assert dict(level) == tp.load_entries(body, len(entries))
+    assert dict(level.items()) == tp.load_entries(body, len(entries))
+
+
+def _entry(key, mag=b"\x05", sign=0):
+    """One entry of a checkpoint body: key length, key, sign, magnitude
+    length, magnitude."""
+    return struct.pack("<H", len(key)) + key + struct.pack("<BI", sign, len(mag)) + mag
+
+
+A = word_key("A")
 
 
 @pytest.mark.parametrize("body, count, says", [
-    (b"\x01\x00a\x00\x01\x00\x00\x00\x05", 2, "truncated"),
-    (b"\x01\x00a\x00\x01\x00\x00\x00", 1, "truncated"),
-    (b"\x01\x00a\x00\x01\x00\x00\x00\x05\x00", 1, "trailing"),
-    (b"\x01\x00a\x01\x01\x00\x00\x00\x05", 1, "range"),
-    (b"\x01\x00a\x00\x01\x00\x00\x00\x00", 1, "range"),
-    (b"\x01\x00a\x00\x05\x00\x00\x00\x01\x00\x00\x00\x00", 1, "range"),
-    (b"\x01\x00a\x00\x01\x00\x00\x00\x05" * 2, 2, "increasing"),
-    (b"\x01\x00b\x00\x01\x00\x00\x00\x05\x01\x00a\x00\x01\x00\x00\x00\x05", 2, "increasing"),
-    (b"\x02\x00ab\x00\x01\x00\x00\x00\x05\x01\x00a\x00\x01\x00\x00\x00\x05", 2, "increasing"),
+    (_entry(E), 2, "truncated"),
+    (_entry(E)[:-1], 1, "truncated"),
+    (_entry(E) + b"\x00", 1, "trailing"),
+    (_entry(E, sign=1), 1, "range"),
+    (_entry(E, mag=b"\x00"), 1, "range"),
+    (_entry(E, mag=b"\x01\x00\x00\x00\x00"), 1, "range"),
+    (_entry(E) * 2, 2, "increasing"),
+    (_entry(A) + _entry(E), 2, "increasing"),
+    (_entry(E) + _entry(E[:-1]), 2, "increasing"),
 ], ids=["short", "short-magnitude", "trailing", "negative", "zero", "2**32", "repeated-key",
         "descending-keys", "extension-first"])
 def test_load_entries_rejects_what_the_store_cannot_hold(kernel, body, count, says):
@@ -239,32 +259,38 @@ def test_load_entries_rejects_what_the_store_cannot_hold(kernel, body, count, sa
             tp.load_entries(body, count)
 
 
+A_TWIN = unreduced_twin(A)
+NOT_CANONICAL = [b"junk", bytes.fromhex("46000101"), bytes.fromhex("460003ffff"), A_TWIN]
+
+
 def test_refused_keys_leave_nothing_behind(kernel):
-    # load_entries checks no key, so a malformed one reaches the walk of a
-    # Level: apply_left and inner refuse it when they unpack it, and
-    # subtract_scaled finds it nowhere.  Each refusal must free what the
-    # call made, apply_left's half-built Level included
+    # keys are checked where they enter a Level: load_entries refuses a
+    # body with a key that is not canonical, wherever the key is in it,
+    # and apply_left and inner such a factor.  Each refusal must free what
+    # the call made, load_entries' half-built Level included
     good = {word_key(w): 1 for w in ("A", "B", "AB", "ba", "aB", "Ab", "AA", "bb")}
     level = _level(kernel, good)
     extra = word_key("AAB")
-    # in key order the padded key comes first, the all-caret one in the
-    # middle and junk last
-    vecs = [_level(kernel, {**good, bad: 1})
-            for bad in (b"junk", bytes.fromhex("46000101"), bytes.fromhex("460003ffff"))]
-    calls = [lambda v: kernel.apply_left([E, extra], v), lambda v: kernel.inner([extra], v),
-             lambda v: level.subtract_scaled(v, 1)]
+    assert tp.compose_keys(tp.IDENTITY_KEY, A_TWIN) == A_TWIN
+    assert tp.reduce_pair(*tp.unpack_key(A_TWIN)) == tp.unpack_key(A)
+    # in key order the padded key comes first, the twin and the all-caret
+    # key in the middle and junk last
+    bodies = [tp.Level({**good, bad: 1}).dump_entries() for bad in NOT_CANONICAL]
+    calls = [lambda bad, body: kernel.load_entries(body, len(good) + 1),
+             lambda bad, body: kernel.apply_left([E, extra, bad], level),
+             lambda bad, body: kernel.inner([extra, bad], level)]
 
     def refusals():
         refused = 0
-        for vec in vecs:
+        for bad, body in zip(NOT_CANONICAL, bodies):
             for call in calls:
                 try:
-                    call(vec)
-                except ValueError:
+                    call(bad, body)
+                except tp.TreePairError:
                     refused += 1
         return refused
 
-    assert refusals() == len(vecs) * len(calls)
+    assert refusals() == len(bodies) * len(calls)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -272,5 +298,5 @@ def test_refused_keys_leave_nothing_behind(kernel):
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert refused == 300 * len(vecs) * len(calls)
+    assert refused == 300 * len(bodies) * len(calls)
     assert grown < 64 * 1024

@@ -167,7 +167,7 @@ def test_brute_force_composes_only_half_length_products():
 def test_brute_force_ladder_element_matches_recursion(gen_case1):
     levels = {vec.n: vec for vec in ladder_levels(gen_case1, 6)}
     for n in (5, 6):
-        assert brute_force_ladder_element(gen_case1, n).entries == dict(levels[n].entries)
+        assert brute_force_ladder_element(gen_case1, n).entries == dict(levels[n].entries.items())
 
 
 # -- group-ring identities ----------------------------------------------------

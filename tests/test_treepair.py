@@ -2,9 +2,10 @@
 agreement between the pure and compiled implementations (the cross-checks
 run on both compiled builds, plain and under the undefined-behaviour
 sanitizer; see conftest), the compiled loops' fast path for factors of one
-or two letters against compose_keys, and malformed keys failing closed.  The
-compiled loops walk only their own build's Level, so their inputs are read
-from checkpoint bodies (as_level)."""
+or two letters against compose_keys, and keys that are malformed or not
+reduced failing closed where they enter a level: at load, or as a factor of
+the compiled loops.  The compiled loops walk only their own build's Level,
+so their inputs are read from checkpoint bodies (as_level)."""
 import dataclasses
 import random
 
@@ -25,10 +26,15 @@ def random_word(rng, length):
     return "".join(rng.choice("AaBb") for _ in range(length))
 
 
+def _body(mapping):
+    """The checkpoint body of mapping's items, sorted by key."""
+    return tp.Level(mapping.items()).dump_entries()
+
+
 def as_level(impl, mapping):
     """mapping as a Level of the kernel impl, pure or compiled, read from its
     checkpoint body and so in key order."""
-    return impl.load_entries(tp.Level(mapping).dump_entries(), len(mapping))
+    return impl.load_entries(_body(mapping), len(mapping))
 
 
 def _outcome(fn, *args):
@@ -116,13 +122,9 @@ def test_compiled_matches_pure(compiled):
 
 def _comb(leaves, side):
     """Preorder tokens of the comb with all carets down one side."""
-    tree = bytes([tp.LEAF])
-    for _ in range(leaves - 1):
-        if side == "left":
-            tree = bytes([tp.CARET]) + tree + bytes([tp.LEAF])
-        else:
-            tree = bytes([tp.CARET, tp.LEAF]) + tree
-    return tree
+    if side == "left":
+        return bytes([tp.CARET]) * (leaves - 1) + bytes([tp.LEAF]) * leaves
+    return bytes([tp.CARET, tp.LEAF]) * (leaves - 1) + bytes([tp.LEAF])
 
 
 def test_deep_tree_compose_matches_compiled(compiled):
@@ -206,8 +208,8 @@ def test_apply_left_identity_first_then_factors_in_order(builds):
         level = as_level(impl, vec)
         assert list(level) == [tp.IDENTITY_KEY, a]
         assert list(impl.apply_left(factors, level).items()) == want
-        assert dict(impl.apply_left([], level)) == {}
-        assert dict(impl.apply_left(factors, as_level(impl, {}))) == {}
+        assert len(impl.apply_left([], level)) == 0
+        assert len(impl.apply_left(factors, as_level(impl, {}))) == 0
 
 
 @pytest.mark.parametrize("name", ["apply_left", "inner"])
@@ -244,7 +246,7 @@ def test_compiled_loops_take_only_their_own_level(builds):
             for name, call in calls.items():
                 with pytest.raises(TypeError, match=f"^{name} needs a Level, not "):
                     call(vec)
-        assert dict(level) == {e: 1}
+        assert list(level.items()) == [(e, 1)]
 
 
 # -- left multiplication by a letter ------------------------------------------
@@ -294,11 +296,26 @@ def test_words_on_every_small_pair_match_compose(kernel):
 
 
 def test_words_on_unreduced_pairs_match_compose(kernel):
-    # the edit keeps a pair reduced; a key that is not takes the full
-    # product, which reduces it
+    # the edit takes a reduced pair, and no Level holds another: both
+    # loaders refuse an unreduced key, and the compiled loops such a
+    # factor.  compose_keys takes one, and its product by a word is the
+    # one that the walk forms from the reduced pair
     keys = _pairs(5, reduced=False)
     assert len(keys) == 102
-    _assert_words_match_compose(kernel, keys, [word_key(w) for w in LETTERS + TWO_LETTER_WORDS])
+    words = [word_key(w) for w in LETTERS + TWO_LETTER_WORDS]
+    on_e = as_level(kernel, {tp.IDENTITY_KEY: 1})
+    for key in keys:
+        for impl in (tp, kernel):
+            with pytest.raises(tp.TreePairError, match="not reduced"):
+                as_level(impl, {key: 1})
+        for walk in (kernel.apply_left, kernel.inner):
+            with pytest.raises(tp.TreePairError, match="not reduced"):
+                walk([key], on_e)
+        canonical = as_level(kernel, {tp.pack_key(*tp.reduce_pair(*tp.unpack_key(key))): 1})
+        for w in words:
+            product = tp.compose_keys(w, key)
+            assert kernel.compose_keys(w, key) == product
+            assert list(kernel.apply_left([w], canonical).items()) == [(product, 1)]
 
 
 def _grown_tree(splits):
@@ -356,16 +373,19 @@ def test_words_and_other_factors_match_pure(builds, words):
 def test_an_items_error_comes_before_the_next_items(builds):
     # the batch loops build each item's products before they add up the
     # item before it, yet raise the earlier item's error first, as the pure
-    # loops would: here the first key's count overflows and the second key
-    # is malformed
-    a = word_key("A")
+    # loops would: here the first key's count overflows, and the second
+    # key, of 65535 leaves, times a has one leaf more than a key holds
+    a, big_a = word_key("a"), word_key("A")
+    big = tp.pack_key(_comb(65535, "left"), _comb(65535, "right"))
+    with pytest.raises(tp.TreePairError, match="too large"):
+        tp.compose_keys(a, big)
     for compiled in builds:
-        level = as_level(compiled, {a: 2**31, b"junk": 1})
-        assert list(level) == [a, b"junk"]
+        level = as_level(compiled, {big_a: 2**31, big: 1})
+        assert list(level) == [big_a, big]
         with pytest.raises(OverflowError):
-            compiled.apply_left([tp.IDENTITY_KEY, tp.IDENTITY_KEY], level)
-        with pytest.raises(tp.TreePairError):
-            compiled.apply_left([tp.IDENTITY_KEY], level)
+            compiled.apply_left([tp.IDENTITY_KEY, tp.IDENTITY_KEY, a], level)
+        with pytest.raises(tp.TreePairError, match="too large"):
+            compiled.apply_left([tp.IDENTITY_KEY, a], level)
 
 
 # -- malformed keys -----------------------------------------------------------
@@ -390,10 +410,16 @@ def kernel_impl(request):
 
 
 def test_apply_left_checks_keys_whatever_the_factors(kernel_impl):
-    # no product is formed, yet a bad key fails as it does in inner
+    # the keys that a walk reads are checked once, where they are loaded,
+    # whatever the factors of the walks that follow: a bad key never
+    # reaches a walk, and a good level walks with any factors
+    good = {word_key("A"): 1, word_key("bA"): 2}
+    with pytest.raises(tp.TreePairError):
+        kernel_impl.load_entries(_body({**good, b"junk": 1}), 3)
+    level = as_level(kernel_impl, good)
     for factors in ([tp.IDENTITY_KEY], [tp.IDENTITY_KEY] * 2, []):
-        with pytest.raises(tp.TreePairError):
-            kernel_impl.apply_left(factors, as_level(kernel_impl, {word_key("A"): 1, b"junk": 1}))
+        assert list(kernel_impl.apply_left(factors, level).items()) == [
+            (key, c * len(factors)) for key, c in sorted(good.items()) if factors]
 
 
 @pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
@@ -406,10 +432,10 @@ def test_malformed_keys_raise_tree_pair_error(kernel_impl, bad):
         lambda: kernel_impl.compose_keys(bad, tp.IDENTITY_KEY),
         lambda: kernel_impl.invert_key(bad),
         lambda: kernel_impl.apply_left([bad], as_level(kernel_impl, {good: 1})),
-        lambda: kernel_impl.apply_left([good], as_level(kernel_impl, {bad: 1})),
         lambda: kernel_impl.inner([bad], as_level(kernel_impl, {good: 1})),
-        lambda: kernel_impl.inner([good], as_level(kernel_impl, {bad: 1})),
-        lambda: kernel_impl.inner([tp.IDENTITY_KEY], as_level(kernel_impl, {bad: 1})),
+        # a key in a level is checked as the level is loaded
+        lambda: kernel_impl.load_entries(_body({bad: 1}), 1),
+        lambda: kernel_impl.load_entries(_body({good: 1, bad: 1}), 2),
     ]
     for call in calls:
         with pytest.raises(tp.TreePairError):
@@ -429,13 +455,41 @@ SIZED = st.tuples(st.integers(0, 9), st.integers(-1, 1)).flatmap(
 )
 VALID = st.text(alphabet="AaBb", max_size=8).map(word_key)
 KEYISH = st.one_of(st.binary(max_size=10), SIZED, VALID)
+# an unreduced caret/caret pair, which compose_keys takes
+UNREDUCED = bytes.fromhex("46000290")
+
+
+def _loaded(impl, body, count):
+    """("ok", items) of the Level that impl loads from body, or the error
+    that refuses it, with its message."""
+    try:
+        return "ok", list(impl.load_entries(body, count).items())
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.dictionaries(KEYISH, st.integers(1, U32), max_size=6))
+@example(entries={UNREDUCED: 1})
+@example(entries={word_key("A"): 2, UNREDUCED: 1, word_key("B"): 3})
+def test_loaders_accept_and_refuse_the_same_bodies(builds, entries):
+    # the pure loader and both compiled builds hold the same levels, and
+    # refuse the rest with the same error: a key refused is one that
+    # check_key refuses
+    body = _body(entries)
+    outcomes = [_loaded(impl, body, len(entries)) for impl in (tp, *builds)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    canonical = all(_outcome(tp.check_key, key)[0] == "ok" for key in entries)
+    assert (outcomes[0][0] == "ok") == canonical
+    if canonical:
+        assert outcomes[0][1] == sorted(entries.items())
 
 
 @settings(max_examples=300, deadline=None)
 @given(key=KEYISH, other=VALID)
-# an unreduced caret/caret pair: a product with the identity word keeps it
-# as it is, in both kernels
-@example(key=bytes.fromhex("46000290"), other=tp.IDENTITY_KEY)
+# compose_keys keeps the unreduced pair as it is in a product with the
+# identity word, in both kernels, and both loaders refuse it
+@example(key=UNREDUCED, other=tp.IDENTITY_KEY)
 def test_random_bytes_only_raise_tree_pair_error(compiled, key, other):
     # any exception other than TreePairError fails the test; both kernels
     # must also agree on which inputs they accept and on the results
@@ -445,9 +499,22 @@ def test_random_bytes_only_raise_tree_pair_error(compiled, key, other):
             _outcome(impl.compose_keys, key, other),
             _outcome(impl.compose_keys, other, key),
             _outcome(impl.invert_key, key),
+            _outcome(impl.load_entries, _body({key: 3}), 1),
+            _outcome(impl.load_entries, _body({key: 3, other: 5}), 1 + (key != other)),
+        ])
+    assert results[0] == results[1]
+    if results[0][3][0] != "ok":
+        # the compiled loops take only a canonical factor
+        level = as_level(compiled, {other: 2})
+        for walk in (compiled.apply_left, compiled.inner):
+            assert _outcome(walk, [key], level)[0] == "TreePairError"
+        return
+    walks = []
+    for impl in (tp, compiled):
+        walks.append([
             _outcome(impl.apply_left, [key], as_level(impl, {other: 1})),
             _outcome(impl.apply_left, [other], as_level(impl, {key: 3})),
             _outcome(impl.inner, [key], as_level(impl, {other: 2})),
             _outcome(impl.inner, [other, tp.IDENTITY_KEY], as_level(impl, {key: 3, other: 5})),
         ])
-    assert results[0] == results[1]
+    assert walks[0] == walks[1]
