@@ -141,6 +141,19 @@ def _load_moments(args) -> tuple[int, list[int]]:
     )
 
 
+def _gamma_line(source: str, name: str, norm, q: int) -> str:
+    """The comment line with gamma from the norm estimate `norm`, or, when
+    the estimate lies below 2 sqrt(q) (for q = 1 a fit from below always
+    does), the line that says gamma is undefined."""
+    from . import spectral
+
+    try:
+        return f"# gamma from {source}: {float(spectral.gamma_cogrowth(norm, q)):.5f}\n"
+    except UsageError:
+        return (f"# gamma undefined: {name} {float(norm):.5f} still below 2 sqrt(q) "
+                f"= {2 * q ** 0.5:.5f}\n")
+
+
 def cmd_norm(args) -> int:
     from . import formats, spectral
 
@@ -162,7 +175,6 @@ def cmd_norm(args) -> int:
         fit = spectral.fit_extrapolation(
             [(row.n, float(row.lambda_max)) for row in rows], lo, hi
         )
-        gamma_fit = spectral.gamma_cogrowth(min(fit.a, q + 1), q)
     if args.out:
         companion = formats.write_bounds_csv(args.out, rows)
         sys.stdout.write(f"wrote {args.out} and {companion}\n")
@@ -173,20 +185,13 @@ def cmd_norm(args) -> int:
     sys.stdout.write(f"# best lower bound: lambda_max(M_{rows[-1].n}) = {float(best):.5f}\n")
     sys.stdout.write(f"# likely lower bound: alpha pair sum = {float(rows[-1].alpha_sum):.5f}\n"
                      if rows[-1].alpha_sum is not None else "")
-    try:
-        gamma = spectral.gamma_cogrowth(best, q)
-        sys.stdout.write(f"# gamma from best lower bound: {float(gamma):.5f}\n")
-    except UsageError:
-        sys.stdout.write(
-            f"# gamma undefined: bound {float(best):.5f} still below 2 sqrt(q) "
-            f"= {2 * q ** 0.5:.5f}\n"
-        )
+    sys.stdout.write(_gamma_line("best lower bound", "bound", best, q))
     if fit is not None:
         sys.stdout.write(
             f"# fit f(n)=a-b(n-c)^-d on [{lo},{hi}]: a={fit.a:.3f} b={fit.b:.3f} "
             f"c={fit.c:.3f} d={fit.d:.3f} residual={fit.residual:.3e}\n"
         )
-        sys.stdout.write(f"# gamma from fitted norm: {float(gamma_fit):.5f}\n")
+        sys.stdout.write(_gamma_line("fitted norm", "fitted norm", min(fit.a, q + 1), q))
     if truncated:
         sys.stderr.write(
             f"Hankel ladder degenerate at n={hl.degenerate_at}: "

@@ -6,8 +6,10 @@ polynomial density estimate matching all moments up to order 2N.  The
 projection coefficients onto the orthonormal scaled Legendre basis factor
 as (rational core) x sqrt((n + 1/2)/(q+1)); the cores are kept as exact
 rationals so moment matching is an identity, and the two square roots fuse
-into the rational factor (2n+1)/(2(q+1)) at evaluation time.  The estimate
-is a signed density: no clipping is applied anywhere.
+into the rational factor (2n+1)/(2(q+1)) at evaluation time.  Each core is
+one exact integer sum over the closed-form Legendre coefficients, divided
+once, so no polynomial is built.  The estimate is a signed density: no
+clipping is applied anywhere.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResourceError, UsageError
-from .polynomials import legendre_p
 from .sequences import MomentVector, m_free
 
 
@@ -47,20 +48,26 @@ class DensityCurve:
 
 def project_density(mv: MomentVector, order: int) -> LegendreExpansion:
     """Exact rational cores r_n = integral of P_n(t/(q+1)) against the
-    measure, evaluated through the moments."""
+    measure, evaluated through the moments.
+
+    From P_n(t) = 2^-n sum_k (-1)^k C(n,k) C(2n-2k,n) t^(n-2k), an even
+    core is r_n = S / (2(q+1))^n with the integer
+    S = sum_k (-1)^k C(n,k) C(2n-2k,n) (q+1)^(2k) m_(n/2-k), k = 0..n/2."""
     if order > mv.top:
         raise UsageError(f"projection order {order} needs moments up to m_{order}")
-    scale = Fraction(1, mv.q + 1)
+    width_sq = (mv.q + 1) ** 2
     cores = []
     for n in range(2 * order + 1):
         if n % 2:
             cores.append(Fraction(0))
             continue
-        total = Fraction(0)
-        for j, coeff in enumerate(legendre_p(n)):
-            if j % 2 == 0 and coeff:
-                total += coeff * scale**j * mv.m[j // 2]
-        cores.append(total)
+        half = n // 2
+        total = sum(
+            (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n)
+            * width_sq**k * mv.m[half - k]
+            for k in range(half + 1)
+        )
+        cores.append(Fraction(total, (2 * (mv.q + 1)) ** n))
     return LegendreExpansion(mv.q, order, tuple(cores))
 
 

@@ -82,10 +82,17 @@ class GroupBackend(abc.ABC):
     @abc.abstractmethod
     def invert_key(self, a: bytes) -> bytes: ...
 
+    def check_key(self, key: bytes) -> bytes:
+        """The key, refused with ValueError unless it is canonical.  The
+        default runs invert_key, which for free groups and Z^d refuses every
+        key that multiply_keys cannot make."""
+        self.invert_key(key)
+        return key
+
     # the ladder's batched loops and level store: apply_left and
     # load_entries return a Level (tgf.treepair's, or for F the compiled
     # kernel's).  The defaults are the pure loops, composing with
-    # multiply_keys, and the pure loader, checking each key with invert_key
+    # multiply_keys, and the pure loader, checking each key with check_key
 
     def apply_left(self, factors: list[bytes], vec: Mapping[bytes, int]) -> Mapping[bytes, int]:
         """Multiset product (sum of factors) . vec, multiplying on the left."""
@@ -100,12 +107,10 @@ class GroupBackend(abc.ABC):
     def load_entries(self, body, count: int) -> Mapping[bytes, int]:
         """The level that a checkpoint body of `count` entries holds, refused
         as treepair.read_entries refuses it or at its first key that
-        invert_key refuses (a ValueError), one that is not canonical."""
-        level = treepair.Level()
-        for key, coeff in treepair.read_entries(body, count):
-            self.invert_key(key)
-            level[key] = coeff
-        return level
+        check_key refuses."""
+        return treepair.Level(
+            (self.check_key(key), coeff) for key, coeff in treepair.read_entries(body, count)
+        )
 
     def element_from_word(self, word: Word) -> CanonicalElement:
         key = self.identity_key()
@@ -152,6 +157,12 @@ class ThompsonF(GroupBackend):
 
     def invert_key(self, a: bytes) -> bytes:
         return kernel.invert_key(a)
+
+    def check_key(self, key: bytes) -> bytes:
+        """The key, refused with TreePairError (a ValueError) if it is
+        malformed or its tree pair is not reduced: the pure reference of the
+        check that both kernels' load_entries run."""
+        return treepair.check_key(key)
 
     def apply_left(self, factors: list[bytes], vec: Mapping[bytes, int]) -> Mapping[bytes, int]:
         return kernel.apply_left(factors, vec)

@@ -67,13 +67,20 @@ from .groups import FreeGroup, GeneratorLetter, GroupBackend, Lattice, ThompsonF
 @dataclass(frozen=True)
 class GeneratorSet:
     """The set Y whose element sum h drives the ladder: the canonical keys
-    of its elements in `backend`."""
+    of its elements in `backend`.  A key that the backend's check_key
+    refuses (malformed, or not canonical, so that one element could enter
+    a level under two keys) is a UsageError on every kernel."""
 
     backend: GroupBackend
     elements: tuple[bytes, ...]
     label: str = "custom"
 
     def __post_init__(self):
+        for i, key in enumerate(self.elements):
+            try:
+                self.backend.check_key(key)
+            except ValueError as exc:
+                raise UsageError(f"generator set element {i} ({key.hex()}): {exc}") from None
         if len(set(self.elements)) != len(self.elements):
             raise UsageError("generator set contains repeated elements")
         if self.q < 1:

@@ -1,8 +1,8 @@
-"""Exact polynomial kit: Legendre and the ladder polynomials.
+"""Exact polynomial kit: the ladder polynomials.
 
 Polynomials are coefficient lists in ascending degree order; ladder
-polynomials have integer coefficients, Legendre polynomials live in the
-rationals.  The ladder polynomials for a fixed integer q >= 1 are
+polynomials have integer coefficients.  The ladder polynomials for a fixed
+integer q >= 1 are
 
     L_1(t) = t,  L_2(t) = t^2 - (q+1),  L_{n+1}(t) = t L_n(t) - q L_{n-1}(t),
 
@@ -11,7 +11,6 @@ are polynomials in h*h, odd levels are h times such a polynomial).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -48,14 +47,3 @@ def ladder_poly_even_core(q: int, m: int) -> list:
     full = ladder_poly(q, 2 * m)
     assert all(c == 0 for c in full[1::2])
     return list(full[0::2])
-
-
-@lru_cache(maxsize=None)
-def legendre_p(n: int) -> tuple:
-    """Legendre polynomial P_n, exact rational coefficients."""
-    if n == 0:
-        return (Fraction(1),)
-    if n == 1:
-        return (Fraction(0), Fraction(1))
-    a = poly_shift_scale(legendre_p(n - 1), Fraction(2 * n - 1, n))
-    return tuple(poly_add(a, legendre_p(n - 2), -Fraction(n - 1, n)))

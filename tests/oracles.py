@@ -7,9 +7,13 @@ with no shared code with the library's tree-pair kernel; `TreePair` wraps
 a validated pair of preorder trees for the reduction tests.  A
 quadratic-scan word reducer plays the same role for the free-group
 backend.  The Chebyshev polynomials T_n and U_n give closed forms for the
-ladder polynomials.  Sturm-count bisection in P-bit mpmath floats is the
-oracle for the fixed-point eigenvalue bisection of
-`tgf.spectral.lambda_max`.  The helpers at the end (polynomial evaluation,
+ladder polynomials, and Bonnet's recursion gives the Legendre polynomials
+whose closed form `tgf.density.project_density` sums.  Sturm-count
+bisection in P-bit mpmath floats is the oracle for the fixed-point
+eigenvalue bisection of `tgf.spectral.lambda_max`, and the same bisection
+with the fixed-point test run on every midpoint is the oracle for the
+tests it skips.  Golden-section search is the oracle for the fit's Brent
+minimisation.  The helpers at the end (polynomial evaluation,
 the fitted model, the identity test, the exact moments of a density
 estimate, a report's failures as an exception, the table CSV as a file,
 the bounds CSV parser, the packaged bounds tables, and a checkpoint that
@@ -17,6 +21,7 @@ stores one element under two keys) are used by the tests only.
 """
 import csv
 import io
+import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction as Fr
@@ -25,9 +30,9 @@ from pathlib import Path
 
 import mpmath
 
-from tgf import formats, treepair
+from tgf import formats, spectral, treepair
 from tgf.errors import ResourceError, UsageError, VerificationError
-from tgf.polynomials import legendre_p, poly_add, poly_shift_scale
+from tgf.polynomials import poly_add, poly_shift_scale
 from tgf.sequences import (
     BRUTE_BUDGET,
     SequenceTable,
@@ -204,6 +209,18 @@ def full_length_brute_force(gen, max_n: int) -> SequenceTable:
 
 
 @lru_cache(maxsize=None)
+def legendre_p(n: int) -> tuple:
+    """Legendre polynomial P_n by Bonnet's recursion, exact rational
+    coefficients."""
+    if n == 0:
+        return (Fr(1),)
+    if n == 1:
+        return (Fr(0), Fr(1))
+    a = poly_shift_scale(legendre_p(n - 1), Fr(2 * n - 1, n))
+    return tuple(poly_add(a, legendre_p(n - 2), -Fr(n - 1, n)))
+
+
+@lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> tuple:
     if n == 0:
         return (1,)
@@ -268,6 +285,51 @@ def bisect_lambda_max(jc, n: int, tol: float = 1e-12, lower=None):
             else:
                 lo = mid
         return (lo + hi) / 2
+
+
+def plain_lambda_max(jc, n: int, tol: float = 1e-12, lower=None):
+    """lambda_max(M_n) for n >= 3 by the library's bisection with its exact
+    fixed-point test run on every midpoint and both bracket ends, in mpf
+    operators: what `tgf.spectral.lambda_max` computes without skipping the
+    tests that its enclosure decides.  None when either end of the bracket
+    fails."""
+    bits = jc.precision_bits
+
+    def above(x):
+        fixed = int(mpmath.floor(mpmath.ldexp(x, bits)))
+        return spectral._above_spectrum(jc.scaled_alpha_sq, n, fixed)
+
+    with mpmath.workprec(bits):
+        hi = jc.schur_bounds[n] + mpmath.mpf(tol)
+        lo = mpmath.mpf(lower) if lower is not None else max(jc.alpha[1 : n + 1])
+        if not above(hi) or above(lo):
+            return None
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if above(mid):
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
+
+
+def golden_minimum(f, lo: float, hi: float) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of f on [lo, hi] by golden-section search,
+    narrowed to width 1e-10; f is assumed unimodal there.  The oracle for
+    the Brent minimisation of `tgf.spectral.fit_extrapolation`."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-10:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def poly_eval(a, x):

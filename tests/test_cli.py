@@ -486,6 +486,17 @@ def test_norm_fit_imports_neither_scipy_nor_numpy():
     assert lines[-1] == "heavy: []"
 
 
+def test_norm_fit_below_the_free_edge_for_q1_says_gamma_undefined(capsys):
+    # for q = 1, 2 sqrt q = q + 1 = 2, and a fit that approaches 2 from below
+    # has no gamma; the bounds and the fit are still printed
+    code, out, err = run_cli(capsys, "norm", "--free", "--q=1", "--fit-window=1:7")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + 30 + 5
+    assert lines[-2].startswith("# fit f(n)=a-b(n-c)^-d on [1,7]: a=1.999 ")
+    assert lines[-1] == "# gamma undefined: fitted norm 1.99917 still below 2 sqrt(q) = 2.00000"
+
+
 def _run_cli_subprocess(*argv, timeout=60):
     """The CLI in a fresh interpreter, killed after `timeout` seconds, so a
     command that would never end fails the test instead of hanging it."""
@@ -561,6 +572,24 @@ def test_density_full_order_grid(capsys, tmp_path, monkeypatch):
     assert code == 0
     lines = (tmp_path / "full-rho37.csv").read_text().splitlines()
     assert len(lines) == 2 + 301  # label, header, 301 grid rows at step 0.01
+
+
+REFERENCE_CURVES = Path(__file__).resolve().parent.parent / "tgfbench" / "reference"
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--case=1", "--order=37", "--range=0:3"], ["density-rho37.csv", "density-free.csv"]),
+    (["--case=2", "--order=24", "--tail", "--range=3.464:4"],
+     ["density-rho23.csv", "density-rho24.csv", "density-tail-avg.csv"]),
+], ids=["case1", "case2-tail"])
+def test_density_curves_equal_the_reference_bytes(capsys, tmp_path, monkeypatch, argv, names):
+    # the curves that the benchmark's analysis workload checks, byte for byte
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "density", *argv)
+    assert code == 0
+    assert out.splitlines() == [f"wrote {name}" for name in names]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (REFERENCE_CURVES / name).read_bytes(), name
 
 
 def test_tables_verification_failure_exits_2(capsys, monkeypatch):

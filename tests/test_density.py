@@ -15,8 +15,7 @@ from tgf.density import (
     tail_average,
 )
 from tgf.errors import UsageError
-from oracles import expansion_moment, poly_eval
-from tgf.polynomials import legendre_p
+from oracles import expansion_moment, legendre_p, poly_eval
 from tgf.sequences import m_free
 from tgf.spectral import MomentVector
 
@@ -30,6 +29,32 @@ def test_moment_roundtrip_exact(table1):
     exp = project_density(mv, 8)
     for k in range(9):
         assert expansion_moment(exp, k) == mv.m[k]  # exact rational identity
+
+
+def _oracle_core(mv, n):
+    """The n-th core summed over the coefficients of P_n (Bonnet's
+    recursion), one Fraction term at a time."""
+    scale = Fraction(1, mv.q + 1)
+    return sum((coeff * scale**j * mv.m[j // 2]
+                for j, coeff in enumerate(legendre_p(n)) if j % 2 == 0),
+               Fraction(0))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_closed_form_cores_equal_the_legendre_oracle(q):
+    mv = free_moment_vector(q, 37)
+    exp = project_density(mv, 37)
+    assert len(exp.cores) == 75
+    for n in range(0, 75, 2):
+        assert exp.cores[n] == _oracle_core(mv, n), n
+
+
+def test_closed_form_cores_equal_the_legendre_oracle_on_the_tables(table1, table2):
+    for table in (table1, table2):
+        mv = MomentVector(table.q, tuple(table.moments()))
+        exp = project_density(mv, mv.top)
+        assert exp.cores == tuple(
+            _oracle_core(mv, n) if n % 2 == 0 else 0 for n in range(2 * mv.top + 1))
 
 
 def test_normalization(table1):

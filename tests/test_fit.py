@@ -1,7 +1,9 @@
-"""Extrapolation fit: exact recovery, published windows, parameter domains."""
+"""Extrapolation fit: exact recovery, published windows, parameter domains,
+and the Brent minimisation against a golden-section search."""
 import pytest
 
-from oracles import fit_predict
+from oracles import fit_predict, golden_minimum
+from tgf import spectral
 from tgf.errors import UsageError
 from tgf.spectral import fit_extrapolation
 
@@ -51,3 +53,37 @@ def test_predict_matches_formula():
     points = [(n, 3.0 - 1.0 * (n - 0.5) ** -1.0) for n in range(8, 20)]
     fit = fit_extrapolation(points, 8, 19)
     assert abs(fit_predict(fit, 25.0) - (3.0 - (25 - 0.5) ** -1.0)) < 1e-5
+
+
+def _self_model_points():
+    return [(n, 2.95 - 0.7 * (n - 0.6) ** (-1.3)) for n in range(10, 40)]
+
+
+@pytest.mark.parametrize("case, lo, hi", [(1, 12, 37), (2, 8, 24), (1, 1, 37), (None, 10, 39)],
+                         ids=["case1", "case2", "case1-from-1", "self-model"])
+def test_brent_fit_matches_golden_section_search(case, lo, hi, bounds1, bounds2, monkeypatch):
+    # the minimum's valley is flat along (c, d), so the parameters of two
+    # searches stopped at width 1e-10 differ by up to about 1e-6; the fitted
+    # curve over the window and the residual are what the data determine
+    if case is None:
+        points = _self_model_points()
+    else:
+        points = [(row["n"], row["lambda_max"]) for row in (bounds1, bounds2)[case - 1]]
+    evaluations = {}
+
+    def fit_with(search, name):
+        def counted(f, a, b):
+            def g(x):
+                evaluations[name] = evaluations.get(name, 0) + 1
+                return f(x)
+            return search(g, a, b)
+
+        monkeypatch.setattr(spectral, "_brent", counted)
+        return fit_extrapolation(points, lo, hi)
+
+    brent = fit_with(spectral._brent, "brent")
+    golden = fit_with(golden_minimum, "golden")
+    for n in range(lo, hi + 1):
+        assert abs(fit_predict(brent, n) - fit_predict(golden, n)) < 1e-9
+    assert abs(brent.residual - golden.residual) < 1e-9
+    assert evaluations["brent"] < evaluations["golden"] / 3

@@ -94,6 +94,29 @@ def test_generator_set_validation(gen_case1):
         GeneratorSet(backend, (e,))
 
 
+@pytest.mark.parametrize("build", ["pure", "plain", "ubsan"])
+def test_generator_set_refuses_a_key_that_is_not_canonical(request, build):
+    # case 1 with A under its unreduced twin, the same element under a
+    # second key: refused when the set is made, before any kernel walks it,
+    # with the same error on every build
+    gen = _in_build(request, case1(), build)
+    e, a, b = gen.elements
+    twin = unreduced_twin(a)
+    with pytest.raises(UsageError, match=f"^generator set element 1 \\({twin.hex()}\\): "
+                                         "tree-pair key is not reduced$"):
+        dataclasses.replace(gen, elements=(e, twin, b))
+    with pytest.raises(UsageError, match="^generator set element 0 .*: not a tree-pair key$"):
+        dataclasses.replace(gen, elements=(b"junk", a, b))
+
+
+def test_generator_set_refuses_a_free_word_that_is_not_reduced():
+    gen = free_set(2)
+    e, a1, a2 = gen.elements
+    with pytest.raises(UsageError,
+                       match="^generator set element 2 .*: free_2 key is not freely reduced$"):
+        dataclasses.replace(gen, elements=(e, a1, a2 + b"\x00\x01"))
+
+
 def test_checkpoint_roundtrip(tmp_path, gen_case1):
     # row 6 comes from the lookahead over level 5, so levels 1..5 are stored
     run = build_ladder(gen_case1, 6, checkpoint_dir=tmp_path)

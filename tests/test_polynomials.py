@@ -2,12 +2,8 @@
 import math
 from fractions import Fraction
 
-from oracles import chebyshev_t, chebyshev_u, poly_eval
-from tgf.polynomials import (
-    ladder_poly,
-    ladder_poly_even_core,
-    legendre_p,
-)
+from oracles import chebyshev_t, chebyshev_u, legendre_p, poly_eval
+from tgf.polynomials import ladder_poly, ladder_poly_even_core
 
 
 def test_ladder_poly_base_cases():

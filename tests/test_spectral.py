@@ -9,8 +9,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bisect_lambda_max, sturm_count
+from oracles import bisect_lambda_max, plain_lambda_max, sturm_count
 from tgf import spectral
 from tgf.errors import NumericError, UsageError
 from tgf.sequences import m_free
@@ -172,6 +174,76 @@ def test_lambda_max_equals_mpmath_bisection_free(bits):
     assert lambda_max(jc, 30) == bisect_lambda_max(jc, 30)
 
 
+def _ratio_root(mv, n, bits):
+    with mpmath.workprec(bits):
+        return mpmath.sqrt(mpmath.mpf(mv.m[n]) / mpmath.mpf(mv.m[n - 1]))
+
+
+def test_skipped_sturm_tests_change_nothing(table1, table2):
+    # a midpoint outside the certified enclosure takes the branch the exact
+    # test would give, so every result is the plain loop's, to the last bit
+    for table in (table1, table2):
+        mv = fixture_mv(table)
+        jc = jacobi_coefficients(hankel_ladder(mv, mv.top))
+        for n in range(3, jc.top + 1):
+            lower = _ratio_root(mv, n, jc.precision_bits)
+            assert lambda_max(jc, n, lower=lower)._mpf_ == plain_lambda_max(
+                jc, n, lower=lower)._mpf_
+            assert lambda_max(jc, n)._mpf_ == plain_lambda_max(jc, n)._mpf_
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_skipped_sturm_tests_change_nothing_free(q):
+    moments = [1] + [m_free(q, n) for n in range(1, 31)]
+    jc = jacobi_coefficients(hankel_ladder(MomentVector(q, tuple(moments)), 30))
+    for n in range(3, 31):
+        assert lambda_max(jc, n)._mpf_ == plain_lambda_max(jc, n)._mpf_
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1000,
+                             max_denominator=10**6), min_size=3, max_size=12),
+       st.sampled_from([64, 256]))
+def test_skipped_sturm_tests_change_nothing_on_drawn_jacobi_data(alpha_sq, bits):
+    with mpmath.workprec(bits):
+        alpha = tuple(mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator) for r in alpha_sq)
+    jc = JacobiCoefficients((None,) + alpha, (None,) + tuple(alpha_sq), bits)
+    n = len(alpha_sq)
+    want = plain_lambda_max(jc, n)
+    if want is None:
+        with pytest.raises(NumericError):
+            lambda_max(jc, n)
+    else:
+        assert lambda_max(jc, n)._mpf_ == want._mpf_
+
+
+def test_a_wrong_float_estimate_only_costs_tests(table1, monkeypatch):
+    # an estimate that the exact test does not confirm leaves every
+    # midpoint to the exact test: the result is still the plain loop's
+    mv = fixture_mv(table1)
+    jc = jacobi_coefficients(hankel_ladder(mv, 20))
+    for wrong in (True, False):
+        monkeypatch.setattr(spectral, "_float_above", lambda *args: wrong)
+        assert spectral._enclosure(jc, 20, 2.0, 3.0) is None
+        assert lambda_max(jc, 20)._mpf_ == plain_lambda_max(jc, 20)._mpf_
+
+
+def test_case1_table_runs_few_sturm_tests(table1, monkeypatch):
+    # the plain loop runs about 1,440 exact tests on this table: about 40
+    # halvings per row plus both bracket ends
+    calls = []
+    exact = spectral._above_spectrum
+
+    def counted(*args):
+        calls.append(args[1])
+        return exact(*args)
+
+    monkeypatch.setattr(spectral, "_above_spectrum", counted)
+    mv = fixture_mv(table1)
+    bounds_table(mv, jacobi_coefficients(hankel_ladder(mv, mv.top)))
+    assert len(calls) <= 300
+
+
 def test_zero_pivot_is_not_above_spectrum():
     # every alpha_k = 1: M_n is a path graph, eigenvalues 2 cos(k pi/(n+2))
     bits = spectral.DEFAULT_PRECISION_BITS
@@ -185,13 +257,13 @@ def test_zero_pivot_is_not_above_spectrum():
         for n, x in ((1, 0), (2, 0), (1, 1), (2, 1)):
             x = mpmath.mpf(x)
             assert not spectral._above_spectrum(
-                jc.scaled_alpha_sq, n, spectral._to_fixed(x, bits))
+                jc.scaled_alpha_sq, n, spectral._to_fixed(x._mpf_, bits))
             assert sturm_count(alpha_sq_mpf, n, x, tiny) < n + 1
         # just above the top eigenvalue both tests say "above"
         for n, top in ((1, mpmath.mpf(1)), (2, mpmath.sqrt(2))):
             x = top + mpmath.mpf(2) ** -100
             assert spectral._above_spectrum(
-                jc.scaled_alpha_sq, n, spectral._to_fixed(x, bits))
+                jc.scaled_alpha_sq, n, spectral._to_fixed(x._mpf_, bits))
             assert sturm_count(alpha_sq_mpf, n, x, tiny) == n + 1
 
 
