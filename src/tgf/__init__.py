@@ -9,8 +9,8 @@ bounds, extrapolated norm estimates, and spectral density reconstructions.
 `import tgf` loads no submodule.  Each name below is imported from its
 module on first access (PEP 562), so a caller, or a CLI subcommand, pays
 only for the modules it uses: tgf.ladder and tgf.groups load the tree-pair
-kernel, and tgf.spectral and tgf.verify load mpmath.  The submodules
-themselves are reachable as attributes too (`tgf.formats`).
+kernel, and nothing loads a package from outside the standard library.
+The submodules themselves are reachable as attributes too (`tgf.formats`).
 """
 import importlib
 

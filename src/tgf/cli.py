@@ -13,8 +13,9 @@ failure, 3 numeric or resource failure.
 Imports (this paragraph is not part of --help): start-up is most of a short
 run, so this module loads only argparse and tgf.errors, and each cmd_*
 imports what its subcommand uses.  `tables` loads the tree-pair kernel
-(tgf._treepair) but not mpmath, `norm` loads mpmath but not the kernel,
-`density` loads neither and `verify` loads both.
+(tgf._treepair) but not the spectral layer (tgf.spectral), `norm` loads
+the spectral layer but not the kernel, `density` loads neither and
+`verify` loads both.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
 # spectral.DEFAULT_PRECISION_BITS, spelled out so that building the parser
-# imports no mpmath (a test keeps the two equal)
+# does not import the spectral layer (a test keeps the two equal)
 DEFAULT_PRECISION_BITS = 512
 
 

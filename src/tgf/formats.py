@@ -8,7 +8,7 @@ Stable on-disk contracts:
                  start at n = 0 or n = 1 (m_0 = 1 is implied).
   bounds CSV     header `n,root_moment,ratio_root,lambda_max,alpha,alpha_sum`,
                  5 decimal places; a `-full` companion carries 30
-                 significant digits.
+                 significant digits (`significant_digits`).
   curve CSV      header `t,rho`, 6 decimal places, optional `# label` line.
   checkpoint     version 2: magic `TGFL`, then little-endian: version
                  u32 (= 2), level u32, q u32, entry count u64, the
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -152,9 +153,7 @@ def bounds_csv_text(rows, full_precision: bool = False) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(BOUNDS_HEADER)
     if full_precision:
-        import mpmath
-
-        fmt = lambda v: mpmath.nstr(v, 30, strip_zeros=False)
+        fmt = lambda v: significant_digits(v, 30)
     else:
         fmt = lambda v: "%.5f" % float(v)
     for row in rows:
@@ -169,6 +168,49 @@ def bounds_csv_text(rows, full_precision: bool = False) -> str:
             ]
         )
     return out.getvalue()
+
+
+def significant_digits(value, dps: int) -> str:
+    """A dyadic value (an int, a float, or a Fraction whose denominator is
+    a power of two) with `dps` significant digits, by the digit rule of
+    mpmath's nstr(v, dps, strip_zeros=False) on an mpf v that holds the
+    value exactly: the value truncated to int((dps+3) log2 10) + 10
+    significant bits, the floor of that to about dps+3 decimal digits, then
+    digit dps+1 alone rounds the first dps half up.  The result is fixed
+    point when the leading digit's decimal exponent lies strictly between
+    min(-(dps//3), -5) and dps, else d.ddd...e+X / e-X.  The same string as
+    mpmath's for |log2 value| <= 3500, where its rule is this one."""
+    num, den = value.as_integer_ratio()
+    bits = den.bit_length() - 1
+    if den != 1 << bits:
+        raise ValueError(f"{value} is not a dyadic rational")
+    if not num:
+        return "0.0"
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    bitprec = int((dps + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - (num.bit_length() - bits), 0)
+    shift = fixprec - bits
+    fixed = num << shift if shift >= 0 else num >> -shift
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = str((fixed * 10**fixdps) >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # 99...9 rounded up to 100...0
+            digits = digits[:dps]
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    text = sign + digits[:split] + "." + digits[split:]
+    return text + (f"e{exponent:+d}" if exponent else "")
 
 
 def write_bounds_csv(path, rows) -> Path:

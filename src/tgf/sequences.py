@@ -11,7 +11,7 @@ free (Leinert) moments, definition-level brute-force oracles, the
 group-ring identity checks, the Moebius/parity verification suite, and the
 cogrowth diagnostics.  MomentVector, the checked moments m_0..m_N that
 tgf.spectral and tgf.density start from, lives here too, so that a density
-run needs neither mpmath nor the ladder.
+run needs neither the spectral layer nor the ladder.
 
 The brute force counts the alternating 2n-letter words equal to e from
 n-letter products: such a word is e exactly when its second half inverts
@@ -149,9 +149,6 @@ class MomentVector:
     @property
     def top(self) -> int:
         return len(self.m) - 1
-
-    def symmetric_moment(self, k: int) -> int:
-        return self.m[k // 2] if k % 2 == 0 else 0
 
 
 def table_from_ladder(gen: GeneratorSet, run: LadderRun) -> SequenceTable:

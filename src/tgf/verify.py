@@ -9,9 +9,10 @@ output; any failed entry is a strong signal of a computation bug.
 """
 from __future__ import annotations
 
-import mpmath
+from fractions import Fraction
 
 from .errors import UsageError, VerificationError
+from .formats import significant_digits
 from .ladder import GeneratorSet, build_ladder
 from .sequences import (
     SequenceTable,
@@ -156,8 +157,9 @@ def spectral_invariants(table: SequenceTable, order: int, precision_bits: int):
         raise VerificationError(f"bound chain failed: {exc}") from exc
     k_max = min(order, 12)
     err = moment_reconstruction_error(mv, jc, order, k_max)
-    if err > mpmath.mpf(2) ** (-precision_bits // 2):
-        raise VerificationError(f"moment reconstruction error {err}")
+    if err > Fraction(2) ** (-precision_bits // 2):
+        raise VerificationError(
+            f"moment reconstruction error {significant_digits(err, 12)}")
 
 
 def report_to_dict(report: VerifyReport) -> dict:

@@ -8,11 +8,15 @@ a validated pair of preorder trees for the reduction tests.  A
 quadratic-scan word reducer plays the same role for the free-group
 backend.  The Chebyshev polynomials T_n and U_n give closed forms for the
 ladder polynomials, and Bonnet's recursion gives the Legendre polynomials
-whose closed form `tgf.density.project_density` sums.  Sturm-count
-bisection in P-bit mpmath floats is the oracle for the fixed-point
-eigenvalue bisection of `tgf.spectral.lambda_max`, and the same bisection
-with the fixed-point test run on every midpoint is the oracle for the
-tests it skips.  Golden-section search is the oracle for the fit's Brent
+whose closed form `tgf.density.project_density` sums.  One fraction-free
+elimination of the whole Hankel matrix is the oracle for
+`tgf.spectral.hankel_ladder`, which splits it by index parity.
+Sturm-count bisection in P-bit mpmath floats is the oracle for the
+fixed-point eigenvalue bisection of `tgf.spectral.lambda_max`, and the
+same fixed-point bisection with the exact test run on every midpoint is
+the oracle for the tests it skips.  mpmath's own `nstr` is the oracle for
+`tgf.formats.significant_digits`, on the mpf that `mpf_of` makes of a
+dyadic value.  Golden-section search is the oracle for the fit's Brent
 minimisation.  The helpers at the end (polynomial evaluation,
 the fitted model, the identity test, the exact moments of a density
 estimate, a report's failures as an exception, the table CSV as a file,
@@ -260,19 +264,33 @@ def sturm_count(alpha_sq_mpf, n: int, x, tiny) -> int:
     return count
 
 
+def mpf_of(value):
+    """The mpf that holds a dyadic int, float or Fraction exactly."""
+    num, den = value.as_integer_ratio()
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(num, 1 - den.bit_length()))
+
+
+def fraction_of(x):
+    """The exact value of an mpf as a Fraction."""
+    man, exp = x.man_exp
+    return Fr(man) * Fr(2) ** exp
+
+
 def bisect_lambda_max(jc, n: int, tol: float = 1e-12, lower=None):
-    """lambda_max(M_n) for n >= 3 by bisection on `sturm_count`, with the
-    library's bracket: from `lower` (or max alpha_k) to the Schur bound
-    max_k (alpha_{k-1} + alpha_k) + tol, halved at jc.precision_bits bits.
-    None when either end of the bracket fails."""
+    """lambda_max(M_n) for n >= 3 by bisection on `sturm_count`, in
+    jc.precision_bits-bit mpmath floats from the exact alpha_k^2 alone:
+    from `lower` (or max alpha_k) to the Schur bound
+    max_k (alpha_{k-1} + alpha_k) + tol.  None when either end of the
+    bracket fails."""
     with mpmath.workprec(jc.precision_bits):
         alpha_sq_mpf = [None] + [
             mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator)
             for r in jc.alpha_sq[1 : n + 1]
         ]
+        alpha = [None] + [mpmath.sqrt(a) for a in alpha_sq_mpf[1:]]
         tiny = mpmath.mpf(2) ** (-4 * jc.precision_bits)
-        lo = mpmath.mpf(lower) if lower is not None else max(jc.alpha[1 : n + 1])
-        hi = max(jc.alpha[k - 1] + jc.alpha[k] for k in range(2, n + 1)) + mpmath.mpf(tol)
+        lo = mpf_of(lower) if lower is not None else max(alpha[1:])
+        hi = max(alpha[k - 1] + alpha[k] for k in range(2, n + 1)) + mpmath.mpf(tol)
         full = n + 1
         if sturm_count(alpha_sq_mpf, n, hi, tiny) != full:
             return None
@@ -288,29 +306,71 @@ def bisect_lambda_max(jc, n: int, tol: float = 1e-12, lower=None):
 
 
 def plain_lambda_max(jc, n: int, tol: float = 1e-12, lower=None):
-    """lambda_max(M_n) for n >= 3 by the library's bisection with its exact
-    fixed-point test run on every midpoint and both bracket ends, in mpf
-    operators: what `tgf.spectral.lambda_max` computes without skipping the
-    tests that its enclosure decides.  None when either end of the bracket
-    fails."""
+    """lambda_max(M_n) for n >= 3 by the library's fixed-point bisection
+    with its exact test run on every midpoint and both bracket ends: what
+    `tgf.spectral.lambda_max` computes without skipping the tests that its
+    enclosure decides.  A Fraction x / 2^P, or None when either end of the
+    bracket fails."""
     bits = jc.precision_bits
 
-    def above(x):
-        fixed = int(mpmath.floor(mpmath.ldexp(x, bits)))
-        return spectral._above_spectrum(jc.scaled_alpha_sq, n, fixed)
+    def fixed(value):
+        return math.floor(Fr(value) * 2**bits)
 
-    with mpmath.workprec(bits):
-        hi = jc.schur_bounds[n] + mpmath.mpf(tol)
-        lo = mpmath.mpf(lower) if lower is not None else max(jc.alpha[1 : n + 1])
-        if not above(hi) or above(lo):
-            return None
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if above(mid):
-                hi = mid
-            else:
-                lo = mid
-        return (lo + hi) / 2
+    def above(x):
+        return spectral._above_spectrum(jc.scaled_alpha_sq, n, x)
+
+    width = fixed(tol)
+    hi = jc.fixed_schur[n] + width
+    lo = fixed(lower) if lower is not None else max(jc.fixed_alpha[1 : n + 1])
+    if not above(hi) or above(lo):
+        return None
+    while hi - lo > max(width, 1):
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return Fr((lo + hi) // 2, 2**bits)
+
+
+def symmetric_moment(mv, k: int) -> int:
+    """Moment k of the symmetric measure of a `MomentVector`: m_{k/2} for
+    even k, 0 for odd k."""
+    return mv.m[k // 2] if k % 2 == 0 else 0
+
+
+def integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, by bisection on exact integer powers."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def bareiss_hankel_ladder(mv, order: int):
+    """(determinants, degenerate_at) of the leading minors D_0..D_order of
+    the whole symmetric-moment Hankel matrix (`symmetric_moment`(i + j)),
+    by one fraction-free (Bareiss) elimination pass that stops at the
+    first non-positive pivot, as a `HankelLadder` holds them."""
+    size = order + 1
+    mat = [[symmetric_moment(mv, i + j) for j in range(size)] for i in range(size)]
+    dets = []
+    prev = 1
+    for k in range(size):
+        pivot = mat[k][k]
+        if pivot <= 0:
+            return tuple(dets), k
+        dets.append(pivot)
+        for i in range(k + 1, size):
+            lead = mat[i][k]
+            for j in range(k + 1, size):
+                mat[i][j] = (mat[i][j] * pivot - lead * mat[k][j]) // prev
+        prev = pivot
+    return tuple(dets), None
 
 
 def golden_minimum(f, lo: float, hi: float) -> tuple[float, float]:

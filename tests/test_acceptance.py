@@ -13,7 +13,6 @@ tests/test_spectral.py.  The remaining clauses of criterion 6 pass.
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from oracles import expansion_moment, raise_if_failed
@@ -151,10 +150,10 @@ def test_criterion_6_lambda_window_as_stated():
         mv = free_moment_vector(q, 30)
         jc = jacobi_coefficients(hankel_ladder(mv, 30))
         lam = lambda_max(jc, 30)
-        edge = 2 * mpmath.sqrt(q)
-        assert lam < edge
-        assert lam > edge - mpmath.mpf("0.01"), (
-            f"q={q}: lambda_max(M_30) = {float(lam):.6f} is {float(edge - lam):.6f} "
+        # lam < 2 sqrt q and lam > 2 sqrt q - 0.01, exactly, by squares
+        assert lam**2 < 4 * q
+        assert (lam + Fraction(1, 100)) ** 2 > 4 * q, (
+            f"q={q}: lambda_max(M_30) = {float(lam):.6f} is {2 * math.sqrt(q) - lam:.6f} "
             f"below 2 sqrt(q); the stated 0.01 window is unattainable at n = 30 "
             f"(gap ~ pi^2 sqrt(q)/n^2, entering 0.01 only near n = 35/39)"
         )

@@ -3,12 +3,14 @@ and fuzzing of the parsers of user-supplied files."""
 import dataclasses
 import struct
 import zlib
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_bounds_csv, write_table_csv
+from oracles import mpf_of, parse_bounds_csv, write_table_csv
 from tgf import errors, formats, treepair
 from tgf.density import free_density_curve
 from tgf.errors import UsageError
@@ -84,6 +86,55 @@ def test_bounds_csv_roundtrip(tmp_path, table1):
     # full-precision companion begins with the same values
     full = parse_bounds_csv(companion.read_text())
     assert abs(full[7]["lambda_max"] - float(rows[7].lambda_max)) < 1e-15
+
+
+def dyadics_in_half_to_8():
+    """(bits, x) with x / 2^bits strictly inside (0.5, 8)."""
+    return st.integers(1, 1100).flatmap(lambda bits: st.tuples(
+        st.just(bits), st.integers(2 ** (bits - 1) + 1, 2 ** (bits + 3) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadics_in_half_to_8())
+@example((512, 2**512 - 1))  # 0.99...9 rounds up to 1.000...
+@example((2, 3))  # 0.75, fewer bits than digits
+def test_significant_digits_is_mpmath_nstr(drawn):
+    bits, x = drawn
+    value = Fraction(x, 2**bits)
+    assert formats.significant_digits(value, 30) == mpmath.nstr(
+        mpf_of(value), 30, strip_zeros=False)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(0), Fraction(-7, 2), Fraction(1, 2**100), Fraction(3, 2**40),
+    Fraction(2**200 + 1), 10**40, 123456.789, 1e-5, 0.1, Fraction(2**600 - 1, 2**600),
+], ids=repr)
+@pytest.mark.parametrize("dps", [12, 30])
+def test_significant_digits_outside_the_unit_range(value, dps):
+    assert formats.significant_digits(value, dps) == mpmath.nstr(
+        mpf_of(value), dps, strip_zeros=False)
+
+
+def test_significant_digits_refuses_a_value_that_is_not_dyadic():
+    with pytest.raises(ValueError, match="not a dyadic"):
+        formats.significant_digits(Fraction(1, 3), 30)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_full_companion_is_mpmath_nstr(case, table1, table2):
+    from tgf.spectral import MomentVector, bounds_table, hankel_ladder, jacobi_coefficients
+
+    table = (table1, table2)[case - 1]
+    mv = MomentVector(table.q, tuple(table.moments()))
+    rows = bounds_table(mv, jacobi_coefficients(hankel_ladder(mv, mv.top)))
+    fields = ("root_moment", "ratio_root", "lambda_max", "alpha", "alpha_sum")
+    want = [",".join(formats.BOUNDS_HEADER)] + [
+        ",".join([str(row.n)] + [
+            "" if getattr(row, f) is None
+            else mpmath.nstr(mpf_of(getattr(row, f)), 30, strip_zeros=False)
+            for f in fields])
+        for row in rows]
+    assert formats.bounds_csv_text(rows, full_precision=True) == "\n".join(want) + "\n"
 
 
 def test_curve_csv(tmp_path):

@@ -55,7 +55,7 @@ OLD_EXPORTS = {
 }
 
 KERNEL_SIDE = {"tgf._treepair", "tgf.kernel", "tgf.treepair", "tgf.groups", "tgf.ladder"}
-SPECTRAL_SIDE = {"mpmath", "tgf.spectral", "tgf.density", "tgf.verify"}
+SPECTRAL_SIDE = {"tgf.spectral", "tgf.density", "tgf.verify"}
 
 
 @pytest.fixture(params=["source", "build"])
@@ -86,6 +86,7 @@ def compiled_kernel_in(package) -> bool:
 def test_tables_loads_no_spectral_side(package, tmp_path):
     mods = modules_of(package, tmp_path, "tables", "--case=1", "--max-n=6")
     assert not mods & SPECTRAL_SIDE
+    assert "mpmath" not in mods
     assert {"tgf.ladder", "tgf.kernel", "tgf.sequences", "tgf.formats"} <= mods
     assert ("tgf._treepair" in mods) == compiled_kernel_in(package)
 
@@ -101,15 +102,29 @@ def test_norm_and_density_load_no_kernel(package, tmp_path, argv):
     (tmp_path / "table.csv").write_text("".join(table))
     mods = modules_of(package, tmp_path, *argv)
     assert not mods & KERNEL_SIDE
-    # only norm makes or prints an mpf
-    mpf_side = {"mpmath", "tgf.spectral"}
-    assert mods & mpf_side == (mpf_side if argv[0] == "norm" else set())
+    # only norm computes bounds, and on Python integers
+    assert ("tgf.spectral" in mods) == (argv[0] == "norm")
+    assert "mpmath" not in mods
 
 
 def test_verify_loads_both_sides(package, tmp_path):
     mods = modules_of(package, tmp_path, "verify", "--case=1", "--max-n=4",
                       "--brute-max-n=2")
-    assert {"mpmath", "tgf.spectral", "tgf.kernel", "tgf.ladder"} <= mods
+    assert {"tgf.spectral", "tgf.kernel", "tgf.ladder"} <= mods
+    assert "mpmath" not in mods
+
+
+@pytest.mark.parametrize("module", ["tgf.spectral", "tgf.verify"])
+def test_spectral_layer_imports_no_mpmath(package, module):
+    env = dict(os.environ, PYTHONPATH=str(package))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print({module}.__file__, 'mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.split()
+    assert Path(where).resolve().is_relative_to(Path(package).resolve())
+    assert loaded == "False"
 
 
 def test_bare_import_loads_no_submodule():

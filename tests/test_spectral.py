@@ -1,20 +1,31 @@
 """Hankel ladder, Jacobi coefficients, eigenvalue bounds, cogrowth rate."""
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import accumulate
+from math import isqrt
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect_lambda_max, plain_lambda_max, sturm_count
+from oracles import (
+    bareiss_hankel_ladder,
+    bisect_lambda_max,
+    fraction_of,
+    integer_root,
+    mpf_of,
+    plain_lambda_max,
+    sturm_count,
+    symmetric_moment,
+)
 from tgf import spectral
-from tgf.errors import NumericError, UsageError
+from tgf.errors import NumericError, UsageError, VerificationError
 from tgf.sequences import m_free
 from tgf.spectral import (
     JacobiCoefficients,
@@ -45,6 +56,10 @@ def fixture_mv(table):
     return MomentVector(table.q, tuple(table.moments()))
 
 
+def free_mv(q, order):
+    return MomentVector(q, tuple([1] + [m_free(q, n) for n in range(1, order + 1)]))
+
+
 def test_hankel_base_values(table1):
     mv = fixture_mv(table1)
     hl = hankel_ladder(mv, 4)
@@ -59,10 +74,58 @@ def test_hankel_vs_cofactor_oracle(table1, table2):
         hl = hankel_ladder(mv, 6)
         for n in range(7):
             mat = [
-                [mv.symmetric_moment(i + j) for j in range(n + 1)]
+                [symmetric_moment(mv, i + j) for j in range(n + 1)]
                 for i in range(n + 1)
             ]
             assert hl.det(n) == naive_determinant(mat)
+
+
+def test_hankel_parity_split_matches_the_whole_matrix(table1, table2):
+    for mv, order in ((fixture_mv(table1), 37), (fixture_mv(table2), 24),
+                      (free_mv(3, 60), 60)):
+        hl = hankel_ladder(mv, order)
+        assert (hl.determinants, hl.degenerate_at) == bareiss_hankel_ladder(mv, order)
+
+
+@st.composite
+def moment_sequences(draw):
+    """(MomentVector, order): either the moments of a symmetric measure on
+    finitely many points +-sqrt(s_i), s_i = W u_i with weights w_i / W
+    (integer moments, Hankel degenerate past twice the support size), or a
+    log-convex sequence with drawn excesses (whose Hankel minors may turn
+    negative or zero anywhere)."""
+    order = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        total = sum(weights)
+        points = draw(st.lists(st.integers(0, 4), min_size=len(weights),
+                               max_size=len(weights)))
+        m = [sum(w * (total * u) ** k for w, u in zip(weights, points)) // total
+             for k in range(order + 1)]
+        assume(m[1] > 0)
+    else:
+        m = [1, draw(st.integers(1, 6))]
+        for _ in range(2, order + 1):
+            floor = -(-m[-1] ** 2 // m[-2])
+            m.append(floor + draw(st.integers(0, 3) | st.integers(0, 10**6)))
+    return MomentVector(m[1] - 1, tuple(m)), order
+
+
+@settings(max_examples=300, deadline=None)
+@given(moment_sequences())
+def test_hankel_parity_split_on_drawn_moments(drawn):
+    mv, order = drawn
+    hl = hankel_ladder(mv, order)
+    assert (hl.determinants, hl.degenerate_at) == bareiss_hankel_ladder(mv, order)
+
+
+def test_hankel_degenerate_at_twice_the_support():
+    # (delta_-1 + delta_1 + delta_-3 + delta_3) / 4: four points, so
+    # D_0..D_3 are positive and D_4 = 0
+    mv = MomentVector(4, tuple((1 + 9**k) // 2 for k in range(9)))
+    hl = hankel_ladder(mv, 8)
+    assert hl.degenerate_at == 4
+    assert (hl.determinants, hl.degenerate_at) == bareiss_hankel_ladder(mv, 8)
 
 
 def test_free_moments_nondegenerate_and_alpha_exact():
@@ -85,25 +148,18 @@ def test_free_lambda_approaches_tree_norm():
         mv = MomentVector(q, tuple(moments))
         jc = jacobi_coefficients(hankel_ladder(mv, 30))
         lam = lambda_max(jc, 30)
-        assert 2 * mpmath.sqrt(q) - 0.02 < lam < 2 * mpmath.sqrt(q)
+        assert lam**2 < 4 * q  # below 2 sqrt q, exactly
+        assert 2 * math.sqrt(q) - 0.02 < lam
 
 
 def test_free_lambda_within_1e3_by_n200():
     # closed-form coefficients (their exactness is proven above via the
     # Hankel route at n <= 30) pushed to n = 200
-    from fractions import Fraction as Fr
-
-    from tgf.spectral import JacobiCoefficients
-
     for q in (2, 3):
-        with mpmath.workprec(256):
-            alpha = (None, mpmath.sqrt(q + 1)) + tuple(
-                mpmath.sqrt(q) for _ in range(2, 201)
-            )
-        alpha_sq = (None, Fr(q + 1)) + tuple(Fr(q) for _ in range(2, 201))
-        jc = JacobiCoefficients(alpha, alpha_sq, 256)
-        lam = lambda_max(jc, 200)
-        assert 2 * mpmath.sqrt(q) - 1e-3 < lam < 2 * mpmath.sqrt(q)
+        alpha_sq = (None, Fraction(q + 1)) + tuple(Fraction(q) for _ in range(2, 201))
+        lam = lambda_max(JacobiCoefficients(alpha_sq, 256), 200)
+        assert lam**2 < 4 * q
+        assert 2 * math.sqrt(q) - 1e-3 < lam
 
 
 def test_alpha_values_case1(table1):
@@ -115,7 +171,7 @@ def test_alpha_values_case1(table1):
 
 def test_alpha_value_case2(table2):
     jc = jacobi_coefficients(hankel_ladder(fixture_mv(table2), 4))
-    assert abs(jc.alpha[1] - 2) < 1e-30
+    assert jc.alpha[1] == 2
 
 
 def test_alpha_sq_exact_identity(table1):
@@ -130,8 +186,12 @@ def test_alpha_sq_exact_identity(table1):
 
 def test_lambda_small_cases(table1):
     jc = jacobi_coefficients(hankel_ladder(fixture_mv(table1), 6))
-    assert abs(lambda_max(jc, 1) - mpmath.sqrt(3)) < 1e-12  # M_1 eigenvalues +-alpha_1
-    assert abs(lambda_max(jc, 2) - mpmath.sqrt(5)) < 1e-12
+    # M_1 has eigenvalues +-alpha_1, M_2 has 0 and +-sqrt(alpha_1^2 + alpha_2^2);
+    # both are floor(sqrt(r) * 2^P) / 2^P
+    unit = Fraction(1, 2**spectral.DEFAULT_PRECISION_BITS)
+    for n, r in ((1, 3), (2, 5)):
+        lam = lambda_max(jc, n)
+        assert lam**2 <= r < (lam + unit) ** 2
 
 
 def test_lambda_vs_numpy(table2):
@@ -153,30 +213,32 @@ def test_lambda_fixture_endpoints(table1, table2, bounds1, bounds2):
     assert abs(float(jc2.alpha[23] + jc2.alpha[24]) - 3.68189) < 5e-6
 
 
-def test_lambda_max_equals_mpmath_bisection(table1, table2):
-    # every bisection decision of the fixed-point Sturm test matches the
-    # floating-point Sturm count, so the results are the same mpf
-    for table in (table1, table2):
-        mv = fixture_mv(table)
-        jc = jacobi_coefficients(hankel_ladder(mv, mv.top))
-        for n in range(3, jc.top + 1):
-            with mpmath.workprec(jc.precision_bits):
-                ratio_root = mpmath.sqrt(mpmath.mpf(mv.m[n]) / mpmath.mpf(mv.m[n - 1]))
-            assert lambda_max(jc, n) == bisect_lambda_max(jc, n)
-            assert lambda_max(jc, n, lower=ratio_root) == bisect_lambda_max(
-                jc, n, lower=ratio_root)
-
-
-@pytest.mark.parametrize("bits", [64, 1024])
-def test_lambda_max_equals_mpmath_bisection_free(bits):
-    moments = [1] + [m_free(2, n) for n in range(1, 31)]
-    jc = jacobi_coefficients(hankel_ladder(MomentVector(2, tuple(moments)), 30), bits)
-    assert lambda_max(jc, 30) == bisect_lambda_max(jc, 30)
-
-
 def _ratio_root(mv, n, bits):
-    with mpmath.workprec(bits):
-        return mpmath.sqrt(mpmath.mpf(mv.m[n]) / mpmath.mpf(mv.m[n - 1]))
+    return Fraction(isqrt((mv.m[n] << 2 * bits) // mv.m[n - 1]), 2**bits)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 1024])
+def test_lambda_max_is_near_the_mpmath_bisection(bits, table1, table2):
+    # a bisection in P-bit mpmath floats from the exact alpha_k^2 alone
+    # takes the same branches, so the two results differ only by the
+    # rounding of its midpoints (at most a few units of 2^-P)
+    gap = Fraction(1, 2 ** (bits - 8))
+    mvs = [fixture_mv(table1), fixture_mv(table2)] + [free_mv(q, 30) for q in (1, 2, 3, 4)]
+    for mv in mvs:
+        jc = jacobi_coefficients(hankel_ladder(mv, mv.top), bits)
+        for n in range(3, jc.top + 1):
+            lower = _ratio_root(mv, n, bits)
+            for low in (None, lower):
+                want = bisect_lambda_max(jc, n, lower=low)
+                got = lambda_max(jc, n, lower=low)
+                assert abs(got - fraction_of(want)) <= gap, (mv.q, n, low)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**60), st.integers(2, 80), st.integers(0, 300))
+def test_fixed_point_root_is_the_floor_within_a_unit(m, k, bits):
+    want = integer_root(m << k * bits, k)  # floor(m^(1/k) * 2^bits), exactly
+    assert abs(spectral._root(m, k, bits) - want) <= 1
 
 
 def test_skipped_sturm_tests_change_nothing(table1, table2):
@@ -187,17 +249,15 @@ def test_skipped_sturm_tests_change_nothing(table1, table2):
         jc = jacobi_coefficients(hankel_ladder(mv, mv.top))
         for n in range(3, jc.top + 1):
             lower = _ratio_root(mv, n, jc.precision_bits)
-            assert lambda_max(jc, n, lower=lower)._mpf_ == plain_lambda_max(
-                jc, n, lower=lower)._mpf_
-            assert lambda_max(jc, n)._mpf_ == plain_lambda_max(jc, n)._mpf_
+            assert lambda_max(jc, n, lower=lower) == plain_lambda_max(jc, n, lower=lower)
+            assert lambda_max(jc, n) == plain_lambda_max(jc, n)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_skipped_sturm_tests_change_nothing_free(q):
-    moments = [1] + [m_free(q, n) for n in range(1, 31)]
-    jc = jacobi_coefficients(hankel_ladder(MomentVector(q, tuple(moments)), 30))
+    jc = jacobi_coefficients(hankel_ladder(free_mv(q, 30), 30))
     for n in range(3, 31):
-        assert lambda_max(jc, n)._mpf_ == plain_lambda_max(jc, n)._mpf_
+        assert lambda_max(jc, n) == plain_lambda_max(jc, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,16 +265,14 @@ def test_skipped_sturm_tests_change_nothing_free(q):
                              max_denominator=10**6), min_size=3, max_size=12),
        st.sampled_from([64, 256]))
 def test_skipped_sturm_tests_change_nothing_on_drawn_jacobi_data(alpha_sq, bits):
-    with mpmath.workprec(bits):
-        alpha = tuple(mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator) for r in alpha_sq)
-    jc = JacobiCoefficients((None,) + alpha, (None,) + tuple(alpha_sq), bits)
+    jc = JacobiCoefficients((None,) + tuple(alpha_sq), bits)
     n = len(alpha_sq)
     want = plain_lambda_max(jc, n)
     if want is None:
         with pytest.raises(NumericError):
             lambda_max(jc, n)
     else:
-        assert lambda_max(jc, n)._mpf_ == want._mpf_
+        assert lambda_max(jc, n) == want
 
 
 def test_a_wrong_float_estimate_only_costs_tests(table1, monkeypatch):
@@ -225,7 +283,7 @@ def test_a_wrong_float_estimate_only_costs_tests(table1, monkeypatch):
     for wrong in (True, False):
         monkeypatch.setattr(spectral, "_float_above", lambda *args: wrong)
         assert spectral._enclosure(jc, 20, 2.0, 3.0) is None
-        assert lambda_max(jc, 20)._mpf_ == plain_lambda_max(jc, 20)._mpf_
+        assert lambda_max(jc, 20) == plain_lambda_max(jc, 20)
 
 
 def test_case1_table_runs_few_sturm_tests(table1, monkeypatch):
@@ -247,31 +305,26 @@ def test_case1_table_runs_few_sturm_tests(table1, monkeypatch):
 def test_zero_pivot_is_not_above_spectrum():
     # every alpha_k = 1: M_n is a path graph, eigenvalues 2 cos(k pi/(n+2))
     bits = spectral.DEFAULT_PRECISION_BITS
-    jc = JacobiCoefficients((None, mpmath.mpf(1), mpmath.mpf(1)),
-                            (None, Fraction(1), Fraction(1)), bits)
+    jc = JacobiCoefficients((None, Fraction(1), Fraction(1)), bits)
     with mpmath.workprec(bits):
         alpha_sq_mpf = [None, mpmath.mpf(1), mpmath.mpf(1)]
         tiny = mpmath.mpf(2) ** (-4 * bits)
         # x = 0 makes d_0 = 0; x = 1 on M_1 (eigenvalues +-1) makes d_1 = 0;
         # x = 1 on M_2 (eigenvalues 0, +-sqrt 2) makes d_1 = 0 with d_2 left
         for n, x in ((1, 0), (2, 0), (1, 1), (2, 1)):
-            x = mpmath.mpf(x)
-            assert not spectral._above_spectrum(
-                jc.scaled_alpha_sq, n, spectral._to_fixed(x._mpf_, bits))
-            assert sturm_count(alpha_sq_mpf, n, x, tiny) < n + 1
+            assert not spectral._above_spectrum(jc.scaled_alpha_sq, n, x << bits)
+            assert sturm_count(alpha_sq_mpf, n, mpmath.mpf(x), tiny) < n + 1
         # just above the top eigenvalue both tests say "above"
-        for n, top in ((1, mpmath.mpf(1)), (2, mpmath.sqrt(2))):
-            x = top + mpmath.mpf(2) ** -100
-            assert spectral._above_spectrum(
-                jc.scaled_alpha_sq, n, spectral._to_fixed(x._mpf_, bits))
-            assert sturm_count(alpha_sq_mpf, n, x, tiny) == n + 1
+        for n, top in ((1, 1 << bits), (2, isqrt(2 << 2 * bits) + 1)):
+            x = top + (1 << (bits - 100))
+            assert spectral._above_spectrum(jc.scaled_alpha_sq, n, x)
+            assert sturm_count(alpha_sq_mpf, n, mpf_of(Fraction(x, 2**bits)), tiny) == n + 1
 
 
-def test_bracket_failure_raises():
-    # alpha_sq says every alpha_k = 2 (top eigenvalue of M_3 is 1 + sqrt 5),
-    # but the stored roots say 1, so the Schur bound 2 + tol is not above it
-    jc = JacobiCoefficients((None,) + (mpmath.mpf(1),) * 3,
-                            (None,) + (Fraction(4),) * 3, 128)
+def test_bracket_failure_raises(monkeypatch):
+    # an exact test that never says "above" fails the top of the bracket
+    monkeypatch.setattr(spectral, "_above_spectrum", lambda *args: False)
+    jc = JacobiCoefficients((None,) + (Fraction(4),) * 3, 128)
     with pytest.raises(NumericError, match="bracket failed"):
         lambda_max(jc, 3)
 
@@ -304,8 +357,13 @@ def test_lambda_max_tolerance_beyond_precision_raises():
 def test_lambda_max_precision_floor():
     moments = [1] + [m_free(2, n) for n in range(1, 13)]
     hl = hankel_ladder(MomentVector(2, tuple(moments)), 12)
-    with pytest.raises(UsageError, match="need at least 42 bits"):
-        lambda_max(jacobi_coefficients(hl, 41), 12)
+    # the floor is read from the Schur bound (alpha_1 + alpha_2 = sqrt 3 +
+    # sqrt 2 = 3.146) whatever P is, and checked before any P-bit shift
+    for bits in (41, 0, -5):
+        with pytest.raises(UsageError, match="near 3.14626; need at least 42 bits"):
+            lambda_max(jacobi_coefficients(hl, bits), 12)
+        with pytest.raises(UsageError, match="need at least 42 bits"):
+            bounds_table(MomentVector(2, tuple(moments)), jacobi_coefficients(hl, bits))
     lam = lambda_max(jacobi_coefficients(hl, 42), 12)
     assert abs(lam - lambda_max(jacobi_coefficients(hl), 12)) < 1e-11
 
@@ -334,7 +392,18 @@ def test_moment_reconstruction(table1):
     mv = fixture_mv(table1)
     jc = jacobi_coefficients(hankel_ladder(mv, 14))
     err = moment_reconstruction_error(mv, jc, 14, 12)
-    assert err < mpmath.mpf(2) ** -400
+    assert err < Fraction(1, 2**400)
+
+
+def test_bound_ordering_message_has_12_digits(table1):
+    # the Jacobi data of the free group on 1 generator (alpha_1 = sqrt 2)
+    # against case 1's moments (ratio root sqrt 3) breaks the chain at n = 1
+    mv = fixture_mv(table1)
+    jc = jacobi_coefficients(hankel_ladder(free_mv(1, 4), 4))
+    with pytest.raises(VerificationError) as info:
+        bounds_table(mv, jc, 4)
+    assert str(info.value) == ("bound ordering violated at n=1: "
+                               "1.73205080757 / 1.73205080757 / 1.41421356237")
 
 
 def test_degenerate_moments_truncate():
@@ -360,17 +429,16 @@ def test_moment_vector_validation():
 
 def test_gamma_cogrowth():
     q = 2
-    # at the boundary the discriminant square root amplifies input error,
-    # so the zero-discriminant identity only holds to ~sqrt(eps)
-    assert abs(gamma_cogrowth(2 * mpmath.sqrt(q), q) - mpmath.sqrt(q)) < 1e-7
-    assert abs(gamma_cogrowth(q + 1, q) - q) < 1e-12
+    edge = Fraction(isqrt(8 << 256), 2**128)  # floor(2 sqrt 2 * 2^128) / 2^128
+    assert abs(gamma_cogrowth(edge, q) - Fraction(isqrt(2 << 256), 2**128)) < 1e-18
+    assert gamma_cogrowth(q + 1, q) == q
     norm = 2.86759
     expect = (norm + (norm**2 - 8) ** 0.5) / 2
     assert abs(float(gamma_cogrowth(norm, q)) - expect) < 1e-12
     # identity gamma + q/gamma = norm
     g = gamma_cogrowth(norm, q)
-    assert abs(g + q / g - norm) < 1e-20
-    with pytest.raises(UsageError):
+    assert abs(g + q / g - Fraction(norm)) < Fraction(1, 2**120)
+    with pytest.raises(UsageError, match="norm estimate 1 outside"):
         gamma_cogrowth(1.0, q)
     with pytest.raises(UsageError):
         gamma_cogrowth(4.0, q)

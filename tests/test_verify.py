@@ -1,7 +1,9 @@
 """The composite verification suite across backends."""
+from fractions import Fraction
+
 import pytest
 
-from tgf import ladder
+from tgf import ladder, verify
 from tgf.errors import VerificationError
 from tgf.ladder import free_set, lattice_set
 from tgf.sequences import SequenceTable, group_ring_check
@@ -67,6 +69,15 @@ def test_spectral_invariants_reject_corrupt_table(table1):
     bad.m[2] -= 2
     with pytest.raises((VerificationError, ValueError)):
         spectral_invariants(bad, 12, 256)
+
+
+def test_reconstruction_error_message_has_12_digits(table1, monkeypatch):
+    # an error above 2^-(P/2) names itself with 12 significant digits
+    monkeypatch.setattr(verify, "moment_reconstruction_error",
+                        lambda *args: Fraction(3, 2**20))
+    with pytest.raises(VerificationError) as info:
+        spectral_invariants(_truncated(table1, 12), 12, 64)
+    assert str(info.value) == "moment reconstruction error 2.86102294922e-6"
 
 
 def test_moment_corruption_needs_the_moebius_test(table1):
