@@ -48,7 +48,7 @@ _LAZY = {name: (module, name) for module, names in _EXPORTS.items() for name in 
 _LAZY["KERNEL_IMPLEMENTATION"] = ("kernel", "IMPLEMENTATION")
 _SUBMODULES = frozenset({
     "cli", "density", "errors", "formats", "groups", "kernel", "ladder",
-    "polynomials", "sequences", "spectral", "treepair", "verify",
+    "polynomials", "records", "sequences", "spectral", "treepair", "verify",
 })
 
 __all__ = sorted(_LAZY)

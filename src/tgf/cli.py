@@ -15,7 +15,13 @@ run, so this module loads only argparse and tgf.errors, and each cmd_*
 imports what its subcommand uses.  `tables` loads the tree-pair kernel
 (tgf._treepair) but not the spectral layer (tgf.spectral), `norm` loads
 the spectral layer but not the kernel, `density` loads neither and
-`verify` loads both.
+`verify` loads both.  For the same reason the records of the runtime
+modules are typing.NamedTuple, or classes over __slots__ on the bases in
+tgf.records where a record validates, caches or is mutated: making such
+a class compiles at most a one-line constructor and loads none of
+inspect, ast, dis and tokenize.  tests/test_imports.py checks both rules
+for every subcommand, and the second (RECORD_MACHINERY) for a bare import
+of every module too.
 """
 from __future__ import annotations
 

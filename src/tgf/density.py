@@ -14,15 +14,15 @@ clipping is applied anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ResourceError, UsageError
+from .records import FrozenRecord
 from .sequences import MomentVector, m_free
 
 
-@dataclass(frozen=True)
-class LegendreExpansion:
+class LegendreExpansion(NamedTuple):
     """Density estimate of order 2N.  cores[n] is the exact rational part of
     the n-th projection coefficient; odd cores vanish by symmetry."""
 
@@ -35,13 +35,11 @@ class LegendreExpansion:
         return (-(self.q + 1), self.q + 1)
 
 
-@dataclass(frozen=True)
-class DensityCurve:
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    label: str = ""
+class DensityCurve(FrozenRecord):
+    __slots__ = _fields = ("grid", "values", "label")
 
-    def __post_init__(self):
+    def __init__(self, grid: tuple[float, ...], values: tuple[float, ...], label: str = ""):
+        self._set_fields(grid, values, label)
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise UsageError("curve grid must be strictly increasing")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernel, treepair
 from .errors import UsageError
@@ -25,16 +25,14 @@ from .errors import UsageError
 _UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-@dataclass(frozen=True)
-class GeneratorLetter:
+class GeneratorLetter(NamedTuple):
     """One letter of a word: generator `index`, possibly inverted."""
 
     index: int
     inverted: bool = False
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A finite (possibly empty) string of generator letters."""
 
     letters: tuple[GeneratorLetter, ...] = ()
@@ -53,8 +51,7 @@ class Word:
         return cls(tuple(letters))
 
 
-@dataclass(frozen=True)
-class CanonicalElement:
+class CanonicalElement(NamedTuple):
     """A group element: its backend and its canonical key."""
 
     backend: "GroupBackend"

@@ -55,27 +55,26 @@ off by a little.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import treepair
 from .errors import CorruptionError, ResourceError, UsageError
 from .groups import FreeGroup, GeneratorLetter, GroupBackend, Lattice, ThompsonF, Word
+from .records import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(FrozenRecord):
     """The set Y whose element sum h drives the ladder: the canonical keys
     of its elements in `backend`.  A key that the backend's check_key
     refuses (malformed, or not canonical, so that one element could enter
     a level under two keys) is a UsageError on every kernel."""
 
-    backend: GroupBackend
-    elements: tuple[bytes, ...]
-    label: str = "custom"
+    __slots__ = _fields = ("backend", "elements", "label")
 
-    def __post_init__(self):
+    def __init__(self, backend: GroupBackend, elements: tuple[bytes, ...],
+                 label: str = "custom"):
+        self._set_fields(backend, elements, label)
         for i, key in enumerate(self.elements):
             try:
                 self.backend.check_key(key)
@@ -136,25 +135,28 @@ def custom_f_set(words: list[str]) -> GeneratorSet:
     return _word_set(words, "custom")
 
 
-@dataclass
-class MultiplicityVector:
+class MultiplicityVector(Record):
     """A group-ring element with integer coefficients, keyed canonically;
     entries is a Level (module docstring)."""
 
-    n: int
-    entries: Mapping[bytes, int]
+    __slots__ = _fields = ("n", "entries")
+
+    def __init__(self, n: int, entries: Mapping[bytes, int]):
+        self.n = n
+        self.entries = entries
 
 
-@dataclass(frozen=True)
-class LadderSummary:
+class LadderSummary(NamedTuple):
     n: int
     h2norm: int
     identity: int  # h_n(e); eta_{n/2} at even n
 
 
-@dataclass
-class LadderRun:
-    summaries: list[LadderSummary] = field(default_factory=list)
+class LadderRun(Record):
+    __slots__ = _fields = ("summaries",)
+
+    def __init__(self, summaries: Optional[list[LadderSummary]] = None):
+        self.summaries = [] if summaries is None else summaries
 
     def h2norms(self) -> list[int]:
         if [s.n for s in self.summaries] != list(range(1, len(self.summaries) + 1)):

@@ -21,11 +21,11 @@ with product g (eta_n and zeta_n likewise, from reduced n-letter words).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from math import comb
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ResourceError, UsageError, VerificationError
+from .records import FrozenRecord, Record
 
 # the ladder (and with it the tree-pair kernel) is imported only where one
 # is built, so that reading a table or a moments file does not load it
@@ -94,16 +94,19 @@ def zeta_from_m(q: int, ms: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SequenceTable:
+class SequenceTable(Record):
     """Exact sequences for n = 1..max_n (lists hold n = i+1 at index i)."""
 
-    q: int
-    h2norm: list[int]
-    xi: list[int]
-    eta: list[int]
-    zeta: list[int]
-    m: list[int]
+    __slots__ = _fields = ("q", "h2norm", "xi", "eta", "zeta", "m")
+
+    def __init__(self, q: int, h2norm: list[int], xi: list[int], eta: list[int],
+                 zeta: list[int], m: list[int]):
+        self.q = q
+        self.h2norm = h2norm
+        self.xi = xi
+        self.eta = eta
+        self.zeta = zeta
+        self.m = m
 
     @property
     def max_n(self) -> int:
@@ -126,15 +129,14 @@ class SequenceTable:
         return [1] + list(self.m)
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(FrozenRecord):
     """Moments m_0..m_N of h*h (m_0 = 1); the symmetric measure has even
     moments c_{2k} = m_k and vanishing odd moments."""
 
-    q: int
-    m: tuple[int, ...]
+    __slots__ = _fields = ("q", "m")
 
-    def __post_init__(self):
+    def __init__(self, q: int, m: tuple[int, ...]):
+        self._set_fields(q, m)
         if not self.m or self.m[0] != 1:
             raise UsageError("moment vector must start with m_0 = 1")
         if len(self.m) > 1 and self.m[1] != self.q + 1:
@@ -415,18 +417,20 @@ def moebius(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class MoebiusRow:
+class MoebiusRow(NamedTuple):
     n: int
     value: int
     nonnegative: bool
     divisible: bool
 
 
-@dataclass
-class VerifyReport:
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-    moebius_rows: list[MoebiusRow] = field(default_factory=list)
+class VerifyReport(Record):
+    __slots__ = _fields = ("checks", "moebius_rows")
+
+    def __init__(self, checks: Optional[list[tuple[str, bool, str]]] = None,
+                 moebius_rows: Optional[list[MoebiusRow]] = None):
+        self.checks = [] if checks is None else checks
+        self.moebius_rows = [] if moebius_rows is None else moebius_rows
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.checks.append((name, ok, detail))
@@ -492,8 +496,7 @@ def check_chain_bounds(table: SequenceTable) -> VerifyReport:
 # cogrowth diagnostics
 
 
-@dataclass(frozen=True)
-class CogrowthRow:
+class CogrowthRow(NamedTuple):
     n: int
     zeta_root: float
     eta_root: float

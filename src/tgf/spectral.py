@@ -31,14 +31,14 @@ about a quarter of the model evaluations of a golden-section search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import NumericError, UsageError, VerificationError
 from .formats import significant_digits
+from .records import FrozenRecord
 from .sequences import MomentVector
 
 DEFAULT_PRECISION_BITS = 512
@@ -56,8 +56,7 @@ def _short(fixed: int, bits: int) -> str:
     return significant_digits(Fraction(fixed, 1 << bits), 12)
 
 
-@dataclass(frozen=True)
-class HankelLadder:
+class HankelLadder(NamedTuple):
     """Exact determinants D_n of the (n+1)x(n+1) symmetric-moment Hankel
     matrices, n = 0..; truncated at the first non-positive value."""
 
@@ -141,14 +140,17 @@ def _running_schur(alpha: Sequence[int]) -> tuple[int, ...]:
 _FLOOR_BITS = 64
 
 
-@dataclass(frozen=True)
-class JacobiCoefficients:
+class JacobiCoefficients(FrozenRecord):
     """Off-diagonal recurrence coefficients alpha_1..alpha_N of M_N, from
     their exact squares alpha_sq[n] = D_{n-2} D_n / D_{n-1}^2 (index 0
-    unused), at P = `precision_bits` fixed-point bits."""
+    unused), at P = `precision_bits` fixed-point bits.  The derived values
+    are computed once each, into the instance __dict__."""
 
-    alpha_sq: tuple
-    precision_bits: int
+    __slots__ = ("alpha_sq", "precision_bits", "__dict__")
+    _fields = ("alpha_sq", "precision_bits")
+
+    def __init__(self, alpha_sq: tuple, precision_bits: int):
+        self._set_fields(alpha_sq, precision_bits)
 
     @property
     def top(self) -> int:
@@ -379,8 +381,7 @@ def _root(m: int, k: int, bits: int) -> int:
             return y >> 32
 
 
-@dataclass(frozen=True)
-class NormBoundsRow:
+class NormBoundsRow(NamedTuple):
     n: int
     root_moment: Fraction
     ratio_root: Fraction
@@ -477,8 +478,7 @@ def gamma_cogrowth(norm_estimate, q: int) -> Fraction:
 # extrapolation fit
 
 
-@dataclass(frozen=True)
-class FitParams:
+class FitParams(NamedTuple):
     a: float
     b: float
     c: float

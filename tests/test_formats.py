@@ -1,6 +1,5 @@
 """On-disk formats: table CSV, moments files, bounds CSV, curves, fixtures,
 and fuzzing of the parsers of user-supplied files."""
-import dataclasses
 import struct
 import zlib
 from fractions import Fraction
@@ -15,7 +14,7 @@ from tgf import errors, formats, treepair
 from tgf.density import free_density_curve
 from tgf.errors import UsageError
 from tgf.groups import ThompsonF
-from tgf.ladder import MultiplicityVector, case1
+from tgf.ladder import GeneratorSet, MultiplicityVector, case1
 from tgf.sequences import SequenceTable
 from test_ladder import CompiledF
 from test_treepair import word_key
@@ -303,7 +302,7 @@ def _fuzz_read_checkpoint(tmp_dir, gen, data):
 @settings(max_examples=300, deadline=None)
 @given(data=CHECKPOINTS)
 def test_fuzz_read_checkpoint(tmp_path_factory, data):
-    gen = dataclasses.replace(case1(), backend=PureLoadF())
+    gen = GeneratorSet(PureLoadF(), case1().elements, "case1")
     _fuzz_read_checkpoint(tmp_path_factory.mktemp("ckpt"), gen, data)
 
 
@@ -311,5 +310,5 @@ def test_fuzz_read_checkpoint(tmp_path_factory, data):
 @given(data=CHECKPOINTS)
 def test_fuzz_read_checkpoint_into_a_level(tmp_path_factory, kernel, data):
     # the compiled kernel's load_entries, plain and under UBSan
-    gen = dataclasses.replace(case1(), backend=CompiledF(kernel))
+    gen = GeneratorSet(CompiledF(kernel), case1().elements, "case1")
     _fuzz_read_checkpoint(tmp_path_factory.mktemp("ckpt"), gen, data)

@@ -1,5 +1,7 @@
-"""Import boundaries: each subcommand loads only the modules it uses, and the
-package's names are served lazily.
+"""Import boundaries: each subcommand loads only the modules it uses, no
+runtime module loads the standard library's class-generating and
+source-reading machinery (RECORD_MACHINERY), and the package's names are
+served lazily.
 
 The CLI runs in a fresh interpreter and reports its sys.modules, once on the
 source tree (the pure kernel, compiled from source) and once on the package
@@ -56,6 +58,12 @@ OLD_EXPORTS = {
 
 KERNEL_SIDE = {"tgf._treepair", "tgf.kernel", "tgf.treepair", "tgf.groups", "tgf.ladder"}
 SPECTRAL_SIDE = {"tgf.spectral", "tgf.density", "tgf.verify"}
+# what `import dataclasses` loads and a tgf run must not: the records are
+# typing.NamedTuple or __slots__ classes (tgf.records), which need none of
+# it, and start-up is most of a short run
+RECORD_MACHINERY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+RUNTIME_MODULES = sorted(f"tgf.{p.stem}" for p in (SOURCE / "tgf").glob("*.py")
+                         if p.stem != "__init__")
 
 
 @pytest.fixture(params=["source", "build"])
@@ -87,6 +95,7 @@ def test_tables_loads_no_spectral_side(package, tmp_path):
     mods = modules_of(package, tmp_path, "tables", "--case=1", "--max-n=6")
     assert not mods & SPECTRAL_SIDE
     assert "mpmath" not in mods
+    assert not mods & RECORD_MACHINERY
     assert {"tgf.ladder", "tgf.kernel", "tgf.sequences", "tgf.formats"} <= mods
     assert ("tgf._treepair" in mods) == compiled_kernel_in(package)
 
@@ -105,6 +114,7 @@ def test_norm_and_density_load_no_kernel(package, tmp_path, argv):
     # only norm computes bounds, and on Python integers
     assert ("tgf.spectral" in mods) == (argv[0] == "norm")
     assert "mpmath" not in mods
+    assert not mods & RECORD_MACHINERY
 
 
 def test_verify_loads_both_sides(package, tmp_path):
@@ -112,6 +122,7 @@ def test_verify_loads_both_sides(package, tmp_path):
                       "--brute-max-n=2")
     assert {"tgf.spectral", "tgf.kernel", "tgf.ladder"} <= mods
     assert "mpmath" not in mods
+    assert not mods & RECORD_MACHINERY
 
 
 @pytest.mark.parametrize("module", ["tgf.spectral", "tgf.verify"])
@@ -125,6 +136,26 @@ def test_spectral_layer_imports_no_mpmath(package, module):
     where, loaded = proc.stdout.split()
     assert Path(where).resolve().is_relative_to(Path(package).resolve())
     assert loaded == "False"
+
+
+@pytest.mark.parametrize("module", RUNTIME_MODULES)
+def test_runtime_module_loads_no_record_machinery(package, module):
+    env = dict(os.environ, PYTHONPATH=str(package))
+    env.pop("TGF_PURE_PY", None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print({module}.__file__, "
+         f"*sorted(set(sys.modules) & {RECORD_MACHINERY!r}))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    where, *loaded = proc.stdout.split()
+    assert Path(where).resolve().is_relative_to(Path(package).resolve())
+    assert loaded == []
+
+
+def test_no_runtime_module_mentions_dataclasses():
+    for path in sorted((SOURCE / "tgf").glob("*.py")):
+        assert "dataclass" not in path.read_text(), path.name
 
 
 def test_bare_import_loads_no_submodule():

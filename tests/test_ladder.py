@@ -1,6 +1,5 @@
 """Ladder recursion: fixture agreement, invariants, checkpoints, and the
 norm lookahead on both kernels."""
-import dataclasses
 import re
 import weakref
 from itertools import chain
@@ -104,9 +103,9 @@ def test_generator_set_refuses_a_key_that_is_not_canonical(request, build):
     twin = unreduced_twin(a)
     with pytest.raises(UsageError, match=f"^generator set element 1 \\({twin.hex()}\\): "
                                          "tree-pair key is not reduced$"):
-        dataclasses.replace(gen, elements=(e, twin, b))
+        GeneratorSet(gen.backend, (e, twin, b), gen.label)
     with pytest.raises(UsageError, match="^generator set element 0 .*: not a tree-pair key$"):
-        dataclasses.replace(gen, elements=(b"junk", a, b))
+        GeneratorSet(gen.backend, (b"junk", a, b), gen.label)
 
 
 def test_generator_set_refuses_a_free_word_that_is_not_reduced():
@@ -114,7 +113,7 @@ def test_generator_set_refuses_a_free_word_that_is_not_reduced():
     e, a1, a2 = gen.elements
     with pytest.raises(UsageError,
                        match="^generator set element 2 .*: free_2 key is not freely reduced$"):
-        dataclasses.replace(gen, elements=(e, a1, a2 + b"\x00\x01"))
+        GeneratorSet(gen.backend, (e, a1, a2 + b"\x00\x01"), gen.label)
 
 
 def test_checkpoint_roundtrip(tmp_path, gen_case1):
@@ -200,7 +199,7 @@ def _in_build(request, gen, build):
     """gen with its arithmetic in one kernel: the pure one, or a build of
     the compiled one."""
     module = treepair if build == "pure" else request.getfixturevalue(BUILDS[build])
-    return dataclasses.replace(gen, backend=CompiledF(module))
+    return GeneratorSet(CompiledF(module), gen.elements, gen.label)
 
 
 @pytest.mark.parametrize("build", list(BUILDS))
@@ -265,7 +264,7 @@ def test_out_of_memory_is_a_resource_error(tmp_path, monkeypatch, fails, at, hol
 
 def _pure(gen):
     """gen on the pure kernel, whose Levels are dicts that take weakrefs."""
-    return dataclasses.replace(gen, backend=CompiledF(treepair))
+    return GeneratorSet(CompiledF(treepair), gen.elements, gen.label)
 
 
 def test_resumed_ladder_keeps_no_seed_level(gen_case2):
@@ -349,7 +348,7 @@ def test_lookahead_equals_materialised_level(request, build, gen, pure_n, compil
     else:
         module, max_n = request.getfixturevalue(BUILDS[build]), compiled_n
     _assert_lookahead_matches_ladder(
-        dataclasses.replace(gen, backend=CompiledF(module)), max_n)
+        GeneratorSet(CompiledF(module), gen.elements, gen.label), max_n)
 
 
 @pytest.mark.parametrize("gen, build", [
@@ -363,7 +362,7 @@ def test_every_level_has_the_level_passes(request, gen, build):
     if build is not None:
         if build != "pure":
             module = request.getfixturevalue(BUILDS[build])
-        gen = dataclasses.replace(gen, backend=CompiledF(module))
+        gen = GeneratorSet(CompiledF(module), gen.elements, gen.label)
     origin = ladder._origin(gen)
     assert [(vec.n, list(vec.entries.items())) for vec in origin] == [
         (-1, []), (0, [(gen.backend.identity_key(), 1)])]
@@ -392,7 +391,7 @@ def test_lookahead_equals_materialised_level_off_f(gen):
 ], ids=["case1", "case2", "custom-Ab,bA,AB", "custom-A,aB", "free2", "lattice2"])
 def test_lookahead_identity_equals_materialised_level(kernel, gen):
     if isinstance(gen.backend, ThompsonF):
-        gen = dataclasses.replace(gen, backend=CompiledF(kernel))
+        gen = GeneratorSet(CompiledF(kernel), gen.elements, gen.label)
     e = gen.backend.identity_key()
     identities = [vec.entries.get(e, 0) for vec in ladder_levels(gen, 11)]
     for max_n in range(1, 12):
@@ -439,7 +438,7 @@ def test_lookahead_rejects_a_row_of_the_wrong_parity(gen_case2):
     with pytest.raises(UsageError, match="rows up to N"):
         lookahead_h2norm(gen_case2, levels[4], rows[:4])
     # q = 3, so ||h_{N-1}||^2 enters with the odd weight q^2
-    rows[3] = dataclasses.replace(rows[3], h2norm=rows[3].h2norm + 1)
+    rows[3] = rows[3]._replace(h2norm=rows[3].h2norm + 1)
     with pytest.raises(CorruptionError, match="parity"):
         lookahead_h2norm(gen_case2, levels[4], rows)
 

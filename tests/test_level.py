@@ -11,7 +11,6 @@ only the compiled Level, so their inputs are read from checkpoint bodies,
 and the pure side reads the same body whenever key order matters.  Keys are
 checked where they enter a Level, so the refusals of keys that are not
 canonical are checked at load."""
-import dataclasses
 import struct
 import sys
 import tracemalloc
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 from tgf import treepair as tp
 from tgf.errors import CorruptionError
 from tgf.ladder import (
+    GeneratorSet,
     MultiplicityVector,
     _subtract_scaled,
     case1,
@@ -98,8 +98,8 @@ def _assert_same_level(kernel, gen, level, ref):
     (case1(), 16), (case2(), 12), (custom_f_set(["", "AB", "ba", "aa"]), 8),
 ], ids=["case1", "case2", "custom"])
 def test_ladder_levels_match_the_dict_path(kernel, gen, max_n):
-    in_levels = dataclasses.replace(gen, backend=CompiledF(kernel))
-    in_pure = dataclasses.replace(gen, backend=PureF(kernel))
+    in_levels = GeneratorSet(CompiledF(kernel), gen.elements, gen.label)
+    in_pure = GeneratorSet(PureF(kernel), gen.elements, gen.label)
     pairs = zip(ladder_levels(in_levels, max_n), ladder_levels(in_pure, max_n))
     for level, ref in pairs:
         _assert_same_level(kernel, gen, level, ref)
@@ -160,7 +160,7 @@ def test_counts_stop_at_2_pow_32(kernel):
         kernel.apply_left([big_a, big_b], _level(kernel, {a: 2**31, b: 2**31}))
     # in the ladder the overflow is corruption: h_3 = h . h_2 - 2 h_1 for
     # case 1, where e . h_2 brings U32 to the identity and A . a one more
-    gen = dataclasses.replace(case1(), backend=CompiledF(kernel))
+    gen = GeneratorSet(CompiledF(kernel), case1().elements, "case1")
     seed = (MultiplicityVector(1, _level(kernel, {})),
             MultiplicityVector(2, _level(kernel, {E: U32, a: 1})))
     with pytest.raises(CorruptionError, match="level 3: .*2\\*\\*32 - 1"):

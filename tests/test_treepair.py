@@ -6,7 +6,6 @@ or two letters against compose_keys, and keys that are malformed or not
 reduced failing closed where they enter a level: at load, or as a factor of
 the compiled loops.  The compiled loops walk only their own build's Level,
 so their inputs are read from checkpoint bodies (as_level)."""
-import dataclasses
 import random
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgf import treepair as tp
-from tgf.ladder import case1, case2, custom_f_set, ladder_levels
+from tgf.ladder import GeneratorSet, case1, case2, custom_f_set, ladder_levels
 from oracles import PL_IDENTITY, key_to_map, pl_word
 from test_ladder import CompiledF
 
@@ -149,7 +148,7 @@ def test_compiled_apply_left_matches_pure(builds, gen, max_n):
     # walks the compiled Level
     factor_lists = (gen.keys(), gen.inverse_keys())
     for compiled in builds:
-        in_build = dataclasses.replace(gen, backend=CompiledF(compiled))
+        in_build = GeneratorSet(CompiledF(compiled), gen.elements, gen.label)
         for level in ladder_levels(in_build, max_n):
             for factors in factor_lists:
                 pure = tp.apply_left(factors, level.entries)
@@ -358,7 +357,7 @@ def test_words_and_other_factors_match_pure(builds, words):
     # with words or alone; sums and insertion order are the pure loops'
     gen = custom_f_set(words)
     for compiled in builds:
-        in_build = dataclasses.replace(gen, backend=CompiledF(compiled))
+        in_build = GeneratorSet(CompiledF(compiled), gen.elements, gen.label)
         for level in ladder_levels(in_build, 6):
             # the pure loops walk the compiled Level
             vec = level.entries
