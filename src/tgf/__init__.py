@@ -12,8 +12,6 @@ only for the modules it uses: tgf.ladder and tgf.groups load the tree-pair
 kernel, and nothing loads a package from outside the standard library.
 The submodules themselves are reachable as attributes too (`tgf.formats`).
 """
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -57,11 +55,14 @@ __all__ = sorted(_LAZY)
 def __getattr__(name):
     if name in _LAZY:
         module, attr = _LAZY[name]
-        value = getattr(importlib.import_module(f".{module}", __name__), attr)
     elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
+        module, attr = name, None
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # what an import statement calls, so -X importtime reports the submodule
+    # (importlib.import_module bypasses its timer); it binds the submodule here
+    __import__(f"{__name__}.{module}")
+    value = globals()[module] if attr is None else getattr(globals()[module], attr)
     globals()[name] = value
     return value
 

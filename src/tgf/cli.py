@@ -86,20 +86,19 @@ def _note_kernel(gen):
         )
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_lo_hi(text: str, option: str, kind: type) -> tuple:
+    """The pair `kind(lo), kind(hi)` of an option's `lo:hi` value."""
     try:
         lo, hi = text.split(":")
-        return float(lo), float(hi)
+        return kind(lo), kind(hi)
     except ValueError:
-        raise UsageError(f"--range wants lo:hi, got {text!r}")
+        raise UsageError(f"{option} wants lo:hi, got {text!r}")
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise UsageError(f"--fit-window wants lo:hi, got {text!r}")
+def _free_q(args) -> int:
+    if args.q < 1:
+        raise UsageError("--q must be >= 1")
+    return args.q
 
 
 def _emit(text: str, out: str | None):
@@ -136,8 +135,9 @@ def _load_moments(args) -> tuple[int, list[int]]:
     if getattr(args, "free", False):
         from .sequences import m_free
 
+        q = _free_q(args)
         order = args.order if args.order is not None else 30
-        return args.q, [1] + [m_free(args.q, n) for n in range(1, order + 1)]
+        return q, [1] + [m_free(q, n) for n in range(1, order + 1)]
     if args.moments:
         return formats.read_moments(args.moments)
     if args.case in ("1", "2"):
@@ -178,7 +178,7 @@ def cmd_norm(args) -> int:
     # a bad window exits before anything is written
     fit = None
     if args.fit_window:
-        lo, hi = _parse_window(args.fit_window)
+        lo, hi = _parse_lo_hi(args.fit_window, "--fit-window", int)
         fit = spectral.fit_extrapolation(
             [(row.n, float(row.lambda_max)) for row in rows], lo, hi
         )
@@ -220,10 +220,9 @@ def cmd_density(args) -> int:
     prefix = args.out or "density"
     written = []
     if args.free:
-        q = args.q
-        if q < 1:
-            raise UsageError("--q must be >= 1")
-        lo, hi = _parse_range(args.range) if args.range else (-2 * q**0.5, 2 * q**0.5)
+        q = _free_q(args)
+        lo, hi = (_parse_lo_hi(args.range, "--range", float) if args.range
+                  else (-2 * q**0.5, 2 * q**0.5))
         curve = density_mod.free_density_curve(
             q, lo, hi, args.step, label=args.label or f"free density q={q}"
         )
@@ -235,7 +234,8 @@ def cmd_density(args) -> int:
         order = args.order if args.order is not None else len(moments) - 1
         mv = MomentVector(q, tuple(moments[: order + 1]))
         exp = density_mod.project_density(mv, order)
-        lo, hi = _parse_range(args.range) if args.range else (0.0, float(q + 1))
+        lo, hi = (_parse_lo_hi(args.range, "--range", float) if args.range
+                  else (0.0, float(q + 1)))
         label = args.label or f"density order {order}"
         if args.tail:
             if order < 1:

@@ -39,7 +39,6 @@ Set TGF_PURE_PY=1 to force the fallback, e.g. for benchmarking one against
 the other.  FALLBACK_REASON says why the pure kernel runs (None when the
 compiled one does), and PURE_REQUESTED whether TGF_PURE_PY asked for it.
 """
-import importlib
 import os
 
 from . import treepair as _pure
@@ -51,7 +50,7 @@ if PURE_REQUESTED:
     FALLBACK_REASON = "TGF_PURE_PY is set"
 else:
     try:
-        _impl = importlib.import_module("._treepair", __package__)
+        import tgf._treepair as _impl
     except ImportError as exc:
         _impl = _pure
         FALLBACK_REASON = f"compiled kernel failed to load: {exc}"

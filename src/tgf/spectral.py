@@ -14,7 +14,12 @@ the reconstruction check.  Results are exact dyadic Fractions x / 2^P.
 
 The Hankel matrix of a symmetric measure splits by index parity into two
 half-size Hankel matrices, over m_{i+j} (even indices) and m_{i+j+1} (odd
-indices), so each D_n is a product of one leading minor of each half.
+indices), so each D_n is a product of one leading minor of each half.  One
+Desnanot-Jacobi condensation over m gives both, stage by stage: order n
+reads m_n and moves one half's list of minors on by a stage, in O(n) exact
+divisions.  Each divisor is a principal minor of a half whose leading
+minors were already found positive, so by Sylvester's criterion it is
+positive until the first non-positive D_n ends the ladder.
 
 lambda_max bisects the fixed-point bracket with an exact Sturm test.  The
 test is monotone in x, so once it has certified a 2^-39 enclosure around a
@@ -73,28 +78,6 @@ class HankelLadder(NamedTuple):
         return len(self.determinants) - 1
 
 
-def _leading_minors(mat: list[list[int]]) -> list[int]:
-    """Leading principal minors of an integer matrix by one fraction-free
-    (Bareiss) elimination pass, up to the first one that is not positive,
-    which ends the list."""
-    minors: list[int] = []
-    prev = 1
-    size = len(mat)
-    for k in range(size):
-        pivot = mat[k][k]
-        minors.append(pivot)
-        if pivot <= 0:
-            break
-        row_k = mat[k]
-        for i in range(k + 1, size):
-            row_i = mat[i]
-            lead = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-    return minors
-
-
 def hankel_ladder(mv: MomentVector, order: int) -> HankelLadder:
     """All leading principal minors D_0..D_order; a non-positive one
     truncates the ladder there.
@@ -103,16 +86,32 @@ def hankel_ladder(mv: MomentVector, order: int) -> HankelLadder:
     Hankel matrix block diagonal: E = (m_{i+j}) over the even indices and
     O = (m_{i+j+1}) over the odd ones.  Indices 0..n hold ceil((n+1)/2)
     evens and floor((n+1)/2) odds, so D_n = E_{n//2} * O_{(n-1)//2}, with
-    E_k, O_k the leading (k+1)x(k+1) minors and O_{-1} = 1."""
+    E_k, O_k the leading (k+1)x(k+1) minors and O_{-1} = 1.
+
+    Both come from one Desnanot-Jacobi condensation over m, stage by stage.
+    With H_i^(k) = det(m_{k+a+b})_{a,b<i}, stage s holds the even list
+    H_i^(2(s-i)) and the odd list H_i^(2(s-i)+1), i = 0..s, so E_{s-1} and
+    O_{s-1} end the two lists.  Order n = 2s moves the even list to stage
+    s+1 and n = 2s+1 the odd one, each by
+    H_{i+1}^(k) = (H_i^(k) H_i^(k+2) - H_i^(k+1)^2) / H_{i-1}^(k+2),
+    which reads one new moment, m_n.  Every divisor is a principal minor of
+    the s x s matrix E or O, whose leading minors D_0..D_{n-1} have all been
+    positive, so by Sylvester's criterion it is positive and the division
+    exact.  (Row by row, all of H_{i+1}^(k) over k at once, it would also
+    divide by minors of longer shifts, which no positive D_n vouches for: a
+    geometric tail of m makes one of them 0.)"""
     if order > mv.top:
         raise UsageError(f"need moments up to m_{order}, have m_{mv.top}")
     m = mv.m
-    evens, odds = order // 2 + 1, (order + 1) // 2
-    even = _leading_minors([[m[i + j] for j in range(evens)] for i in range(evens)])
-    odd = _leading_minors([[m[i + j + 1] for j in range(odds)] for i in range(odds)])
+    halves = [[1], [1]]  # the even and the odd list, at stage 0
     dets: list[int] = []
     for n in range(order + 1):
-        det = even[n // 2] * (odd[(n - 1) // 2] if n else 1)
+        old, other = halves[n % 2], halves[1 - n % 2]
+        new = [1, m[n]]
+        for i in range(1, len(old)):
+            new.append((old[i] * new[i] - other[i] ** 2) // old[i - 1])
+        halves[n % 2] = new
+        det = halves[0][-1] * halves[1][-1]
         if det <= 0:
             return HankelLadder(tuple(dets), degenerate_at=n)
         dets.append(det)

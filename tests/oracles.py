@@ -10,7 +10,8 @@ backend.  The Chebyshev polynomials T_n and U_n give closed forms for the
 ladder polynomials, and Bonnet's recursion gives the Legendre polynomials
 whose closed form `tgf.density.project_density` sums.  One fraction-free
 elimination of the whole Hankel matrix is the oracle for
-`tgf.spectral.hankel_ladder`, which splits it by index parity.
+`tgf.spectral.hankel_ladder`, which splits it by index parity and condenses
+the moments.
 Sturm-count bisection in P-bit mpmath floats is the oracle for the
 fixed-point eigenvalue bisection of `tgf.spectral.lambda_max`, and the
 same fixed-point bisection with the exact test run on every midpoint is

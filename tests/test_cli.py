@@ -104,13 +104,17 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         code, _, err = run_cli(capsys, "norm", f"--moments={path}")
         assert code == 1
         assert err.startswith(f"error: {path}: ") and says in err
-    # a free rank below 1 and a grid bound or step that is not finite
-    for args, says in [(["--free", "--q=-1"], "--q must be >= 1"),
-                       (["--free", "--q=0"], "--q must be >= 1"),
-                       (["--case=1", "--step=nan"], "need finite lo, hi and step"),
-                       (["--case=1", "--range=nan:1"], "need finite lo, hi and step"),
-                       (["--free", "--range=-inf:1"], "need finite lo, hi and step")]:
-        assert run_cli(capsys, "density", *args, f"--out={tmp_path}/d") == (
+    # a free rank below 1, a range that is not lo:hi, and a grid bound or
+    # step that is not finite
+    for command, args, says in [
+            *((name, ["--free", f"--q={q}"], "--q must be >= 1")
+              for name in ("density", "norm") for q in (-1, 0)),
+            ("density", ["--case=1", "--range=abc"], "--range wants lo:hi, got 'abc'"),
+            ("density", ["--free", "--range=1:2:3"], "--range wants lo:hi, got '1:2:3'"),
+            ("density", ["--case=1", "--step=nan"], "need finite lo, hi and step"),
+            ("density", ["--case=1", "--range=nan:1"], "need finite lo, hi and step"),
+            ("density", ["--free", "--range=-inf:1"], "need finite lo, hi and step")]:
+        assert run_cli(capsys, command, *args, f"--out={tmp_path}/d") == (
             1, "", f"error: {says}\n")
     assert not list(tmp_path.glob("d*"))
     with pytest.raises(SystemExit) as info:

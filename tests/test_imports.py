@@ -168,6 +168,23 @@ def test_bare_import_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("module", ["tgf.groups", "tgf.ladder", "tgf.verify"])
+def test_importtime_reports_every_module_that_loads(package, module):
+    env = dict(os.environ, PYTHONPATH=str(package))
+    env.pop("TGF_PURE_PY", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         f"import sys, {module}; print(*sorted(m for m in sys.modules if m.startswith('tgf')))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # "import time: self | cumulative | name", the name indented by depth;
+    # a failed import (a missing compiled kernel) has its line too
+    reported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"tgf.kernel", "tgf.treepair", "tgf._treepair"} <= reported
+    assert set(proc.stdout.split()) <= reported
+
+
 def test_old_exports_resolve_to_their_module_objects():
     for module, names in OLD_EXPORTS.items():
         mod = importlib.import_module(f"tgf.{module}")

@@ -81,24 +81,46 @@ def test_hankel_vs_cofactor_oracle(table1, table2):
 
 
 def test_hankel_parity_split_matches_the_whole_matrix(table1, table2):
-    for mv, order in ((fixture_mv(table1), 37), (fixture_mv(table2), 24),
-                      (free_mv(3, 60), 60)):
-        hl = hankel_ladder(mv, order)
-        assert (hl.determinants, hl.degenerate_at) == bareiss_hankel_ladder(mv, order)
+    for mv in (fixture_mv(table1), fixture_mv(table2)):
+        for order in range(mv.top + 1):
+            hl = hankel_ladder(mv, order)
+            assert (hl.determinants, hl.degenerate_at) == bareiss_hankel_ladder(mv, order)
+    for q in (1, 2, 3, 4):
+        mv = free_mv(q, 100)
+        hl = hankel_ladder(mv, 100)
+        assert hl.degenerate_at is None
+        assert (hl.determinants, hl.degenerate_at) == bareiss_hankel_ladder(mv, 100)
+
+
+def test_hankel_geometric_tail_ends_the_ladder_before_a_zero_divisor():
+    # free q = 2 moments to m_11, then the least log-convex m_12 and a
+    # geometric tail m_12 R^j: the Hankel minor m_12 m_14 - m_13^2 of the
+    # tail is 0, and the row-by-row condensation would divide by it, but
+    # D_12 <= 0 ends the ladder before the stage order reaches it
+    m = list(free_mv(2, 11).m)
+    m12 = -(-m[11] ** 2 // m[10])
+    ratio = -(-m12 // m[11])
+    m += [m12 * ratio**j for j in range(5)]
+    mv = MomentVector(2, tuple(m))
+    assert m[12] * m[14] == m[13] ** 2
+    hl = hankel_ladder(mv, 16)
+    assert hl.degenerate_at == 12
+    assert (hl.determinants, hl.degenerate_at) == bareiss_hankel_ladder(mv, 16)
 
 
 @st.composite
 def moment_sequences(draw):
     """(MomentVector, order): either the moments of a symmetric measure on
     finitely many points +-sqrt(s_i), s_i = W u_i with weights w_i / W
-    (integer moments, Hankel degenerate past twice the support size), or a
+    (integer moments, Hankel degenerate past twice the support size; up to
+    11 distinct u_i, so the ladder can stay positive to order 20), or a
     log-convex sequence with drawn excesses (whose Hankel minors may turn
     negative or zero anywhere)."""
-    order = draw(st.integers(1, 14))
+    order = draw(st.integers(1, 20))
     if draw(st.booleans()):
-        weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=11))
         total = sum(weights)
-        points = draw(st.lists(st.integers(0, 4), min_size=len(weights),
+        points = draw(st.lists(st.integers(0, 12), min_size=len(weights),
                                max_size=len(weights)))
         m = [sum(w * (total * u) ** k for w, u in zip(weights, points)) // total
              for k in range(order + 1)]
